@@ -56,9 +56,6 @@ class EvalMatrix:
     def n_cols(self) -> int:
         return int(self.cells.shape[1])
 
-    def row(self, i: int) -> str:
-        return "".join(self.cells[i])
-
     def rows(self) -> list[str]:
         return ["".join(r) for r in self.cells]
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Union
 
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
@@ -87,12 +87,8 @@ class ParamTerm:
 Term = Union[IntTerm, BoolTerm, NullTerm, FieldTerm, ParamTerm]
 
 
-def term_to_str(t: Term) -> str:
-    return str(t)
-
-
 def parse_term(text: str) -> Term:
-    """Inverse of :func:`term_to_str` (used by the AF JSON reader)."""
+    """Inverse of ``str(term)`` (used by the AF JSON reader)."""
     if text == "null":
         return NullTerm()
     if text == "true":
@@ -143,22 +139,24 @@ def _split_path(text: str) -> list[str]:
 
 @dataclass(frozen=True)
 class Clause:
-    """One comparison; ``negated`` marks a not-yet-folded negation."""
+    """One comparison, canonical from construction.
+
+    ``negated`` is a constructor-only flag: a negation is folded into the
+    mirrored operator at once.  Boolean-literal and array-length comparisons
+    are rewritten to one form (``x != true`` is ``x == false``, ``len <= 0``
+    is ``len == 0``, ``len != 0`` is ``len > 0``); operands are never
+    reordered.
+    """
 
     lhs: Term
     op: str
     rhs: Term
-    negated: bool = False
+    negated: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, negated: bool) -> None:
         if self.op not in COMPARE_OPS:
             raise ValueError(f"unknown comparison operator {self.op!r}")
-
-    def normalized(self) -> "Clause":
-        """Fold negation into the operator, canonicalize boolean-literal and
-        array-length comparisons.  Form is preserved otherwise (operands are
-        not reordered)."""
-        op = _MIRROR[self.op] if self.negated else self.op
+        op = _MIRROR[self.op] if negated else self.op
         lhs, rhs = self.lhs, self.rhs
         # x != true  ->  x == false ; x != false -> x == true
         if op == "!=" and isinstance(rhs, BoolTerm):
@@ -171,16 +169,16 @@ class Clause:
                 op = "=="
             elif rhs.value == 0 and op == "!=":
                 op = ">"
-        return Clause(lhs, op, rhs, False)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "op", op)
+        object.__setattr__(self, "rhs", rhs)
 
     def mirrored(self) -> "Clause":
-        """The normalized negation of this clause."""
-        n = self.normalized()
-        return Clause(n.lhs, n.op, n.rhs, True).normalized()
+        """The negation of this clause."""
+        return Clause(self.lhs, self.op, self.rhs, True)
 
     def key(self) -> str:
-        n = self.normalized()
-        return f"{n.lhs} {n.op} {n.rhs}"
+        return f"{self.lhs} {self.op} {self.rhs}"
 
     def mentions_parameter(self) -> bool:
         if isinstance(self.lhs, ParamTerm) or isinstance(self.rhs, ParamTerm):
@@ -191,13 +189,11 @@ class Clause:
         return isinstance(self.lhs, (FieldTerm, ParamTerm)) or isinstance(
             self.rhs, (FieldTerm, ParamTerm))
 
-    def __str__(self) -> str:
-        n = self.normalized()
-        return f"{n.lhs} {n.op} {n.rhs}"
+    __str__ = key
 
     def to_dict(self) -> dict:
         return {"lhs": str(self.lhs), "op": self.op, "rhs": str(self.rhs),
-                "negated": self.negated}
+                "negated": False}
 
     @staticmethod
     def from_dict(d: dict) -> "Clause":
@@ -263,7 +259,7 @@ class AbstractionFunction:
             "id": self.id,
             "class": self.class_name,
             "method": self.method_name,
-            "clauses": [c.normalized().to_dict() for c in self.clauses],
+            "clauses": [c.to_dict() for c in self.clauses],
         }
 
     @staticmethod

@@ -604,13 +604,14 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _iter_exprs(e: Expr) -> Iterator[Expr]:
+def iter_exprs(e: Expr) -> Iterator[Expr]:
+    """``e`` and every sub-expression, pre-order."""
     yield e
     if isinstance(e, (And, Or, Cmp, BinOp)):
-        yield from _iter_exprs(e.left)
-        yield from _iter_exprs(e.right)
+        yield from iter_exprs(e.left)
+        yield from iter_exprs(e.right)
     elif isinstance(e, Not):
-        yield from _iter_exprs(e.operand)
+        yield from iter_exprs(e.operand)
 
 
 def _iter_stmts(body: tuple[Stmt, ...]) -> Iterator[Stmt]:
@@ -628,18 +629,18 @@ def iter_method_paths(m: MethodDef) -> Iterator[Path]:
     for s in _iter_stmts(m.body):
         if isinstance(s, Assign):
             yield s.target
-            for e in _iter_exprs(s.value):
+            for e in iter_exprs(s.value):
                 if isinstance(e, PathExpr):
                     yield e.path
         elif isinstance(s, If):
-            for e in _iter_exprs(s.cond):
+            for e in iter_exprs(s.cond):
                 if isinstance(e, PathExpr):
                     yield e.path
         elif isinstance(s, For):
             yield s.bound
         elif isinstance(s, Call):
             for a in s.args:
-                for e in _iter_exprs(a):
+                for e in iter_exprs(a):
                     if isinstance(e, PathExpr):
                         yield e.path
 
@@ -719,7 +720,7 @@ class _Validator:
 
     def _check_expr(self, e: Expr, params: dict[str, FieldType],
                     loop_vars: tuple[str, ...], where: str) -> None:
-        for sub in _iter_exprs(e):
+        for sub in iter_exprs(e):
             if isinstance(sub, PathExpr):
                 self._check_path(sub.path, params, loop_vars, where)
 

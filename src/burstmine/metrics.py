@@ -145,33 +145,36 @@ def trace_recall(captured_events: int, original: Run) -> float:
     return captured_events / total
 
 
-def model_recall(fsm: AnnotatedFSM, runs: list[Run],
-                 afs: list[AbstractionFunction]) -> RecallReport:
+def _recall_report(runs: list[Run], captured_of) -> RecallReport:
+    """Per-run recall, with ``captured_of(run)`` events captured from each."""
     report = RecallReport()
     for run in runs:
-        captured = accepts_prefix(fsm, run, afs)
+        captured = captured_of(run)
         report.per_run.append(
-            (run.run_id, captured, run.total_events,
-             trace_recall(captured, run)))
+            (run.run_id, captured, run.total_events, trace_recall(captured, run)))
     if report.per_run:
         report.mean_recall = statistics.mean(r for *_, r in report.per_run)
     return report
+
+
+def model_recall(fsm: AnnotatedFSM, runs: list[Run],
+                 afs: list[AbstractionFunction]) -> RecallReport:
+    return _recall_report(runs, lambda run: accepts_prefix(fsm, run, afs))
 
 
 def baseline_recall(runs: list[Run], cfg: SamplerConfig) -> RecallReport:
     """Fixed-length baseline recall: events captured from a run over its
-    total, per run."""
-    captured: dict[str, int] = {run.run_id: 0 for run in runs}
+    total, per run.  Sampled traces are attributed by run id, so the ids
+    must be distinct."""
+    captured: dict[str, int] = {}
+    for run in runs:
+        if run.run_id in captured:
+            raise ValueError(f"run id {run.run_id!r} appears more than once; "
+                             "baseline recall needs distinct run ids")
+        captured[run.run_id] = 0
     for run_id, trace in collect_fixed_sampling_detailed(runs, cfg):
         captured[run_id] += len(trace)
-    report = RecallReport()
-    for run in runs:
-        report.per_run.append(
-            (run.run_id, captured[run.run_id], run.total_events,
-             trace_recall(captured[run.run_id], run)))
-    if report.per_run:
-        report.mean_recall = statistics.mean(r for *_, r in report.per_run)
-    return report
+    return _recall_report(runs, lambda run: captured[run.run_id])
 
 
 # ---------------------------------------------------------------------------

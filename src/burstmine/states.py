@@ -27,13 +27,6 @@ class Ternary(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    def negate(self) -> "Ternary":
-        if self is Ternary.T:
-            return Ternary.F
-        if self is Ternary.F:
-            return Ternary.T
-        return Ternary.U
-
 
 class StateError(ValueError):
     """Malformed concrete state (dangling object id, bad shape)."""
@@ -139,12 +132,11 @@ def _resolve(term: Term, state: ConcreteState):
 
 def eval_clause(clause: Clause, state: ConcreteState) -> Ternary:
     """Total ternary evaluation of one comparison."""
-    c = clause.normalized()
-    left = _resolve(c.lhs, state)
-    right = _resolve(c.rhs, state)
+    left = _resolve(clause.lhs, state)
+    right = _resolve(clause.rhs, state)
     if left is _UNRESOLVED or right is _UNRESOLVED:
         return Ternary.U
-    result = _compare(left, c.op, right)
+    result = _compare(left, clause.op, right)
     if result is None:
         return Ternary.U
     return Ternary.T if result else Ternary.F

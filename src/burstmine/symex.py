@@ -26,9 +26,13 @@ Exploration rules
   case is emitted as its own completed path (condition plus
   ``length == 0``) and the main path continues.  Accesses indexed by a field
   path are not bound-modeled.
-* Pure constant-vs-constant comparisons never reach clauses; assignments do
-  not constrain later guards (conditions speak about observable state, and
-  infeasible paths are left for the filtering stage to discard).
+* Pure constant-vs-constant comparisons never reach clauses: they are
+  decided by the same ternary evaluator that runs probes, over an empty
+  state.  One it calls unknown (``null < 1``, a bool against an int,
+  ordered bools) is an error.
+* Assignments do not constrain later guards (conditions speak about
+  observable state, and infeasible paths are left for the filtering stage
+  to discard).
 * Local calls are inlined one level; calls inside inlined bodies are
   havocked (skipped, counted in the report).
 """
@@ -41,6 +45,8 @@ from dataclasses import dataclass, field, replace
 from . import ir
 from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
                         IntTerm, NullTerm, ParamTerm, PathCondition, Term)
+from .ir import iter_exprs
+from .states import ConcreteState, Ternary, eval_clause
 
 
 class SymexError(Exception):
@@ -78,10 +84,9 @@ class _PathState:
     spawned: frozenset[tuple[str, int]] = frozenset()
 
     def with_clause(self, clause: Clause, *, count_branch: bool) -> "_PathState":
-        c = clause.normalized()
         return _PathState(
-            self.clauses + (c,),
-            self.keys | {c.key()},
+            self.clauses + (clause,),
+            self.keys | {clause.key()},
             self.branch_count + (1 if count_branch else 0),
             self.spawned,
         )
@@ -180,8 +185,7 @@ class _Executor:
         kind, name = term.segments[0]
         return kind == "field" and name in self._const_names.get(term.root, set())
 
-    def _statically_true(self, clause: Clause) -> bool:
-        c = clause.normalized()
+    def _statically_true(self, c: Clause) -> bool:
         if c.op != ">=" or not isinstance(c.rhs, IntTerm) or c.rhs.value != 0:
             return False
         lhs = c.lhs
@@ -260,7 +264,7 @@ class _Executor:
                 tag = (str(array), k)
                 if tag in path.spawned:
                     continue
-                abort_clause = Clause(length, "<=", IntTerm(k)).normalized()
+                abort_clause = Clause(length, "<=", IntTerm(k))
                 self._emit(replace(path, clauses=path.clauses + (abort_clause,)))
                 path = replace(path, spawned=path.spawned | {tag})
         return path
@@ -269,7 +273,7 @@ class _Executor:
         terms: list[Term] = []
         if isinstance(stmt, ir.Assign):
             terms.append(self._path_term(stmt.target, env))
-            for e in _leaf_exprs(stmt.value):
+            for e in iter_exprs(stmt.value):
                 if isinstance(e, ir.PathExpr):
                     terms.append(self._path_term(e.path, env))
         return terms
@@ -384,12 +388,14 @@ class _Executor:
         if cont is None:
             return
         path = cont
-        pos = Clause(lhs, cmp.op, rhs).normalized()
+        pos = Clause(lhs, cmp.op, rhs)
         neg = pos.mirrored()
         if not pos.references_state():
-            # Pure constant comparison: decide concretely, record nothing.
-            value = _fold_constant(pos)
-            (k_true if value else k_false)(path)
+            # Pure constant comparison: decide it as a probe would, record nothing.
+            value = eval_clause(pos, ConcreteState())
+            if value is Ternary.U:
+                raise SymexError(f"undecidable constant guard {pos}")
+            (k_true if value is Ternary.T else k_false)(path)
             return
         if pos.key() in path.keys:
             k_true(path)
@@ -408,31 +414,6 @@ class _Executor:
             return
         k_true(path.with_clause(pos, count_branch=True))
         k_false(path.with_clause(neg, count_branch=True))
-
-
-def _leaf_exprs(e: ir.Expr):
-    yield e
-    if isinstance(e, (ir.And, ir.Or, ir.Cmp, ir.BinOp)):
-        yield from _leaf_exprs(e.left)
-        yield from _leaf_exprs(e.right)
-    elif isinstance(e, ir.Not):
-        yield from _leaf_exprs(e.operand)
-
-
-def _fold_constant(clause: Clause) -> bool:
-    def value(t: Term):
-        if isinstance(t, IntTerm):
-            return t.value
-        if isinstance(t, BoolTerm):
-            return t.value
-        if isinstance(t, NullTerm):
-            return None
-        raise SymexError(f"cannot fold term {t}")
-
-    left, right = value(clause.lhs), value(clause.rhs)
-    return {"==": left == right, "!=": left != right,
-            "<": left < right, "<=": left <= right,
-            ">": left > right, ">=": left >= right}[clause.op]
 
 
 # ---------------------------------------------------------------------------
@@ -482,10 +463,6 @@ class ExtractionReport:
     methods: dict = field(default_factory=dict)  # "Cls.method" -> MethodReport
     bounds: SymexBounds = field(default_factory=SymexBounds)
 
-    @property
-    def any_truncated(self) -> bool:
-        return any(r.truncated for r in self.methods.values())
-
     def to_header(self) -> dict:
         return {
             "bounds": {
@@ -505,7 +482,8 @@ def extract_abstraction_functions(program: ir.Program,
                                   ) -> tuple[list[AbstractionFunction], ExtractionReport]:
     """Steps 1+2 composition: classes in relevant order, methods in
     declaration order, paths in exploration order; syntactically identical
-    functions (after clause normalization) are kept once, first wins."""
+    functions (clauses are canonical, so equal keys mean equal
+    conjunctions) are kept once, first wins."""
     bounds = bounds or SymexBounds()
     report = ExtractionReport(bounds=bounds)
     result: list[AbstractionFunction] = []

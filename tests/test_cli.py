@@ -48,6 +48,26 @@ def test_extract_cart(workdir):
     assert header["relevant_classes"] == ["Cart", "Product"]
 
 
+def test_extract_cart_matches_golden_file(workdir):
+    out = workdir / "afs.json"
+    rc = run_cli("extract", "--program", workdir / "cart.mir",
+                 "--targets", "Cart", "--out", out)
+    assert rc == 0
+    golden = Path(__file__).parent / "data" / "cart_afs.json"
+    assert out.read_bytes() == golden.read_bytes()
+
+
+def test_extract_undecidable_constant_guard_exits_2(workdir, capsys):
+    src = workdir / "null_guard.mir"
+    src.write_text("class A { field x: int; "
+                   "method m() { if (null < 1) { A.x = 1; } } }")
+    rc = run_cli("extract", "--program", src, "--out", workdir / "x.json")
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "SymexError"
+
+
 def test_extract_unknown_target_exits_2(workdir, capsys):
     rc = run_cli("extract", "--program", workdir / "cart.mir",
                  "--targets", "Warehouse", "--out", workdir / "x.json")

@@ -189,6 +189,13 @@ def test_baseline_recall_per_run():
         assert recall == pytest.approx(captured / total)
 
 
+def test_baseline_recall_rejects_repeated_run_id():
+    runs = generate_editor_runs(2, master_seed=2)
+    runs = [runs[0], Run(runs[0].run_id, runs[1].segments)]
+    with pytest.raises(ValueError, match=repr(runs[0].run_id)):
+        baseline_recall(runs, SamplerConfig(1.0, 7, "fixed_length"))
+
+
 # --- sweeps ---------------------------------------------------------------------
 
 @pytest.fixture(scope="module")

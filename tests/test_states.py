@@ -56,10 +56,22 @@ def test_negation_swaps_t_f_and_fixes_u():
     s = cart_state(n_products=2)
     base = clause("Cart.nProducts > 0")
     neg = Clause(base.lhs, base.op, base.rhs, negated=True)
+    assert neg == Clause(base.lhs, "<=", base.rhs)
     assert eval_clause(base, s) is Ternary.T
     assert eval_clause(neg, s) is Ternary.F
     missing = cart_state(with_cart=False)
     assert eval_clause(neg, missing) is Ternary.U
+
+
+def test_clauses_are_canonical_from_construction():
+    assert clause("Cart.products.[0].taxFree != true") == clause(
+        "Cart.products.[0].taxFree == false")
+    assert clause("Cart.products.length <= 0") == clause("Cart.products.length == 0")
+    assert clause("Cart.products.length != 0") == clause("Cart.products.length > 0")
+    written = Clause.from_dict({"lhs": "Cart.nProducts", "op": ">", "rhs": "0",
+                                "negated": True})
+    assert written == clause("Cart.nProducts <= 0")
+    assert written.to_dict()["negated"] is False
 
 
 def test_length_and_index_resolution():

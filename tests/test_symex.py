@@ -2,7 +2,8 @@ import pytest
 
 from burstmine.functions import Clause, IntTerm, ParamTerm, parse_term
 from burstmine.ir import parse_program
-from burstmine.symex import (SymexBounds, extract_abstraction_functions,
+from burstmine.symex import (SymexBounds, SymexError,
+                             extract_abstraction_functions,
                              strip_parameter_clauses, symbolic_execute)
 from burstmine.functions import PathCondition
 
@@ -159,6 +160,27 @@ def test_parameter_guards_are_explored_then_stripped():
     afs, _ = extract_abstraction_functions(p, ("Box",))
     assert [set(af.clause_set()) for af in afs] == [
         {"Box.n == 0"}, {"Box.n != 0"}]
+
+
+def test_constant_guard_follows_decided_branch_silently():
+    p = parse_program("""
+    class A { field x: int;
+      method m() { if (null == null) { if (A.x > 0) { A.x = 1; } } }
+    }
+    """)
+    paths, _ = symbolic_execute(p.classes[0].methods[0], p)
+    assert [[c.key() for c in path.clauses] for path in paths] == [
+        ["A.x > 0"], ["A.x <= 0"]]
+
+
+def test_undecidable_constant_guard_raises():
+    p = parse_program("""
+    class A { field x: int;
+      method m() { if (null < 1) { A.x = 1; } }
+    }
+    """)
+    with pytest.raises(SymexError, match="undecidable constant guard null < 1"):
+        symbolic_execute(p.classes[0].methods[0], p)
 
 
 # --- dedup and bounds ---------------------------------------------------------
