@@ -58,4 +58,4 @@ for name, state in snapshots.items():
 # the point: the probes only keep what steers control flow.
 a = abstract_state(afs, cart_state(2, [(40, True), (30, True)]))
 b = abstract_state(afs, cart_state(3, [(40, True), (30, True), (20, True)]))
-print("\n2-item and 3-item carts abstract identically:", str(a) == str(b))
+print("\n2-item and 3-item carts abstract identically:", a == b)

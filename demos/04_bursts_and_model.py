@@ -9,6 +9,8 @@ before and after.  Bursts then join into a model wherever states match.
 
 from burstmine import (SamplerConfig, collect_cbr_bursts, export_fsm,
                        simulate_traces, synthesize, accepts_prefix)
+from burstmine.collect import collect
+from burstmine.functions import af_list_hash
 from burstmine.synthetic import (checkout_abstraction_functions, checkout_runs,
                                  checkout_reference_bursts)
 
@@ -25,7 +27,7 @@ bursts = collect_cbr_bursts(runs, afs, SamplerConfig(probability=1.0, rng_seed=1
 print(f"\ncollected {len(bursts)} bursts at p=1.0; the first three:")
 for b in bursts[:3]:
     calls = " ".join(str(e) for e in b.trace)
-    print(f"  ({','.join(str(b.pre))}) {b.label}: {calls} ({','.join(str(b.post))})")
+    print(f"  ({','.join(b.pre)}) {b.label}: {calls} ({','.join(b.post)})")
 
 # Five hand-picked bursts are enough for the full model of this flow.
 fsm = synthesize(checkout_reference_bursts())
@@ -38,8 +40,9 @@ for t in simulate_traces(fsm, "UU", max_hops=2):
     calls = " ".join(e.method for e in t.events)
     print(f"({t.start}) {' -> '.join(t.labels)} ({t.end}): {calls}")
 
-# Acceptance: the model explains each original run end to end.
+# Acceptance: the model explains each original run end to end, read as one
+# burst per operation (every segment, no draw).
 print()
 for run in runs:
-    got = accepts_prefix(fsm, run, afs)
+    got = accepts_prefix(fsm, collect(run.segments, afs, af_list_hash(afs)))
     print(f"{run.run_id}: accepted {got}/{run.total_events} events")

@@ -10,30 +10,30 @@ and scores the model's precision and recall against full original runs.
 from .collect import (Burst, MethodCall, OperationSegment, Run, SamplerConfig,
                       collect_cbr_bursts, collect_fixed_sampling, dump_runs,
                       load_runs)
-from .filtering import EvalMatrix, FilterReport, build_matrix, filter_functions
+from .filtering import EvalMatrix, FilterReport, filter_functions
 from .functions import AbstractionFunction, Clause, PathCondition
 from .ir import (Program, build_dependency_graph, detect_relevant_classes,
                  parse_program, pretty_print)
-from .metrics import (baseline_recall, model_recall, node_precision,
+from .metrics import (baseline_recall, evaluate, model_recall, node_precision,
                       overall_precision, run_sweep, trace_recall)
 from .model import (AnnotatedFSM, accepts_prefix, export_fsm, import_fsm,
                     simulate_traces, synthesize)
-from .states import (AbstractState, ConcreteObject, ConcreteState, Ternary,
-                     abstract_state, eval_clause, eval_function)
+from .states import (ConcreteObject, ConcreteState, Ternary, abstract_state,
+                     eval_clause, eval_function)
 from .symex import (SymexBounds, extract_abstraction_functions,
                     strip_parameter_clauses, symbolic_execute)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AbstractState", "AbstractionFunction", "AnnotatedFSM", "Burst", "Clause",
+    "AbstractionFunction", "AnnotatedFSM", "Burst", "Clause",
     "ConcreteObject", "ConcreteState", "EvalMatrix", "FilterReport",
     "MethodCall", "OperationSegment", "PathCondition", "Program", "Run",
     "SamplerConfig", "SymexBounds", "Ternary", "abstract_state",
     "accepts_prefix", "baseline_recall", "build_dependency_graph",
-    "build_matrix", "collect_cbr_bursts", "collect_fixed_sampling",
+    "collect_cbr_bursts", "collect_fixed_sampling",
     "detect_relevant_classes", "dump_runs", "eval_clause", "eval_function",
-    "export_fsm", "extract_abstraction_functions", "filter_functions",
+    "evaluate", "export_fsm", "extract_abstraction_functions", "filter_functions",
     "import_fsm", "load_runs", "model_recall", "node_precision",
     "overall_precision", "parse_program", "pretty_print", "run_sweep",
     "simulate_traces", "strip_parameter_clauses", "symbolic_execute",

@@ -25,9 +25,8 @@ import sys
 from pathlib import Path
 
 from . import filtering, metrics, model
-from .collect import (SamplerConfig, collect_cbr_bursts,
-                      collect_fixed_sampling_detailed, dumps_bursts,
-                      load_runs, loads_bursts)
+from .collect import (SamplerConfig, collect_cbr_bursts, collect_fixed_sampling,
+                      dumps_bursts, load_runs, loads_bursts)
 from .functions import af_list_hash, dump_af_list, load_af_list
 from .ir import (IrError, build_dependency_graph, detect_relevant_classes,
                  parse_program)
@@ -140,13 +139,12 @@ def cmd_profile(args) -> int:
     config = _config(args)
     afs, _ = _load_afs(args, config)
     runs = _load_traces(args, config)
-    evaluations = []
-    for run in runs:
-        for i, seg in enumerate(run.segments):
-            evaluations.append((abstract_state(afs, seg.pre_state), (run.run_id, i)))
-    if not evaluations:
+    provenance = [(run.run_id, i) for run in runs for i in range(len(run.segments))]
+    rows = [abstract_state(afs, seg.pre_state) for run in runs for seg in run.segments]
+    if not rows:
         _warn("no snapshots in the training traces; emitting a header-only matrix")
-    m = filtering.build_matrix(evaluations, tuple(af.id for af in afs))
+    m = filtering.EvalMatrix.from_rows(tuple(af.id for af in afs), rows,
+                                       provenance, af_list_hash(afs))
     _write(args, args.out, filtering.matrix_to_csv(m))
     return 0
 
@@ -183,12 +181,12 @@ def cmd_collect(args) -> int:
             _warn("no bursts collected (probability too low or no segments)")
         _write(args, args.out, dumps_bursts(bursts, cfg, af_list_hash(afs)))
         return 0
-    detailed = collect_fixed_sampling_detailed(runs, cfg)
+    traces = collect_fixed_sampling(runs, cfg)
     lines = [json.dumps({"header": {"sampler": cfg.to_dict()}})]
-    for run_id, trace in detailed:
+    for run_id, trace in traces:
         lines.append(json.dumps(
             {"run": run_id, "trace": [e.to_dict() for e in trace]}))
-    if not detailed:
+    if not traces:
         _warn("no baseline traces recorded")
     _write(args, args.out, "\n".join(lines) + "\n")
     return 0
@@ -237,8 +235,7 @@ def cmd_evaluate(args) -> int:
     runs = _load_traces(args, config)
     if fsm.n_states == 0:
         _warn("evaluating an empty model; recall is 0 and precision is absent")
-    precision = metrics.overall_precision(fsm, runs, afs)
-    recall = metrics.model_recall(fsm, runs, afs)
+    precision, recall = metrics.evaluate(fsm, runs, afs)
     _write(args, "precision.json", precision.to_json())
     _write(args, "precision.csv", precision.to_csv())
     _write(args, "recall.json", recall.to_json())

@@ -1,10 +1,12 @@
 """Burst collection over recorded runs.
 
 "The field" here is a trace file of complete runs, each split into user
-operations with concrete pre/post states.  The controlled collector draws
-one uniform sample per operation (run order, then segment order, one shared
-seeded stream) and, when the draw succeeds, emits the operation's events
-bracketed by the abstract states of its recorded concrete states.
+operations with concrete pre/post states.  ``collect`` turns segments into
+bursts: the operation's events bracketed by the T/F/U strings of its
+recorded concrete states, each state abstracted once, and the AF list's
+``af_hash``.  The controlled collector draws one uniform sample per
+operation (run order, then segment order, one shared seeded stream, see
+``draw``) and collects the segments whose draw succeeds.
 
 The uncontrolled baseline draws at operation starts only while idle and then
 records a fixed number of consecutive events regardless of operation
@@ -17,8 +19,8 @@ import json
 import random
 from dataclasses import dataclass
 
-from .functions import AbstractionFunction
-from .states import AbstractState, ConcreteState, StateError, abstract_state
+from .functions import AbstractionFunction, af_list_hash
+from .states import ConcreteState, StateError, abstract_state
 
 SRT_CATEGORIES = ("Instantaneous", "Immediate", "Continuous", "Captive")
 
@@ -42,6 +44,8 @@ class MethodCall:
 
     @staticmethod
     def from_dict(d: dict) -> "MethodCall":
+        if not isinstance(d, dict) or "method" not in d or "class" not in d:
+            raise TraceSchemaError(f"event {d!r} needs a 'method' and a 'class'")
         return MethodCall(d["method"], d["class"], tuple(d.get("params", ())))
 
     def __str__(self) -> str:
@@ -78,14 +82,14 @@ class Run:
 
 @dataclass(frozen=True)
 class Burst:
-    label: str
-    pre: AbstractState
-    trace: Trace
-    post: AbstractState
+    """One operation's events between its abstract pre and post states,
+    both T/F/U strings over the AF list that ``af_hash`` names."""
 
-    def __post_init__(self) -> None:
-        if self.pre.af_hash != self.post.af_hash:
-            raise ValueError("burst pre/post states use different AF orderings")
+    label: str
+    pre: str
+    trace: Trace
+    post: str
+    af_hash: str
 
 
 @dataclass(frozen=True)
@@ -126,13 +130,10 @@ def _segment_from_dict(d: dict, record: int) -> OperationSegment:
     try:
         pre = ConcreteState.from_dict(d["pre_state"])
         post = ConcreteState.from_dict(d["post_state"])
-    except StateError as exc:
-        raise TraceSchemaError(str(exc), record) from exc
-    events = tuple(MethodCall.from_dict(e) for e in d["events"])
-    try:
+        events = tuple(MethodCall.from_dict(e) for e in d["events"])
         return OperationSegment(d["label"], events, pre, post,
                                 d.get("srt_category", "Instantaneous"))
-    except TraceSchemaError as exc:
+    except (StateError, TraceSchemaError) as exc:
         raise TraceSchemaError(str(exc), record) from exc
 
 
@@ -154,6 +155,8 @@ def loads_runs(text: str) -> list[Run]:
             doc = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceSchemaError(f"invalid JSON: {exc}", lineno) from exc
+        if not isinstance(doc, dict):
+            raise TraceSchemaError("line is not a JSON object", lineno)
         if "run" in doc:
             close()
             current_id = str(doc["run"])
@@ -198,32 +201,36 @@ def dump_runs(runs: list[Run], path) -> None:
 # ---------------------------------------------------------------------------
 
 
+def collect(segments, afs: list[AbstractionFunction], af_hash: str,
+            ) -> list[Burst]:
+    """One burst per segment, in order; ``af_hash`` is ``af_list_hash(afs)``."""
+    return [Burst(seg.label, abstract_state(afs, seg.pre_state), seg.events,
+                  abstract_state(afs, seg.post_state), af_hash)
+            for seg in segments]
+
+
+def draw(items, cfg: SamplerConfig) -> list:
+    """The items whose draw succeeds: one uniform draw per item, in order,
+    from one stream seeded with ``cfg.rng_seed``."""
+    if cfg.mode != "cbr":
+        raise ValueError("controlled collection needs a cbr-mode config")
+    rng = random.Random(cfg.rng_seed)
+    return [item for item in items if rng.random() < cfg.probability]
+
+
 def collect_cbr_bursts(runs: list[Run], afs: list[AbstractionFunction],
                        cfg: SamplerConfig) -> list[Burst]:
     """One draw per user operation; successful draws emit state-bracketed
     bursts in encounter order.  Identical inputs (seed included) give
     identical output."""
-    if cfg.mode != "cbr":
-        raise ValueError("collect_cbr_bursts needs a cbr-mode config")
-    rng = random.Random(cfg.rng_seed)
-    bursts: list[Burst] = []
-    for run in runs:
-        for seg in run.segments:
-            if rng.random() < cfg.probability:
-                bursts.append(Burst(
-                    seg.label,
-                    abstract_state(afs, seg.pre_state),
-                    seg.events,
-                    abstract_state(afs, seg.post_state)))
-    return bursts
+    drawn = draw([seg for run in runs for seg in run.segments], cfg)
+    return collect(drawn, afs, af_list_hash(afs))
 
 
-AttributedTrace = tuple[str, Trace]  # (run id, events)
-
-
-def collect_fixed_sampling_detailed(runs: list[Run], cfg: SamplerConfig,
-                                    ) -> list[AttributedTrace]:
-    """Fixed-length baseline with run attribution: (run_id, events) pairs.
+def collect_fixed_sampling(runs: list[Run], cfg: SamplerConfig,
+                           ) -> list[tuple[str, Trace]]:
+    """Uncontrolled baseline: unlabeled, state-free fixed-length event
+    traces as (run_id, events) pairs.
 
     A draw happens at a segment start only while idle; once recording, the
     monitor keeps appending events across segment boundaries until it has
@@ -232,7 +239,7 @@ def collect_fixed_sampling_detailed(runs: list[Run], cfg: SamplerConfig,
     if cfg.mode != "fixed_length":
         raise ValueError("collect_fixed_sampling needs a fixed_length-mode config")
     rng = random.Random(cfg.rng_seed)
-    out: list[AttributedTrace] = []
+    out: list[tuple[str, Trace]] = []
     for run in runs:
         recording: list[MethodCall] | None = None
         for seg in run.segments:
@@ -252,11 +259,6 @@ def collect_fixed_sampling_detailed(runs: list[Run], cfg: SamplerConfig,
     return out
 
 
-def collect_fixed_sampling(runs: list[Run], cfg: SamplerConfig) -> list[Trace]:
-    """Uncontrolled baseline: unlabeled, state-free fixed-length event traces."""
-    return [trace for _, trace in collect_fixed_sampling_detailed(runs, cfg)]
-
-
 # ---------------------------------------------------------------------------
 # Burst files (JSONL with a header line)
 # ---------------------------------------------------------------------------
@@ -265,7 +267,7 @@ def collect_fixed_sampling(runs: list[Run], cfg: SamplerConfig) -> list[Trace]:
 def dumps_bursts(bursts: list[Burst], cfg: SamplerConfig | None = None,
                  af_hash: str | None = None) -> str:
     if af_hash is None:
-        af_hash = bursts[0].pre.af_hash if bursts else ""
+        af_hash = bursts[0].af_hash if bursts else ""
     header: dict = {"af_hash": af_hash}
     if cfg is not None:
         header["sampler"] = cfg.to_dict()
@@ -273,9 +275,9 @@ def dumps_bursts(bursts: list[Burst], cfg: SamplerConfig | None = None,
     for b in bursts:
         lines.append(json.dumps({
             "label": b.label,
-            "pre": str(b.pre),
+            "pre": b.pre,
             "trace": [e.to_dict() for e in b.trace],
-            "post": str(b.post),
+            "post": b.post,
         }))
     return "\n".join(lines) + "\n"
 
@@ -285,18 +287,20 @@ def loads_bursts(text: str) -> tuple[list[Burst], dict]:
     if not lines:
         raise TraceSchemaError("empty burst document")
     head = json.loads(lines[0])
-    if "header" not in head:
+    if not isinstance(head, dict) or not isinstance(head.get("header"), dict):
         raise TraceSchemaError("burst file must start with a header line", 1)
     af_hash = head["header"].get("af_hash", "")
     bursts: list[Burst] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        d = json.loads(line)
         try:
+            d = json.loads(line)
+            for state in (d["pre"], d["post"]):
+                if not isinstance(state, str) or state.strip("TFU"):
+                    raise ValueError(f"abstract state {state!r} is not a T/F/U string")
             bursts.append(Burst(
-                d["label"],
-                AbstractState.from_string(d["pre"], af_hash),
+                d["label"], d["pre"],
                 tuple(MethodCall.from_dict(e) for e in d["trace"]),
-                AbstractState.from_string(d["post"], af_hash)))
-        except (KeyError, ValueError) as exc:
+                d["post"], af_hash))
+        except (KeyError, TypeError, ValueError) as exc:
             raise TraceSchemaError(str(exc), lineno) from exc
     return bursts, head["header"]

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import AbstractState
-
 _CELLS = ("T", "F", "U")
 
 
@@ -68,33 +66,6 @@ class EvalMatrix:
         if arr.size == 0:
             arr = arr.reshape(0, len(tuple(column_ids)))
         return EvalMatrix(tuple(column_ids), arr, tuple(provenance), af_hash)
-
-
-def build_matrix(evaluations, column_ids=None) -> EvalMatrix:
-    """Assemble snapshot rows (stream order) over AF columns (AF order).
-
-    ``evaluations`` yields ``(AbstractState, (run_id, snapshot_idx))`` pairs;
-    mixing abstract states produced under different AF orderings is an error.
-    """
-    rows: list[str] = []
-    provenance: list[tuple[str, int]] = []
-    af_hash = ""
-    width = None
-    for aps, prov in evaluations:
-        if not isinstance(aps, AbstractState):
-            raise MatrixError("expected AbstractState instances")
-        if af_hash and aps.af_hash != af_hash:
-            raise MatrixError(
-                f"mixed AF orderings in evaluation stream: {aps.af_hash} != {af_hash}")
-        af_hash = af_hash or aps.af_hash
-        width = len(aps) if width is None else width
-        rows.append(str(aps))
-        provenance.append((str(prov[0]), int(prov[1])))
-    if column_ids is None:
-        column_ids = tuple(f"AF{i + 1}" for i in range(width or 0))
-    if width is not None and len(column_ids) != width:
-        raise MatrixError("column ids do not match abstract-state width")
-    return EvalMatrix.from_rows(column_ids, rows, provenance, af_hash)
 
 
 @dataclass

@@ -289,7 +289,12 @@ def dump_af_list(afs: list[AbstractionFunction], header: dict | None = None) -> 
 
 def load_af_list(text: str) -> tuple[list[AbstractionFunction], dict]:
     doc = json.loads(text)
-    afs = [AbstractionFunction.from_dict(d) for d in doc["functions"]]
+    if not isinstance(doc, dict):
+        raise ValueError("abstraction-function list must be a JSON object")
+    try:
+        afs = [AbstractionFunction.from_dict(d) for d in doc["functions"]]
+    except KeyError as exc:
+        raise ValueError(f"abstraction-function list is missing key {exc}") from exc
     if doc.get("af_hash") and doc["af_hash"] != af_list_hash(afs):
         raise ValueError("abstraction-function list hash mismatch")
     return afs, doc.get("header", {})

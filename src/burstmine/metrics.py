@@ -13,6 +13,11 @@ by what a technique captured: the accepted prefix for synthesized models,
 the total sampled events for the fixed-length baseline.  Sampling baselines
 are never scored for precision (they record verbatim, so it is 1 by
 definition).
+
+Both metrics read the original runs as bursts (``collect.collect``), one per
+segment, so each recorded state is abstracted once per call; ``evaluate``
+shares them between precision and recall, and ``run_sweep`` between all of
+its grid cells.
 """
 
 from __future__ import annotations
@@ -22,11 +27,10 @@ import statistics
 from dataclasses import dataclass, field
 from itertools import product
 
-from .collect import (Run, SamplerConfig, collect_cbr_bursts,
-                      collect_fixed_sampling_detailed)
-from .functions import AbstractionFunction
+from .collect import (Burst, Run, SamplerConfig, collect,
+                      collect_fixed_sampling, draw)
+from .functions import AbstractionFunction, af_list_hash
 from .model import AnnotatedFSM, ModelError, accepts_prefix, synthesize
-from .states import abstract_state
 
 
 @dataclass(frozen=True)
@@ -81,21 +85,34 @@ class RecallReport:
         return "\n".join(lines) + "\n"
 
 
-def _witnesses(originals: list[Run], afs: list[AbstractionFunction],
-               ) -> set[tuple[str, str, str]]:
+def _abstract(fsm: AnnotatedFSM, runs: list[Run],
+              afs: list[AbstractionFunction]) -> list[list[Burst]]:
+    """Each run as its bursts; the AF list must be the one ``fsm`` was
+    built with."""
+    af_hash = af_list_hash(afs)
+    if fsm.af_hash and af_hash != fsm.af_hash:
+        raise ModelError("AF list does not match the model's AF ordering")
+    return [collect(run.segments, afs, af_hash) for run in runs]
+
+
+def _witnesses(abstracted: list[list[Burst]]) -> set[tuple[str, str, str]]:
     """(label A, label B, intermediate abstract state) triples observed as
     consecutive operations in the original runs."""
-    seen: set[tuple[str, str, str]] = set()
-    for run in originals:
-        for a, b in zip(run.segments, run.segments[1:]):
-            mid = str(abstract_state(afs, a.post_state))
-            seen.add((a.label, b.label, mid))
-    return seen
+    return {(a.label, b.label, a.post)
+            for bursts in abstracted for a, b in zip(bursts, bursts[1:])}
+
+
+def _node_score(fsm: AnnotatedFSM, node: str, witnesses) -> tuple[int, int]:
+    incoming = {(k[0], k[1]) for k in fsm.incoming(node)}
+    outgoing = {(k[0], k[2]) for k in fsm.outgoing(node)}
+    correct = sum(
+        1 for (la, _), (lb, _) in product(sorted(incoming), sorted(outgoing))
+        if (la, lb, node) in witnesses)
+    return correct, len(incoming) * len(outgoing)
 
 
 def node_precision(fsm: AnnotatedFSM, node, originals: list[Run],
-                   afs: list[AbstractionFunction],
-                   _witness_cache: "set | None" = None) -> tuple[int, int]:
+                   afs: list[AbstractionFunction]) -> tuple[int, int]:
     """(correct, total) length-2 sequence counts through ``node``.
 
     Total is |distinct incoming (label, source)| x |distinct outgoing
@@ -104,36 +121,27 @@ def node_precision(fsm: AnnotatedFSM, node, originals: list[Run],
     node = str(node)
     if node not in fsm.states:
         raise ModelError(f"unknown node {node!r}")
-    incoming = {(k[0], k[1]) for k in fsm.incoming(node)}
-    outgoing = {(k[0], k[2]) for k in fsm.outgoing(node)}
-    total = len(incoming) * len(outgoing)
-    if total == 0:
-        return 0, 0
-    witnesses = (_witnesses(originals, afs)
-                 if _witness_cache is None else _witness_cache)
-    correct = sum(
-        1 for (la, _), (lb, _) in product(sorted(incoming), sorted(outgoing))
-        if (la, lb, node) in witnesses)
-    return correct, total
+    return _node_score(fsm, node, _witnesses(_abstract(fsm, originals, afs)))
+
+
+def _precision(fsm: AnnotatedFSM, witnesses) -> PrecisionReport:
+    report = PrecisionReport()
+    for state in sorted(fsm.states):
+        correct, total = _node_score(fsm, state, witnesses)
+        if total == 0:
+            report.excluded += 1
+        else:
+            report.per_node.append(NodeScore(state, correct, total))
+    if report.per_node:
+        report.overall = statistics.mean(s.precision for s in report.per_node)
+    return report
 
 
 def overall_precision(fsm: AnnotatedFSM, originals: list[Run],
                       afs: list[AbstractionFunction]) -> PrecisionReport:
     """Mean node precision over nodes with both incoming and outgoing
     transitions; an empty model yields an absent overall, not zero."""
-    report = PrecisionReport()
-    witnesses = _witnesses(originals, afs)
-    scores: list[NodeScore] = []
-    for state in sorted(fsm.states):
-        correct, total = node_precision(fsm, state, originals, afs, witnesses)
-        if total == 0:
-            report.excluded += 1
-            continue
-        scores.append(NodeScore(state, correct, total))
-    report.per_node = scores
-    if scores:
-        report.overall = statistics.mean(s.precision for s in scores)
-    return report
+    return _precision(fsm, _witnesses(_abstract(fsm, originals, afs)))
 
 
 def trace_recall(captured_events: int, original: Run) -> float:
@@ -145,11 +153,10 @@ def trace_recall(captured_events: int, original: Run) -> float:
     return captured_events / total
 
 
-def _recall_report(runs: list[Run], captured_of) -> RecallReport:
-    """Per-run recall, with ``captured_of(run)`` events captured from each."""
+def _recall_report(runs: list[Run], captured_events: list[int]) -> RecallReport:
+    """Per-run recall, with ``captured_events[i]`` captured from ``runs[i]``."""
     report = RecallReport()
-    for run in runs:
-        captured = captured_of(run)
+    for run, captured in zip(runs, captured_events):
         report.per_run.append(
             (run.run_id, captured, run.total_events, trace_recall(captured, run)))
     if report.per_run:
@@ -159,7 +166,17 @@ def _recall_report(runs: list[Run], captured_of) -> RecallReport:
 
 def model_recall(fsm: AnnotatedFSM, runs: list[Run],
                  afs: list[AbstractionFunction]) -> RecallReport:
-    return _recall_report(runs, lambda run: accepts_prefix(fsm, run, afs))
+    return _recall_report(runs, [accepts_prefix(fsm, bursts)
+                                 for bursts in _abstract(fsm, runs, afs)])
+
+
+def evaluate(fsm: AnnotatedFSM, runs: list[Run], afs: list[AbstractionFunction],
+             ) -> tuple[PrecisionReport, RecallReport]:
+    """``overall_precision`` and ``model_recall`` against the same runs,
+    abstracting each run once for both."""
+    abstracted = _abstract(fsm, runs, afs)
+    return (_precision(fsm, _witnesses(abstracted)), _recall_report(
+        runs, [accepts_prefix(fsm, bursts) for bursts in abstracted]))
 
 
 def baseline_recall(runs: list[Run], cfg: SamplerConfig) -> RecallReport:
@@ -172,9 +189,9 @@ def baseline_recall(runs: list[Run], cfg: SamplerConfig) -> RecallReport:
             raise ValueError(f"run id {run.run_id!r} appears more than once; "
                              "baseline recall needs distinct run ids")
         captured[run.run_id] = 0
-    for run_id, trace in collect_fixed_sampling_detailed(runs, cfg):
+    for run_id, trace in collect_fixed_sampling(runs, cfg):
         captured[run_id] += len(trace)
-    return _recall_report(runs, lambda run: captured[run.run_id])
+    return _recall_report(runs, [captured[run.run_id] for run in runs])
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +245,8 @@ def run_sweep(runs: list[Run], afs: list[AbstractionFunction],
               probabilities, n_runs_list, seeds) -> SweepResult:
     """Collect -> synthesize -> score for every (probability, n runs, seed)
     grid cell.  The first ``n`` runs are collected from; precision and recall
-    are always measured against the full run set."""
+    are always measured against the full run set.  The runs are abstracted
+    once for the whole grid; each cell only draws from their bursts."""
     probabilities = tuple(probabilities)
     n_runs_list = tuple(n_runs_list)
     seeds = tuple(seeds)
@@ -239,17 +257,21 @@ def run_sweep(runs: list[Run], afs: list[AbstractionFunction],
     if any(n > len(runs) for n in n_runs_list):
         raise ValueError("run-count axis exceeds the available runs")
     result = SweepResult(probabilities, n_runs_list, seeds)
+    af_hash = af_list_hash(afs)
+    abstracted = [collect(run.segments, afs, af_hash) for run in runs]
+    witnesses = _witnesses(abstracted)
     for p in probabilities:
         for n in n_runs_list:
+            collected = [b for bursts in abstracted[:n] for b in bursts]
             for seed in seeds:
                 cfg = SamplerConfig(probability=p, rng_seed=seed, mode="cbr")
-                bursts = collect_cbr_bursts(runs[:n], afs, cfg)
-                fsm = synthesize(bursts)
+                fsm = synthesize(draw(collected, cfg))
                 if fsm.n_states == 0:
                     precision = None
                     recall = 0.0
                 else:
-                    precision = overall_precision(fsm, runs, afs).overall
-                    recall = model_recall(fsm, runs, afs).mean_recall or 0.0
+                    precision = _precision(fsm, witnesses).overall
+                    accepted = [accepts_prefix(fsm, b) for b in abstracted]
+                    recall = _recall_report(runs, accepted).mean_recall or 0.0
                 result.cells.append(SweepCell(p, n, seed, precision, recall))
     return result

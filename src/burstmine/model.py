@@ -1,10 +1,12 @@
 """Annotated finite-state model synthesis and queries.
 
-States are abstract program states (ternary vectors, handled in their string
-form); a transition is a (label, from, to) triple carrying the set of method
-call traces observed for it.  There are no initial or final states: the model
-is a join structure over whatever bursts were recorded, and reconstruction
-chains bursts through shared states.
+States are abstract program states, the T/F/U strings bursts carry, and
+the model keeps the ``af_hash`` of the AF list they were abstracted with; a
+transition is a (label, from, to) triple carrying the set of method call
+traces observed for it.  There are no initial or final states: the model is
+a join structure over whatever bursts were recorded, and reconstruction
+chains bursts through shared states.  A run is checked against the model as
+its bursts, one per segment (``collect.collect``).
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .collect import Burst, MethodCall, Run, Trace
-from .functions import AbstractionFunction, af_list_hash
-from .states import abstract_state
+from .collect import Burst, MethodCall, Trace
 
 
 class ModelError(ValueError):
@@ -56,18 +56,16 @@ def synthesize(bursts: list[Burst]) -> AnnotatedFSM:
 
     The result does not depend on burst order beyond annotation insertion
     order, which is first-seen."""
-    af_hash = ""
+    af_hash = bursts[0].af_hash if bursts else ""
     states: set[str] = set()
     transitions: dict[TransitionKey, list[Trace]] = {}
     seen: dict[TransitionKey, set[Trace]] = {}
     for b in bursts:
-        if af_hash and b.pre.af_hash != af_hash:
+        if b.af_hash != af_hash:
             raise ModelError("bursts mix different AF orderings")
-        af_hash = af_hash or b.pre.af_hash
-        pre, post = str(b.pre), str(b.post)
-        states.add(pre)
-        states.add(post)
-        key = (b.label, pre, post)
+        states.add(b.pre)
+        states.add(b.post)
+        key = (b.label, b.pre, b.post)
         bucket = transitions.setdefault(key, [])
         dedup = seen.setdefault(key, set())
         if b.trace not in dedup:
@@ -138,26 +136,21 @@ def simulate_traces(fsm: AnnotatedFSM, start, max_hops: int,
     return out
 
 
-def accepts_prefix(fsm: AnnotatedFSM, run: Run,
-                   afs: list[AbstractionFunction]) -> int:
-    """Number of events in the longest run prefix the model accepts.
+def accepts_prefix(fsm: AnnotatedFSM, bursts: list[Burst]) -> int:
+    """Number of events in the longest prefix of a run, given as its bursts
+    (one per segment, in order), that the model accepts.
 
-    Each segment must be matched by a transition with the same label whose
-    endpoints equal the segment's abstract pre/post states and whose
-    annotation set contains the segment's exact event list.
+    Each burst must be matched by a transition with the same label whose
+    endpoints equal the burst's pre/post states and whose annotation set
+    contains the burst's exact event list.
     """
-    if fsm.af_hash and af_list_hash(afs) != fsm.af_hash:
+    if fsm.af_hash and any(b.af_hash != fsm.af_hash for b in bursts):
         raise ModelError("AF list does not match the model's AF ordering")
     accepted = 0
-    for seg in run.segments:
-        key = (seg.label,
-               str(abstract_state(afs, seg.pre_state)),
-               str(abstract_state(afs, seg.post_state)))
-        if key not in fsm.transitions:
+    for b in bursts:
+        if b.trace not in fsm.transitions.get((b.label, b.pre, b.post), ()):
             break
-        if seg.events not in fsm.transitions[key]:
-            break
-        accepted += len(seg.events)
+        accepted += len(b.trace)
     return accepted
 
 
@@ -192,13 +185,18 @@ def _to_json(fsm: AnnotatedFSM) -> str:
 
 def import_fsm(text: str) -> AnnotatedFSM:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ModelError("model document must be a JSON object")
     transitions: dict[TransitionKey, tuple[Trace, ...]] = {}
-    for t in doc["transitions"]:
-        key = (t["label"], t["from"], t["to"])
-        transitions[key] = tuple(
-            tuple(MethodCall.from_dict(e) for e in trace) for trace in t["traces"])
-    return AnnotatedFSM(doc.get("af_hash", ""), frozenset(doc["states"]),
-                        transitions)
+    try:
+        for t in doc["transitions"]:
+            key = (t["label"], t["from"], t["to"])
+            transitions[key] = tuple(tuple(MethodCall.from_dict(e) for e in trace)
+                                     for trace in t["traces"])
+        states = frozenset(doc["states"])
+    except KeyError as exc:
+        raise ModelError(f"model document is missing key {exc}") from exc
+    return AnnotatedFSM(doc.get("af_hash", ""), states, transitions)
 
 
 def _to_dot(fsm: AnnotatedFSM) -> str:

@@ -16,7 +16,7 @@ import enum
 from dataclasses import dataclass, field
 
 from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
-                        IntTerm, NullTerm, ParamTerm, Term, af_list_hash)
+                        IntTerm, NullTerm, ParamTerm, Term)
 
 
 class Ternary(enum.Enum):
@@ -57,7 +57,8 @@ class ConcreteState:
             for fname, value in obj.fields.items():
                 self._check_value(value, f"{oid}.{fname}")
         for cls, oid in self.roots.items():
-            if oid is not None and oid not in self.objects:
+            if oid is not None and (not isinstance(oid, str)
+                                    or oid not in self.objects):
                 raise StateError(f"root of {cls!r} is dangling object id {oid!r}")
 
     def _check_value(self, value, where: str) -> None:
@@ -77,11 +78,17 @@ class ConcreteState:
 
     @staticmethod
     def from_dict(d: dict) -> "ConcreteState":
-        objects = {
-            oid: ConcreteObject(spec["class"], dict(spec.get("fields", {})))
-            for oid, spec in d.get("objects", {}).items()
-        }
-        state = ConcreteState(objects, dict(d.get("roots", {})))
+        objects = d.get("objects", {}) if isinstance(d, dict) else None
+        roots = d.get("roots", {}) if isinstance(d, dict) else None
+        if not (isinstance(objects, dict) and isinstance(roots, dict) and all(
+                isinstance(spec, dict) and "class" in spec
+                and isinstance(spec.get("fields", {}), dict)
+                for spec in objects.values())):
+            raise StateError("a state needs a 'roots' object and an 'objects' "
+                             "table of {'class', 'fields'} objects")
+        state = ConcreteState(
+            {oid: ConcreteObject(spec["class"], dict(spec.get("fields", {})))
+             for oid, spec in objects.items()}, dict(roots))
         state.validate()
         return state
 
@@ -176,27 +183,11 @@ def eval_function(af: AbstractionFunction, state: ConcreteState) -> Ternary:
     return Ternary.F if saw_false else Ternary.T
 
 
-@dataclass(frozen=True)
-class AbstractState:
-    """Vector of ternary values, index-aligned with an AF list."""
+def abstract_state(afs: list[AbstractionFunction], state: ConcreteState) -> str:
+    """The state's T/F/U string, one character per function in AF-list order.
 
-    values: tuple[Ternary, ...]
-    af_hash: str
-
-    def __str__(self) -> str:
-        return "".join(v.value for v in self.values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @staticmethod
-    def from_string(text: str, af_hash: str) -> "AbstractState":
-        return AbstractState(tuple(Ternary(ch) for ch in text), af_hash)
-
-
-def abstract_state(afs: list[AbstractionFunction], state: ConcreteState,
-                   ) -> AbstractState:
+    The string carries no AF binding of its own: bursts, models and the file
+    headers carry the list's ``af_hash`` beside it."""
     if not afs:
         raise ValueError("abstract_state needs a non-empty AF list")
-    values = tuple(eval_function(af, state) for af in afs)
-    return AbstractState(values, af_list_hash(afs))
+    return "".join(eval_function(af, state).value for af in afs)

@@ -23,8 +23,8 @@ import hashlib
 import random
 
 from .collect import Burst, MethodCall, OperationSegment, Run
-from .functions import AbstractionFunction, Clause, parse_term
-from .states import AbstractState, ConcreteObject, ConcreteState, abstract_state
+from .functions import AbstractionFunction, Clause, af_list_hash, parse_term
+from .states import ConcreteObject, ConcreteState, abstract_state
 
 
 def _clause(text: str) -> Clause:
@@ -114,7 +114,7 @@ def generate_editor_runs(n_runs: int, master_seed: int = 0,
             pre = _editor_state(fields)
             fields = _editor_apply(label, fields)
             post = _editor_state(fields)
-            events = _editor_events(label, str(abstract_state(afs, pre)))
+            events = _editor_events(label, abstract_state(afs, pre))
             segments.append(OperationSegment(
                 label, events, pre, post, _EDITOR_SRT[label]))
         runs.append(Run(f"run{idx:03d}", tuple(segments)))
@@ -217,7 +217,7 @@ def checkout_runs(label_sequences: "list[list[str]] | None" = None) -> list[Run]
             else:
                 raise ValueError(f"unknown checkout operation {label!r}")
             post = _checkout_state(n_products, amount)
-            events = _checkout_events(label, str(abstract_state(afs, pre)))
+            events = _checkout_events(label, abstract_state(afs, pre))
             segments.append(OperationSegment(
                 label, events, pre, post, _CHECKOUT_SRT[label]))
         runs.append(Run(f"session{i + 1}", tuple(segments)))
@@ -227,13 +227,10 @@ def checkout_runs(label_sequences: "list[list[str]] | None" = None) -> list[Run]
 def checkout_reference_bursts() -> list[Burst]:
     """Five hand-picked bursts (two adds, one pay, two new sessions) whose
     synthesis is the three-state reference model."""
-    afs = checkout_abstraction_functions()
-    h = abstract_state(afs, _checkout_state(None, None)).af_hash
+    h = af_list_hash(checkout_abstraction_functions())
 
     def burst(label: str, pre: str, post: str) -> Burst:
-        return Burst(label, AbstractState.from_string(pre, h),
-                     _checkout_events(label, pre),
-                     AbstractState.from_string(post, h))
+        return Burst(label, pre, _checkout_events(label, pre), post, h)
 
     return [
         burst("clickOnAddItem", PS_EMPTY, PS_FILLING),

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
@@ -36,6 +39,24 @@ def workdir(tmp_path):
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def run_cli_process(*argv) -> tuple[int, str]:
+    """Exit code and stderr of the CLI run as its own interpreter."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "burstmine.cli",
+                           *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stderr
+
+
+def assert_one_line_diagnostic(rc: int, stderr: str, error: str) -> None:
+    assert rc == 2
+    assert "Traceback" not in stderr
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error
 
 
 def test_extract_cart(workdir):
@@ -106,6 +127,45 @@ def test_profile_empty_traces_header_only(workdir, capsys):
     assert rc == 0
     assert out.read_text().strip().splitlines() == ["#run,#snapshot,"
                                                     "Receipt.isOpen-F1,Cart.isEmpty-F1"]
+
+
+@pytest.mark.parametrize("damage", ["objects-not-a-table", "event-without-method",
+                                    "bare-number"])
+def test_profile_malformed_trace_exits_2(workdir, damage):
+    lines = (workdir / "checkout.jsonl").read_text().splitlines()
+    doc = json.loads(lines[1])
+    if damage == "objects-not-a-table":
+        doc["segment"]["pre_state"]["objects"] = [1]
+        lines[1] = json.dumps(doc)
+    elif damage == "event-without-method":
+        del doc["segment"]["events"][0]["method"]
+        lines[1] = json.dumps(doc)
+    else:
+        lines[1] = "5"
+    bad = workdir / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    rc, err = run_cli_process("profile", "--traces", bad,
+                              "--afs", workdir / "checkout_afs.json",
+                              "--out", workdir / "m.csv")
+    assert_one_line_diagnostic(rc, err, "TraceSchemaError")
+    assert "record 2" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("command,flag,document,error,missing", [
+    ("profile", "--afs", {}, "ValueError", "functions"),
+    ("profile", "--afs", {"functions": [{}]}, "ValueError", "id"),
+    ("simulate", "--fsm", {"af_hash": "", "states": ["UU"]}, "ModelError",
+     "transitions"),
+], ids=["af-list-without-functions", "af-without-id", "model-without-transitions"])
+def test_missing_key_exits_2(workdir, command, flag, document, error, missing):
+    path = workdir / "doc.json"
+    path.write_text(json.dumps(document))
+    argv = {"profile": ["--traces", workdir / "checkout.jsonl",
+                        "--out", workdir / "m.csv"],
+            "simulate": ["--start", "UU", "--out", workdir / "sim.json"]}[command]
+    rc, err = run_cli_process(command, flag, path, *argv)
+    assert_one_line_diagnostic(rc, err, error)
+    assert f"missing key '{missing}'" in json.loads(err)["message"]
 
 
 def test_filter_golden_fixture(workdir):
@@ -215,6 +275,23 @@ def test_evaluate_hash_mismatch_exits_2(workdir, capsys):
                  "--traces", workdir / "checkout.jsonl",
                  "--afs", workdir / "editor_afs.json",
                  "--out-dir", workdir / "bad_reports")
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ModelError"
+
+
+def test_evaluate_hash_mismatch_without_segments_exits_2(workdir, capsys):
+    # the guard holds even when no run has a segment to abstract
+    run_cli("collect", "--traces", workdir / "checkout.jsonl",
+            "--afs", workdir / "checkout_afs.json", "--probability", "1.0",
+            "--seed", "0", "--out", workdir / "b3.jsonl")
+    run_cli("synthesize", "--bursts", workdir / "b3.jsonl",
+            "--out", workdir / "f3.json")
+    empty_runs = workdir / "empty_runs.jsonl"
+    empty_runs.write_text(json.dumps({"run": "r1"}) + "\n")
+    rc = run_cli("evaluate", "--fsm", workdir / "f3.json",
+                 "--traces", empty_runs, "--afs", workdir / "editor_afs.json",
+                 "--out-dir", workdir / "bad_reports3")
     assert rc == 2
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["error"] == "ModelError"

@@ -4,12 +4,13 @@ import statistics
 
 import pytest
 
-from burstmine.collect import (Burst, MethodCall, OperationSegment, Run,
+from burstmine.collect import (MethodCall, OperationSegment, Run,
                                SamplerConfig, TraceSchemaError,
                                collect_cbr_bursts, collect_fixed_sampling,
-                               collect_fixed_sampling_detailed, dumps_bursts,
-                               dumps_runs, loads_bursts, loads_runs)
-from burstmine.states import AbstractState, abstract_state
+                               dumps_bursts, dumps_runs, loads_bursts,
+                               loads_runs)
+from burstmine.functions import af_list_hash
+from burstmine.states import abstract_state
 from burstmine.synthetic import (checkout_abstraction_functions, checkout_runs,
                                  editor_abstraction_functions,
                                  generate_editor_runs)
@@ -62,6 +63,27 @@ def test_schema_violation_reports_record_index():
         loads_runs(text)
 
 
+def _segment(**changes) -> dict:
+    empty = {"roots": {}, "objects": {}}
+    seg = {"label": "op", "pre_state": empty, "events": [], "post_state": empty}
+    return {**seg, **changes}
+
+
+@pytest.mark.parametrize("record", [
+    json.dumps({"segment": _segment(pre_state={"roots": {}, "objects": [1]})}),
+    json.dumps({"segment": _segment(
+        post_state={"roots": {}, "objects": {"o1": {"fields": {}}}})}),
+    json.dumps({"segment": _segment(pre_state={"roots": {"C": [1]},
+                                               "objects": {}})}),
+    json.dumps({"segment": _segment(events=[{"class": "Cart"}])}),
+    "5",
+], ids=["objects-not-a-table", "object-without-class", "root-not-an-id",
+        "event-without-method", "bare-number"])
+def test_malformed_record_reports_record_index(record):
+    with pytest.raises(TraceSchemaError, match="record 2"):
+        loads_runs(json.dumps({"run": "r1"}) + "\n" + record)
+
+
 def test_segment_before_run_rejected():
     with pytest.raises(TraceSchemaError, match="record 1"):
         loads_runs(json.dumps({"segment": {}}))
@@ -84,6 +106,7 @@ def test_p_one_collects_every_segment(editor):
         assert b.trace == s.events
         assert b.pre == abstract_state(afs, s.pre_state)
         assert b.post == abstract_state(afs, s.post_state)
+        assert b.af_hash == af_list_hash(afs)
 
 
 def test_p_zero_collects_nothing(editor):
@@ -96,7 +119,7 @@ def test_checkout_pay_burst_states():
     runs = checkout_runs()
     bursts = collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0))
     pay = next(b for b in bursts if b.label == "clickOnPay")
-    assert str(pay.pre) == "UF" and str(pay.post) == "FF"
+    assert pay.pre == "UF" and pay.post == "FF"
     assert [e.method for e in pay.trace][:2] == ["applyDiscount", "calculateTotal"]
 
 
@@ -124,13 +147,6 @@ def test_burst_traces_are_verbatim_segments(editor):
     assert bursts and all(b.trace in all_event_lists for b in bursts)
 
 
-def test_burst_hash_invariant():
-    a = AbstractState.from_string("TF", "h1")
-    b = AbstractState.from_string("TF", "h2")
-    with pytest.raises(ValueError):
-        Burst("op", a, (), b)
-
-
 # --- fixed-length baseline -------------------------------------------------------
 
 def _run_with_events(run_id: str, labels_events) -> Run:
@@ -145,7 +161,8 @@ def _run_with_events(run_id: str, labels_events) -> Run:
 
 def test_fixed_sampling_records_thirty_from_start():
     run = _run_with_events("r", [("a", 100)])
-    traces = collect_fixed_sampling([run], SamplerConfig(1.0, 0, "fixed_length"))
+    traces = [t for _, t in collect_fixed_sampling(
+        [run], SamplerConfig(1.0, 0, "fixed_length"))]
     # brute-force replay: recording starts at the first (and only) segment
     assert len(traces[0]) == 30
     assert [e.method for e in traces[0]] == [f"m{i}" for i in range(30)]
@@ -153,7 +170,8 @@ def test_fixed_sampling_records_thirty_from_start():
 
 def test_fixed_sampling_crosses_segment_boundaries():
     run = _run_with_events("r", [("a", 20), ("b", 20)])
-    traces = collect_fixed_sampling([run], SamplerConfig(1.0, 0, "fixed_length"))
+    traces = [t for _, t in collect_fixed_sampling(
+        [run], SamplerConfig(1.0, 0, "fixed_length"))]
     first = traces[0]
     assert len(first) == 30
     assert [e.method for e in first[:20]] == [f"m{i}" for i in range(20)]
@@ -162,7 +180,8 @@ def test_fixed_sampling_crosses_segment_boundaries():
 
 def test_fixed_sampling_truncates_at_run_end():
     run = _run_with_events("r", [("a", 10)])
-    traces = collect_fixed_sampling([run], SamplerConfig(1.0, 0, "fixed_length"))
+    traces = [t for _, t in collect_fixed_sampling(
+        [run], SamplerConfig(1.0, 0, "fixed_length"))]
     assert [len(t) for t in traces] == [10]
 
 
@@ -176,7 +195,8 @@ def test_fixed_sampling_draw_points_are_idle_segment_starts():
     # skipped because draws only happen at segment starts while idle; the
     # second trace then covers b[0:30].
     run = _run_with_events("r", [("a", 45), ("b", 45)])
-    traces = collect_fixed_sampling([run], SamplerConfig(1.0, 0, "fixed_length"))
+    traces = [t for _, t in collect_fixed_sampling(
+        [run], SamplerConfig(1.0, 0, "fixed_length"))]
     assert [len(t) for t in traces] == [30, 30]
     assert [e.method for e in traces[0]] == [f"m{i}" for i in range(30)]
     assert [e.method for e in traces[1]] == [f"m{i}" for i in range(30)]
@@ -185,11 +205,10 @@ def test_fixed_sampling_draw_points_are_idle_segment_starts():
 
 def test_fixed_sampling_run_attribution(editor):
     _, runs = editor
-    detailed = collect_fixed_sampling_detailed(
-        runs, SamplerConfig(0.5, 2, "fixed_length"))
+    traces = collect_fixed_sampling(runs, SamplerConfig(0.5, 2, "fixed_length"))
     run_ids = {r.run_id for r in runs}
-    assert detailed and all(rid in run_ids for rid, _ in detailed)
-    assert all(0 < len(t) <= 30 for _, t in detailed)
+    assert traces and all(rid in run_ids for rid, _ in traces)
+    assert all(0 < len(t) <= 30 for _, t in traces)
 
 
 def test_sampler_config_validation():
@@ -215,4 +234,19 @@ def test_burst_file_roundtrip(editor):
     again, header = loads_bursts(text)
     assert again == bursts
     assert header["sampler"]["probability"] == 0.7
-    assert header["af_hash"] == bursts[0].pre.af_hash
+    assert header["af_hash"] == bursts[0].af_hash
+
+
+def test_burst_header_must_be_an_object():
+    with pytest.raises(TraceSchemaError, match="record 1"):
+        loads_bursts(json.dumps({"header": 5}))
+
+
+def test_burst_state_outside_tfu_reports_record_index(editor):
+    afs, runs = editor
+    text = dumps_bursts(collect_cbr_bursts(runs[:1], afs, SamplerConfig(1.0, 0)))
+    header, first, *rest = text.splitlines()
+    doc = json.loads(first)
+    doc["pre"] = "X" + doc["pre"][1:]
+    with pytest.raises(TraceSchemaError, match="record 2"):
+        loads_bursts("\n".join([header, json.dumps(doc), *rest]))

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burstmine.filtering import (EvalMatrix, FilterReport, MatrixError,
-                                 build_matrix, filter_functions,
+                                 filter_functions,
                                  matrix_from_csv, matrix_to_csv,
                                  remove_duplicate_rows,
                                  remove_equivalent_columns,
                                  remove_nondiscriminating_columns,
                                  remove_redundant_columns)
-from burstmine.states import AbstractState
 
 
 def matrix(rows, ids=None, prov=None):
@@ -48,28 +47,22 @@ def brute_force_minimal_sets(rows: list[str], n_cols: int) -> list[frozenset]:
     return minimal
 
 
-# --- build_matrix ------------------------------------------------------------
+# --- EvalMatrix.from_rows -------------------------------------------------------
 
-def test_build_matrix_shape():
-    states = [AbstractState.from_string(s, "h1") for s in
-              ["TFUTFUT", "TTTTTTT", "FFFFFFF", "UFUFUFU", "TFTFTFT"]]
+def test_from_rows_shape():
+    rows = ["TFUTFUT", "TTTTTTT", "FFFFFFF", "UFUFUFU", "TFTFTFT"]
     prov = [("run1", 0), ("run1", 1), ("run1", 2), ("run2", 0), ("run2", 1)]
-    m = build_matrix(zip(states, prov))
+    ids = tuple(f"AF{i+1}" for i in range(7))
+    m = EvalMatrix.from_rows(ids, rows, prov, "h1")
     assert m.n_rows == 5 and m.n_cols == 7
-    assert m.column_ids == tuple(f"AF{i+1}" for i in range(7))
+    assert m.column_ids == ids and m.rows() == rows
+    assert m.provenance == tuple(prov)
     assert m.af_hash == "h1"
 
 
-def test_build_matrix_empty_stream():
-    m = build_matrix([], column_ids=("a", "b", "c"))
+def test_from_rows_empty():
+    m = EvalMatrix.from_rows(("a", "b", "c"), [])
     assert m.n_rows == 0 and m.n_cols == 3
-
-
-def test_build_matrix_hash_mismatch():
-    states = [AbstractState.from_string("TF", "h1"),
-              AbstractState.from_string("TF", "h2")]
-    with pytest.raises(MatrixError, match="mixed AF orderings"):
-        build_matrix(zip(states, [("r", 0), ("r", 1)]))
 
 
 # --- individual rules ---------------------------------------------------------

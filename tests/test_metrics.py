@@ -66,11 +66,9 @@ def test_endpoint_multiplicity_counts_pairs(checkout):
 def test_terminal_nodes_excluded_not_scored(checkout):
     afs, runs, _ = checkout
     from burstmine.collect import Burst
-    from burstmine.states import AbstractState
-    h = checkout_reference_bursts()[0].pre.af_hash
-    only = Burst("clickOnAddItem", AbstractState.from_string(PS_EMPTY, h),
-                 (MethodCall("addItem", "Cart", (25,)),),
-                 AbstractState.from_string(PS_FILLING, h))
+    h = checkout_reference_bursts()[0].af_hash
+    only = Burst("clickOnAddItem", PS_EMPTY,
+                 (MethodCall("addItem", "Cart", (25,)),), PS_FILLING, h)
     fsm = synthesize([only])
     report = overall_precision(fsm, runs, afs)
     # both nodes lack an in or an out side
@@ -94,14 +92,11 @@ def test_overall_precision_simple_mean():
 def test_two_scorable_nodes_mean_is_three_quarters():
     # nodes with precisions 1.0 and 0.5 average to exactly 0.75
     from burstmine.collect import Burst
-    from burstmine.states import AbstractState
     afs = checkout_abstraction_functions()
-    h = checkout_reference_bursts()[0].pre.af_hash
+    h = checkout_reference_bursts()[0].af_hash
 
     def burst(label, pre, post):
-        return Burst(label, AbstractState.from_string(pre, h),
-                     (MethodCall(label, "Cart", ()),),
-                     AbstractState.from_string(post, h))
+        return Burst(label, pre, (MethodCall(label, "Cart", ()),), post, h)
 
     # chain S0 -a-> A -b-> B -c-> S3, plus a never-witnessed d out of B
     fsm = synthesize([burst("a", "TT", "TF"), burst("b", "TF", "FF"),

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from burstmine.collect import Burst, MethodCall, SamplerConfig, collect_cbr_bursts
+from burstmine.collect import (Burst, MethodCall, SamplerConfig, collect,
+                               collect_cbr_bursts)
+from burstmine.functions import af_list_hash
 from burstmine.model import (ModelError, accepts_prefix,
                              export_fsm, import_fsm, simulate_traces,
                              synthesize, with_transition)
-from burstmine.states import AbstractState
 from burstmine.synthetic import (PS_EMPTY, PS_FILLING, PS_PAID,
                                  checkout_abstraction_functions,
                                  checkout_reference_bursts, checkout_runs,
@@ -16,8 +17,11 @@ from burstmine.synthetic import (PS_EMPTY, PS_FILLING, PS_PAID,
 
 
 def mk_burst(label, pre, post, trace=(), h="h1"):
-    return Burst(label, AbstractState.from_string(pre, h),
-                 tuple(trace), AbstractState.from_string(post, h))
+    return Burst(label, pre, tuple(trace), post, h)
+
+
+def bursts_of(run, afs):
+    return collect(run.segments, afs, af_list_hash(afs))
 
 
 def call(name):
@@ -39,6 +43,14 @@ def test_synthesize_two_bursts_three_states():
 def test_synthesize_empty():
     fsm = synthesize([])
     assert fsm.n_states == 0 and fsm.n_transitions == 0
+
+
+@pytest.mark.parametrize("first_hash", ["h1", ""])
+def test_synthesize_rejects_mixed_af_hashes(first_hash):
+    bursts = [mk_burst("op", "TF", "FT", h=first_hash),
+              mk_burst("op", "FT", "TF", h="h2")]
+    with pytest.raises(ModelError, match="mix"):
+        synthesize(bursts)
 
 
 def test_same_triple_different_traces_one_transition():
@@ -139,13 +151,13 @@ def test_self_acceptance_at_certainty():
     runs = checkout_runs()
     fsm = synthesize(collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0)))
     for run in runs:
-        assert accepts_prefix(fsm, run, afs) == run.total_events
+        assert accepts_prefix(fsm, bursts_of(run, afs)) == run.total_events
 
 
 def test_empty_fsm_accepts_nothing():
     afs = checkout_abstraction_functions()
     runs = checkout_runs()
-    assert accepts_prefix(synthesize([]), runs[0], afs) == 0
+    assert accepts_prefix(synthesize([]), bursts_of(runs[0], afs)) == 0
 
 
 def test_missing_transition_stops_prefix():
@@ -154,11 +166,10 @@ def test_missing_transition_stops_prefix():
     bursts = collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0))
     run = runs[1]  # addItem, addItem, pay, newSession
     second_add = ("clickOnAddItem", PS_FILLING, PS_FILLING)
-    kept = [b for b in bursts
-            if (b.label, str(b.pre), str(b.post)) != second_add]
+    kept = [b for b in bursts if (b.label, b.pre, b.post) != second_add]
     fsm = synthesize(kept)
     # brute-force walk oracle: only the first segment is accepted
-    assert accepts_prefix(fsm, run, afs) == len(run.segments[0].events)
+    assert accepts_prefix(fsm, bursts_of(run, afs)) == len(run.segments[0].events)
 
 
 def test_accepts_prefix_hash_guard():
@@ -167,7 +178,7 @@ def test_accepts_prefix_hash_guard():
     other = editor_abstraction_functions()
     fsm = synthesize(collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0)))
     with pytest.raises(ModelError):
-        accepts_prefix(fsm, runs[0], other)
+        accepts_prefix(fsm, bursts_of(runs[0], other))
 
 
 # --- export / import ----------------------------------------------------------
