@@ -13,6 +13,12 @@ functions).  Four rules shrink it, in this fixed order:
 The rules never lose distinguishability: the number of distinct rows of the
 kept projection equals the number of distinct rows after deduplication.
 Greedy removal yields a locally minimal set, not a global minimum cover.
+
+An ``EvalMatrix`` holds its cells as one ``uint8`` array of codes (T/F/U ->
+0/1/2), parsed from the row text through a 256-entry byte table.  Every rule
+tests distinctness by viewing each row (or column) of codes as one byte-string
+key and calling ``np.unique`` once.  ``EvalMatrix.cells`` decodes the codes
+back into a read-only T/F/U array; ``rows()`` and the CSV form stay text.
 """
 
 from __future__ import annotations
@@ -23,6 +29,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _CELLS = ("T", "F", "U")
+_BAD = 3  # code of a byte that is not a T/F/U cell
+# One 256-entry table each way between cell letters (as ASCII bytes) and codes.
+_ENCODE = bytes(_CELLS.index(chr(b)) if chr(b) in _CELLS else _BAD
+                for b in range(256))
+_DECODE = bytes.maketrans(b"\x00\x01\x02", "".join(_CELLS).encode("ascii"))
+_LETTERS = np.array(_CELLS)
 
 
 class MatrixError(ValueError):
@@ -34,38 +46,70 @@ class EvalMatrix:
     """Rows of ternary cells with parallel column ids and row provenance."""
 
     column_ids: tuple[str, ...]
-    cells: np.ndarray  # shape (rows, cols), dtype <U1
+    codes: np.ndarray  # shape (rows, cols), dtype uint8: 0 = T, 1 = F, 2 = U
     provenance: tuple[tuple[str, int], ...] = ()
     af_hash: str = ""
 
     def __post_init__(self) -> None:
-        if self.cells.ndim != 2 or self.cells.shape[1] != len(self.column_ids):
+        if not isinstance(self.codes, np.ndarray) or self.codes.dtype != np.uint8:
+            raise MatrixError("cell codes must be a uint8 array")
+        if self.codes.ndim != 2 or self.codes.shape[1] != len(self.column_ids):
             raise MatrixError("cell block does not match column ids")
-        if self.provenance and len(self.provenance) != self.cells.shape[0]:
+        if self.codes.size and self.codes.max() > 2:
+            raise MatrixError("cell codes must be 0 (T), 1 (F) or 2 (U)")
+        if self.provenance and len(self.provenance) != self.codes.shape[0]:
             raise MatrixError("provenance does not match row count")
         if len(set(self.column_ids)) != len(self.column_ids):
             raise MatrixError("column ids must be unique")
 
     @property
     def n_rows(self) -> int:
-        return int(self.cells.shape[0])
+        return int(self.codes.shape[0])
 
     @property
     def n_cols(self) -> int:
-        return int(self.cells.shape[1])
+        return int(self.codes.shape[1])
+
+    @property
+    def cells(self) -> np.ndarray:
+        """Read-only T/F/U (``<U1``) array decoded from the codes."""
+        letters = _LETTERS[self.codes]
+        letters.flags.writeable = False
+        return letters
 
     def rows(self) -> list[str]:
-        return ["".join(r) for r in self.cells]
+        text = self.codes.tobytes().translate(_DECODE).decode("ascii")
+        n = self.n_cols
+        return [text[i * n:(i + 1) * n] for i in range(self.n_rows)]
 
     def distinct_row_count(self) -> int:
-        return len(set(self.rows()))
+        return _distinct_rows(self.codes)
 
     @staticmethod
     def from_rows(column_ids, rows, provenance=(), af_hash: str = "") -> "EvalMatrix":
-        arr = np.array([list(r) for r in rows], dtype="<U1")
-        if arr.size == 0:
-            arr = arr.reshape(0, len(tuple(column_ids)))
-        return EvalMatrix(tuple(column_ids), arr, tuple(provenance), af_hash)
+        ids, rows = tuple(column_ids), list(rows)
+        for i, row in enumerate(rows):
+            if len(row) != len(ids):
+                raise MatrixError(f"row {i} has {len(row)} cells, "
+                                  f"expected {len(ids)}")
+        codes = _encode(rows, len(ids))
+        bad = _first_bad_row(codes)
+        if bad is not None:
+            raise MatrixError(f"row {bad}: invalid cell value "
+                              f"{next(c for c in rows[bad] if c not in _CELLS)!r}")
+        return EvalMatrix(ids, codes, tuple(provenance), af_hash)
+
+
+def _encode(rows: list[str], width: int) -> np.ndarray:
+    """Codes of equal-length rows, cells outside T/F/U becoming ``_BAD``."""
+    data = "".join(rows).encode("ascii", "replace").translate(_ENCODE)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+
+
+def _first_bad_row(codes: np.ndarray) -> int | None:
+    if codes.size and codes.max() > 2:
+        return int((codes > 2).any(axis=1).argmax())
+    return None
 
 
 @dataclass
@@ -103,18 +147,13 @@ class FilterReport:
 
 def remove_duplicate_rows(m: EvalMatrix, report: FilterReport | None = None,
                           ) -> EvalMatrix:
-    seen: set[str] = set()
-    keep: list[int] = []
-    for i, row in enumerate(m.rows()):
-        if row in seen:
-            if report is not None:
-                prov = m.provenance[i] if m.provenance else ("row", i)
-                report.record("duplicate-row", f"{prov[0]}:{prov[1]}")
-            continue
-        seen.add(row)
-        keep.append(i)
+    keep, dropped = _kept_and_dropped(m.codes)
+    if report is not None:
+        for i in dropped:
+            prov = m.provenance[i] if m.provenance else ("row", i)
+            report.record("duplicate-row", f"{prov[0]}:{prov[1]}")
     prov = tuple(m.provenance[i] for i in keep) if m.provenance else ()
-    return EvalMatrix(m.column_ids, m.cells[keep], prov, m.af_hash)
+    return EvalMatrix(m.column_ids, m.codes[keep], prov, m.af_hash)
 
 
 def remove_nondiscriminating_columns(m: EvalMatrix,
@@ -122,10 +161,10 @@ def remove_nondiscriminating_columns(m: EvalMatrix,
                                      ) -> EvalMatrix:
     if m.n_rows == 0:
         return m
+    constant = (m.codes == m.codes[0]).all(axis=0)
     keep: list[int] = []
     for j in range(m.n_cols):
-        col = m.cells[:, j]
-        if (col == col[0]).all():
+        if constant[j]:
             if report is not None:
                 report.record("non-discriminating", m.column_ids[j])
         else:
@@ -135,16 +174,10 @@ def remove_nondiscriminating_columns(m: EvalMatrix,
 
 def remove_equivalent_columns(m: EvalMatrix, report: FilterReport | None = None,
                               ) -> EvalMatrix:
-    seen: dict[str, int] = {}
-    keep: list[int] = []
-    for j in range(m.n_cols):
-        key = "".join(m.cells[:, j])
-        if key in seen:
-            if report is not None:
-                report.record("equivalent", m.column_ids[j])
-            continue
-        seen[key] = j
-        keep.append(j)
+    keep, dropped = _kept_and_dropped(m.codes.T)
+    if report is not None:
+        for j in dropped:
+            report.record("equivalent", m.column_ids[j])
     return _project(m, keep)
 
 
@@ -160,7 +193,7 @@ def remove_redundant_columns(m: EvalMatrix, report: FilterReport | None = None,
         committed = False
         for j in list(keep):
             trial = [c for c in keep if c != j]
-            if _all_rows_distinct(m.cells[:, trial]):
+            if _distinct_rows(m.codes[:, trial]) == m.n_rows:
                 keep = trial
                 committed = True
                 if report is not None:
@@ -183,12 +216,38 @@ def filter_functions(m: EvalMatrix) -> tuple[EvalMatrix, FilterReport]:
 
 def _project(m: EvalMatrix, cols: list[int]) -> EvalMatrix:
     ids = tuple(m.column_ids[j] for j in cols)
-    return EvalMatrix(ids, m.cells[:, cols], m.provenance, m.af_hash)
+    return EvalMatrix(ids, m.codes[:, cols], m.provenance, m.af_hash)
 
 
-def _all_rows_distinct(cells: np.ndarray) -> bool:
-    rows = ["".join(r) for r in cells]
-    return len(set(rows)) == len(rows)
+# Distinctness kernel.  Each row of a code block becomes one np.void key of
+# its bytes, so equal keys are equal rows.  It uses only NumPy 1.24 APIs
+# (the pyproject floor): a void view and np.unique(..., return_index=True);
+# not np.unique_values/np.unique_counts or np.strings, which need 2.0.
+# return_index also keeps NumPy 2 from importing numpy.ma (about 1 MB) on
+# the first call, which it does to rule out masked input.
+
+
+def _row_keys(codes: np.ndarray) -> np.ndarray:
+    if codes.shape[1] == 0:  # np.void cannot be 0 bytes wide; all rows equal
+        return np.zeros(codes.shape[0], dtype=np.uint8)
+    block = np.ascontiguousarray(codes)
+    return block.view(np.dtype((np.void, block.shape[1]))).ravel()
+
+
+def _first_occurrences(codes: np.ndarray) -> np.ndarray:
+    """Index of the first row of each distinct row, in key order."""
+    return np.unique(_row_keys(codes), return_index=True)[1]
+
+
+def _distinct_rows(codes: np.ndarray) -> int:
+    return len(_first_occurrences(codes))
+
+
+def _kept_and_dropped(codes: np.ndarray) -> tuple[list[int], list[int]]:
+    """Ascending indices of first-occurrence rows, and of the other rows."""
+    keep = sorted(_first_occurrences(codes).tolist())
+    kept = set(keep)
+    return keep, [i for i in range(codes.shape[0]) if i not in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -198,30 +257,48 @@ def _all_rows_distinct(cells: np.ndarray) -> bool:
 
 def matrix_to_csv(m: EvalMatrix) -> str:
     lines = [",".join(("#run", "#snapshot") + m.column_ids)]
-    for i in range(m.n_rows):
+    for i, row in enumerate(m.rows()):
         run, snap = m.provenance[i] if m.provenance else ("", i)
-        lines.append(",".join((str(run), str(snap)) + tuple(m.cells[i])))
+        lines.append(",".join((str(run), str(snap), *row)))
     return "\n".join(lines) + "\n"
 
 
 def matrix_from_csv(text: str, af_hash: str = "") -> EvalMatrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise MatrixError("empty matrix document")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[:2] != ["#run", "#snapshot"]:
         raise MatrixError("matrix CSV must start with #run,#snapshot columns")
     ids = tuple(header[2:])
+    width = len(ids)
     rows: list[str] = []
     prov: list[tuple[str, int]] = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(ids) + 2:
-            raise MatrixError(f"row width mismatch in line {ln!r}")
-        cells = parts[2:]
-        bad = [c for c in cells if c not in _CELLS]
-        if bad:
-            raise MatrixError(f"invalid cell value {bad[0]!r}")
-        rows.append("".join(cells))
-        prov.append((parts[0], int(parts[1]) if parts[1] else 0))
-    return EvalMatrix.from_rows(ids, rows, prov, af_hash)
+    for no, ln in lines[1:]:
+        fields = ln.count(",") + 1
+        if fields != width + 2:
+            raise MatrixError(f"line {no}: expected {width + 2} fields, "
+                              f"found {fields}")
+        run, _, rest = ln.partition(",")
+        snap, _, cells = rest.partition(",")
+        try:
+            prov.append((run, int(snap) if snap else 0))
+        except ValueError:
+            raise MatrixError(f"line {no}: #snapshot {snap!r} is not an "
+                              "integer") from None
+        # With one letter per cell the letters sit at the even offsets; any
+        # other layout has the wrong length or puts a comma there, which
+        # _encode marks bad.
+        if len(cells) != max(2 * width - 1, 0):
+            raise _bad_cell(no, ln)
+        rows.append(cells[::2])
+    codes = _encode(rows, width)
+    bad = _first_bad_row(codes)
+    if bad is not None:
+        raise _bad_cell(*lines[1 + bad])
+    return EvalMatrix(ids, codes, tuple(prov), af_hash)
+
+
+def _bad_cell(no: int, line: str) -> MatrixError:
+    bad = next(c for c in line.split(",")[2:] if c not in _CELLS)
+    return MatrixError(f"line {no}: invalid cell value {bad!r}")

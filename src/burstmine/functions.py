@@ -292,7 +292,13 @@ def load_af_list(text: str) -> tuple[list[AbstractionFunction], dict]:
     if not isinstance(doc, dict):
         raise ValueError("abstraction-function list must be a JSON object")
     try:
-        afs = [AbstractionFunction.from_dict(d) for d in doc["functions"]]
+        if not isinstance(doc["functions"], list):
+            raise ValueError("abstraction-function list 'functions' must be a list")
+        afs = []
+        for i, d in enumerate(doc["functions"]):
+            if not isinstance(d, dict):
+                raise ValueError(f"abstraction function {i} is not a JSON object")
+            afs.append(AbstractionFunction.from_dict(d))
     except KeyError as exc:
         raise ValueError(f"abstraction-function list is missing key {exc}") from exc
     if doc.get("af_hash") and doc["af_hash"] != af_list_hash(afs):

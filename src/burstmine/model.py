@@ -189,8 +189,16 @@ def import_fsm(text: str) -> AnnotatedFSM:
         raise ModelError("model document must be a JSON object")
     transitions: dict[TransitionKey, tuple[Trace, ...]] = {}
     try:
-        for t in doc["transitions"]:
+        if not isinstance(doc["transitions"], list):
+            raise ModelError("model 'transitions' must be a list")
+        for i, t in enumerate(doc["transitions"]):
+            if not isinstance(t, dict):
+                raise ModelError(f"model transition {i} is not a JSON object")
             key = (t["label"], t["from"], t["to"])
+            if not (isinstance(t["traces"], list)
+                    and all(isinstance(trace, list) for trace in t["traces"])):
+                raise ModelError(f"model transition {i}: 'traces' must be a "
+                                 "list of event lists")
             transitions[key] = tuple(tuple(MethodCall.from_dict(e) for e in trace)
                                      for trace in t["traces"])
         states = frozenset(doc["states"])

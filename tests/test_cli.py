@@ -168,6 +168,28 @@ def test_missing_key_exits_2(workdir, command, flag, document, error, missing):
     assert f"missing key '{missing}'" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("command,flag,document,error,names", [
+    ("profile", "--afs", {"functions": [5]}, "ValueError", "function 0"),
+    ("profile", "--afs", {"functions": 5}, "ValueError", "'functions'"),
+    ("simulate", "--fsm", {"af_hash": "", "states": [], "transitions": [5]},
+     "ModelError", "transition 0"),
+    ("simulate", "--fsm", {"af_hash": "", "states": [], "transitions": [
+        {"label": "a", "from": "T", "to": "T", "traces": []},
+        {"label": "b", "from": "T", "to": "T", "traces": 5}]},
+     "ModelError", "transition 1"),
+], ids=["af-entry-not-an-object", "af-functions-not-a-list",
+        "transition-not-an-object", "traces-not-a-list"])
+def test_wrong_shape_exits_2(workdir, command, flag, document, error, names):
+    path = workdir / "doc.json"
+    path.write_text(json.dumps(document))
+    argv = {"profile": ["--traces", workdir / "checkout.jsonl",
+                        "--out", workdir / "m.csv"],
+            "simulate": ["--start", "UU", "--out", workdir / "sim.json"]}[command]
+    rc, err = run_cli_process(command, flag, path, *argv)
+    assert_one_line_diagnostic(rc, err, error)
+    assert names in json.loads(err)["message"]
+
+
 def test_filter_golden_fixture(workdir):
     fixture = resources.files("burstmine.data").joinpath("filter_example.csv")
     matrix = workdir / "m.csv"

@@ -1,7 +1,9 @@
 import itertools
 import random
+from collections import Counter
 from importlib import resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,37 @@ def test_from_rows_shape():
 def test_from_rows_empty():
     m = EvalMatrix.from_rows(("a", "b", "c"), [])
     assert m.n_rows == 0 and m.n_cols == 3
+
+
+def test_codes_and_read_only_cells():
+    m = matrix(["TFU", "UUT"])
+    assert m.codes.dtype == np.uint8
+    assert m.codes.tolist() == [[0, 1, 2], [2, 2, 0]]
+    assert m.cells.dtype == np.dtype("<U1")
+    assert m.cells.tolist() == [["T", "F", "U"], ["U", "U", "T"]]
+    with pytest.raises(ValueError):
+        m.cells[0, 0] = "F"
+
+
+@pytest.mark.parametrize("codes", [
+    np.zeros((2, 2), dtype=np.int64),
+    np.array([["T", "F"], ["U", "T"]]),
+    np.array([[0, 1], [2, 3]], dtype=np.uint8),
+    np.array([[0, 255], [1, 1]], dtype=np.uint8),
+], ids=["int64", "letters", "code-3", "code-255"])
+def test_eval_matrix_rejects_bad_code_block(codes):
+    with pytest.raises(MatrixError):
+        EvalMatrix(("a", "b"), codes)
+
+
+@pytest.mark.parametrize("rows,needle", [
+    (["TF", "TFU"], "row 1"),
+    (["TF", "TX"], "row 1: invalid cell value 'X'"),
+    (["TF", "T\u00e9"], "invalid cell value '\u00e9'"),
+])
+def test_from_rows_rejects_bad_rows(rows, needle):
+    with pytest.raises(MatrixError, match=needle):
+        EvalMatrix.from_rows(("a", "b"), rows)
 
 
 # --- individual rules ---------------------------------------------------------
@@ -255,6 +288,75 @@ def test_filtering_properties_hypothesis(k, n, rnd):
     ) == m.n_cols
 
 
+FILTER_RULE_KEYS = {"duplicate-row": "duplicated_rows",
+                    "non-discriminating": "non_discriminating",
+                    "equivalent": "equivalent", "redundant": "redundant"}
+
+
+def string_filter_oracle(ids: tuple[str, ...], rows: list[str]):
+    """The four rules over row strings and sets: kept ids and (rule, id, pass) log."""
+    log, distinct = [], []
+    for i, r in enumerate(rows):
+        if r in distinct:
+            log.append(("duplicate-row", f"r:{i}", 1))
+        else:
+            distinct.append(r)
+    col = lambda j: "".join(r[j] for r in distinct)
+    cols = []
+    for j in range(len(ids)):
+        if distinct and len(set(col(j))) == 1:
+            log.append(("non-discriminating", ids[j], 1))
+        else:
+            cols.append(j)
+    firsts = set()
+    for j in list(cols):
+        if col(j) in firsts:
+            log.append(("equivalent", ids[j], 1))
+            cols.remove(j)
+        firsts.add(col(j))
+    apart = lambda cs: len({"".join(r[c] for c in cs) for r in distinct}) == len(distinct)
+    pass_no, committed = 0, True
+    while committed:
+        pass_no, committed = pass_no + 1, False
+        for j in list(cols):
+            if apart([c for c in cols if c != j]):
+                cols, committed = [c for c in cols if c != j], True
+                log.append(("redundant", ids[j], pass_no))
+    return tuple(ids[j] for j in cols), log
+
+
+@st.composite
+def shaped_rows(draw, shape):
+    n = draw(st.integers(1 if shape == "one-column-differs" else 0, 7))
+    row = st.text("TFU", min_size=n, max_size=n)
+    if shape == "no-rows":
+        return n, []
+    if shape == "one-row":
+        return n, [draw(row)]
+    if shape == "identical-rows":  # the same as every column constant
+        return n, [draw(row)] * draw(st.integers(2, 6))
+    if shape == "one-column-differs":  # the redundancy loop projects to 0 columns
+        a, j = draw(row), draw(st.integers(0, n - 1))
+        b = a[:j] + draw(st.sampled_from([c for c in "TFU" if c != a[j]])) + a[j + 1:]
+        return n, [a, b]
+    return n, draw(st.lists(row, max_size=12))
+
+
+@pytest.mark.parametrize("shape", ["no-rows", "one-row", "identical-rows",
+                                   "one-column-differs", "random"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_packed_filter_matches_string_oracle(shape, data):
+    n, rows = data.draw(shaped_rows(shape))
+    ids = tuple(f"AF{i + 1}" for i in range(n))
+    out, report = filter_functions(matrix(rows, ids=ids))
+    kept, log = string_filter_oracle(ids, rows)
+    assert report.kept_column_ids == out.column_ids == kept
+    assert [(e["rule"], e["id"], e["pass"]) for e in report.log] == log
+    assert report.counts == {key: Counter(e[0] for e in log)[rule]
+                             for rule, key in FILTER_RULE_KEYS.items()}
+
+
 # --- CSV round trip -------------------------------------------------------------
 
 def test_csv_roundtrip():
@@ -268,6 +370,37 @@ def test_csv_roundtrip():
 def test_csv_rejects_bad_cell():
     with pytest.raises(MatrixError, match="invalid cell"):
         matrix_from_csv("#run,#snapshot,A\nr,0,X\n")
+
+
+def test_csv_text_round_trips_unchanged():
+    text = resources.files("burstmine.data").joinpath("filter_example.csv").read_text()
+    assert matrix_to_csv(matrix_from_csv(text)) == text
+    rng = np.random.default_rng(0)
+    letters = np.array(["T", "F", "U"])[rng.integers(0, 3, size=(2400, 120))]
+    wide = "".join(
+        [",".join(["#run", "#snapshot"] + [f"AF{j}" for j in range(120)]) + "\n"]
+        + [f"run{i // 7},{i % 7}," + ",".join(r) + "\n" for i, r in enumerate(letters)])
+    m = matrix_from_csv(wide)
+    assert (m.n_rows, m.n_cols) == (2400, 120)
+    assert matrix_to_csv(m) == wide
+
+
+WIDE_ROW = ",".join(["T"] * 120)
+
+
+@pytest.mark.parametrize("body,needle", [
+    ("r,0,T,F\nr,x,T,F\n", r"line 3: #snapshot 'x' is not an integer"),
+    ("r,0,T,F\nr,1,T\n", "line 3: expected 4 fields, found 3"),
+    ("r,0,T,F\n\nr,1,T,X\n", "line 4: invalid cell value 'X'"),
+    ("r,0,TF,F\n", "line 2: invalid cell value 'TF'"),
+    ("r,0,,TF\n", "line 2: invalid cell value ''"),
+    (f"r,0,{WIDE_ROW}\n", "line 2: expected 4 fields, found 122"),
+], ids=["snapshot-not-int", "short-row", "bad-letter", "two-letter-cell",
+        "empty-cell", "wide-row"])
+def test_csv_errors_name_the_line(body, needle):
+    with pytest.raises(MatrixError, match=needle) as exc:
+        matrix_from_csv("#run,#snapshot,A,B\n" + body)
+    assert len(str(exc.value)) < 60  # names the line, does not echo it
 
 
 def test_report_json_roundtrip():
