@@ -20,6 +20,7 @@ one-line JSON diagnostic on stderr and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -59,7 +60,17 @@ def _write(args, name: str, content: str) -> None:
 def _config(args) -> dict:
     if not args.config:
         return {}
-    return json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise CliError("config must be a JSON object")
+    return config
+
+
+def _section(config: dict, key: str) -> dict:
+    section = config.get(key, {})
+    if not isinstance(section, dict):
+        raise CliError(f"config key {key!r} must be an object")
+    return dict(section)
 
 
 def _setting(args, config: dict, name: str, default=None):
@@ -70,7 +81,13 @@ def _setting(args, config: dict, name: str, default=None):
 
 
 def _bounds(args, config: dict) -> SymexBounds:
-    section = dict(config.get("bounds", {}))
+    section = _section(config, "bounds")
+    known = {f.name for f in dataclasses.fields(SymexBounds)}
+    for key, value in section.items():
+        if key not in known:
+            raise CliError(f"unknown config key 'bounds.{key}'")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise CliError(f"config key 'bounds.{key}' must be a number")
     for flag, key in (("max_branches", "max_branches_per_path"),
                       ("max_states", "max_states"),
                       ("time_budget", "per_method_time_budget"),
@@ -82,7 +99,7 @@ def _bounds(args, config: dict) -> SymexBounds:
 
 
 def _sampler(args, config: dict) -> SamplerConfig:
-    section = dict(config.get("sampler", {}))
+    section = _section(config, "sampler")
     if getattr(args, "probability", None) is not None:
         section["probability"] = args.probability
     if getattr(args, "mode", None) is not None:
@@ -247,15 +264,21 @@ def cmd_sweep(args) -> int:
     config = _config(args)
     runs = _load_traces(args, config)
     afs, _ = _load_afs(args, config)
-    sweep_cfg = dict(config.get("sweep", {}))
+    sweep_cfg = _section(config, "sweep")
 
     def axis(flag: str, key: str, cast):
         value = getattr(args, flag, None)
         if value is not None:
             return [cast(v) for v in value.split(",") if v]
-        if key in sweep_cfg:
-            return [cast(v) for v in sweep_cfg[key]]
-        raise CliError(f"missing sweep axis: --{flag}")
+        if key not in sweep_cfg:
+            raise CliError(f"missing sweep axis: --{flag}")
+        values = sweep_cfg[key]
+        if isinstance(values, list):
+            try:
+                return [cast(v) for v in values]
+            except TypeError:
+                pass
+        raise CliError(f"config key 'sweep.{key}' must be a list of numbers")
 
     probabilities = axis("probabilities", "probabilities", float)
     n_runs_list = axis("run_counts", "n_runs", int)

@@ -44,9 +44,23 @@ class MethodCall:
 
     @staticmethod
     def from_dict(d: dict) -> "MethodCall":
-        if not isinstance(d, dict) or "method" not in d or "class" not in d:
-            raise TraceSchemaError(f"event {d!r} needs a 'method' and a 'class'")
-        return MethodCall(d["method"], d["class"], tuple(d.get("params", ())))
+        try:
+            method, class_name = d["method"], d["class"]
+        except (KeyError, TypeError):
+            raise TraceSchemaError(
+                f"event {d!r} needs a 'method' and a 'class'") from None
+        params = d.get("params", [])
+        if not (isinstance(method, str) and isinstance(class_name, str)
+                and isinstance(params, list)):
+            raise TraceSchemaError(f"event {d!r} needs a string 'method' and "
+                                   "'class' and a list of 'params'")
+        params = tuple(params)
+        try:
+            hash(params)  # one C call finds a JSON object or list among them
+        except TypeError:
+            raise TraceSchemaError(
+                f"event {d!r} has a param that is not a JSON scalar") from None
+        return MethodCall(method, class_name, params)
 
     def __str__(self) -> str:
         args = ", ".join(repr(p) for p in self.params)
@@ -124,13 +138,20 @@ class SamplerConfig:
 
 
 def _segment_from_dict(d: dict, record: int) -> OperationSegment:
+    if not isinstance(d, dict):
+        raise TraceSchemaError("segment is not a JSON object", record)
     for key in ("label", "pre_state", "events", "post_state"):
         if key not in d:
             raise TraceSchemaError(f"segment missing {key!r}", record)
+    if not isinstance(d["label"], str):
+        raise TraceSchemaError(f"segment label {d['label']!r} is not a string",
+                               record)
+    if not isinstance(d["events"], list):
+        raise TraceSchemaError("segment 'events' must be a list", record)
     try:
         pre = ConcreteState.from_dict(d["pre_state"])
         post = ConcreteState.from_dict(d["post_state"])
-        events = tuple(MethodCall.from_dict(e) for e in d["events"])
+        events = tuple([MethodCall.from_dict(e) for e in d["events"]])
         return OperationSegment(d["label"], events, pre, post,
                                 d.get("srt_category", "Instantaneous"))
     except (StateError, TraceSchemaError) as exc:
@@ -283,17 +304,26 @@ def dumps_bursts(bursts: list[Burst], cfg: SamplerConfig | None = None,
 
 
 def loads_bursts(text: str) -> tuple[list[Burst], dict]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Read a burst file; errors name the physical line as the record."""
+    lines = [(lineno, line) for lineno, line in
+             enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise TraceSchemaError("empty burst document")
-    head = json.loads(lines[0])
+    head_lineno, head_line = lines[0]
+    try:
+        head = json.loads(head_line)
+    except json.JSONDecodeError as exc:
+        raise TraceSchemaError(f"invalid JSON: {exc}", head_lineno) from exc
     if not isinstance(head, dict) or not isinstance(head.get("header"), dict):
-        raise TraceSchemaError("burst file must start with a header line", 1)
+        raise TraceSchemaError("burst file must start with a header line",
+                               head_lineno)
     af_hash = head["header"].get("af_hash", "")
     bursts: list[Burst] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         try:
             d = json.loads(line)
+            if not isinstance(d["label"], str):
+                raise ValueError(f"burst label {d['label']!r} is not a string")
             for state in (d["pre"], d["post"]):
                 if not isinstance(state, str) or state.strip("TFU"):
                     raise ValueError(f"abstract state {state!r} is not a T/F/U string")

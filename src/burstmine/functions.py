@@ -6,6 +6,10 @@ parameter-free conjunction of clauses produced by stripping a symbolic
 path condition; evaluated against a concrete state it yields a ternary
 true / false / unknown.
 
+The IR shares this vocabulary: its parser builds literals as ``IntTerm`` /
+``BoolTerm`` / ``NullTerm``, and its paths print with the same
+``path_str`` as ``FieldTerm``.
+
 This module owns the wire format for abstraction-function lists (a JSON
 document with a header recording extraction bounds and truncation flags),
 which every downstream stage consumes.
@@ -45,6 +49,19 @@ class NullTerm:
         return "null"
 
 
+def path_str(path) -> str:
+    """``Cart.products.[0].value``: the text of a ``FieldTerm`` or an IR path."""
+    parts = [path.root]
+    for kind, payload in path.segments:
+        if kind == "field":
+            parts.append(str(payload))
+        elif kind == "index":
+            parts.append(f"[{payload}]")
+        else:
+            parts.append("length")
+    return ".".join(parts)
+
+
 @dataclass(frozen=True)
 class FieldTerm:
     """State-variable path rooted at a class name.
@@ -61,16 +78,7 @@ class FieldTerm:
     def is_length(self) -> bool:
         return bool(self.segments) and self.segments[-1][0] == "length"
 
-    def __str__(self) -> str:
-        parts = [self.root]
-        for kind, payload in self.segments:
-            if kind == "field":
-                parts.append(str(payload))
-            elif kind == "index":
-                parts.append(f"[{payload}]")
-            else:
-                parts.append("length")
-        return ".".join(parts)
+    __str__ = path_str
 
 
 @dataclass(frozen=True)

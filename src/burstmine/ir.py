@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
+from .functions import BoolTerm, IntTerm, NullTerm, path_str
+
 
 class IrError(Exception):
     """Base class for IR parse/validation failures."""
@@ -62,84 +64,19 @@ class FieldType:
 
 
 @dataclass(frozen=True)
-class IndexLiteral:
-    value: int
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class IndexVar:
-    """Loop variable or integer field path used as an array index."""
-
-    root: str
-    segments: tuple[str, ...] = ()
-
-    def __str__(self) -> str:
-        return ".".join((self.root,) + self.segments)
-
-
-Index = Union[IndexLiteral, IndexVar]
-
-
-@dataclass(frozen=True)
 class Path:
-    """Dotted access path, e.g. ``Cart.products.[0].value`` or ``p.value``.
+    """Dotted access path rooted at a class, a parameter or a loop variable,
+    e.g. ``Cart.products.[0].value`` or ``p.value``.
 
-    ``segments`` mixes plain field names, ``("[", index)`` element accesses
-    encoded as strings ``"[k]"`` with the index kept in ``indices``, and the
-    pseudo-field ``length``.  To keep the node hashable the segment list is a
-    tuple of (kind, payload) pairs:
-
-    * ``("field", name)``
-    * ``("index", Index)``
-    * ``("length", None)``
+    Segments have the shape ``FieldTerm`` uses: ``("field", name)``,
+    ``("index", int | Path)`` or ``("length", None)``.  An index path is a
+    loop variable or an integer field path of ``("field", name)`` segments.
     """
 
     root: str
     segments: tuple[tuple[str, object], ...] = ()
 
-    def __str__(self) -> str:
-        parts = [self.root]
-        for kind, payload in self.segments:
-            if kind == "field":
-                parts.append(str(payload))
-            elif kind == "index":
-                parts.append(f"[{payload}]")
-            else:
-                parts.append("length")
-        return ".".join(parts)
-
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class BoolLit:
-    value: bool
-
-    def __str__(self) -> str:
-        return "true" if self.value else "false"
-
-
-@dataclass(frozen=True)
-class NullLit:
-    def __str__(self) -> str:
-        return "null"
-
-
-@dataclass(frozen=True)
-class PathExpr:
-    path: Path
-
-    def __str__(self) -> str:
-        return str(self.path)
+    __str__ = path_str
 
 
 @dataclass(frozen=True)
@@ -188,7 +125,7 @@ class Or:
         return f"{self.left} || {self.right}"
 
 
-Expr = Union[IntLit, BoolLit, NullLit, PathExpr, BinOp, Cmp, Not, And, Or]
+Expr = Union[IntTerm, BoolTerm, NullTerm, Path, BinOp, Cmp, Not, And, Or]
 
 
 @dataclass(frozen=True)
@@ -518,17 +455,17 @@ class _Parser:
                 raise self.error("expected field, index, or length")
         return Path(root, tuple(segments))
 
-    def index(self) -> Index:
+    def index(self) -> "int | Path":
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return IndexLiteral(int(tok.text))
+            return int(tok.text)
         root = self.expect_ident()
-        segs: list[str] = []
+        segs: list[tuple[str, object]] = []
         while self.at("."):
             self.next()
-            segs.append(self.expect_ident())
-        return IndexVar(root, tuple(segs))
+            segs.append(("field", self.expect_ident()))
+        return Path(root, tuple(segs))
 
     def expr(self) -> Expr:
         return self.or_expr()
@@ -579,23 +516,23 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.next()
-            return IntLit(int(tok.text))
+            return IntTerm(int(tok.text))
         if tok.text == "true":
             self.next()
-            return BoolLit(True)
+            return BoolTerm(True)
         if tok.text == "false":
             self.next()
-            return BoolLit(False)
+            return BoolTerm(False)
         if tok.text == "null":
             self.next()
-            return NullLit()
+            return NullTerm()
         if tok.text == "(":
             self.next()
             inner = self.expr()
             self.expect(")")
             return inner
         if tok.kind == "ident":
-            return PathExpr(self.path())
+            return self.path()
         raise self.error("expected expression")
 
 
@@ -630,19 +567,19 @@ def iter_method_paths(m: MethodDef) -> Iterator[Path]:
         if isinstance(s, Assign):
             yield s.target
             for e in iter_exprs(s.value):
-                if isinstance(e, PathExpr):
-                    yield e.path
+                if isinstance(e, Path):
+                    yield e
         elif isinstance(s, If):
             for e in iter_exprs(s.cond):
-                if isinstance(e, PathExpr):
-                    yield e.path
+                if isinstance(e, Path):
+                    yield e
         elif isinstance(s, For):
             yield s.bound
         elif isinstance(s, Call):
             for a in s.args:
                 for e in iter_exprs(a):
-                    if isinstance(e, PathExpr):
-                        yield e.path
+                    if isinstance(e, Path):
+                        yield e
 
 
 class _Validator:
@@ -721,8 +658,8 @@ class _Validator:
     def _check_expr(self, e: Expr, params: dict[str, FieldType],
                     loop_vars: tuple[str, ...], where: str) -> None:
         for sub in iter_exprs(e):
-            if isinstance(sub, PathExpr):
-                self._check_path(sub.path, params, loop_vars, where)
+            if isinstance(sub, Path):
+                self._check_path(sub, params, loop_vars, where)
 
     def _check_path(self, path: Path, params: dict[str, FieldType],
                     loop_vars: tuple[str, ...], where: str) -> None:
@@ -745,8 +682,8 @@ class _Validator:
             elif kind == "index":
                 if not cur.is_array:
                     raise UndeclaredTypeError(f"{where}: indexing non-array in {path}")
-                if isinstance(payload, IndexVar):
-                    self._check_index_var(payload, params, loop_vars, where)
+                if isinstance(payload, Path):
+                    self._check_path(payload, params, loop_vars, where)
                 cur = FieldType(cur.name)
             else:
                 if cur.is_scalar or cur.is_array:
@@ -760,14 +697,6 @@ class _Validator:
                     raise UndeclaredTypeError(
                         f"{where}: {cur.name!r} has no member {payload!r} in {path}")
                 cur = nxt
-
-    def _check_index_var(self, idx: IndexVar, params: dict[str, FieldType],
-                         loop_vars: tuple[str, ...], where: str) -> None:
-        if idx.root in loop_vars and not idx.segments:
-            return
-        # Integer field path used as an index, e.g. products.[Cart.nProducts].
-        as_path = Path(idx.root, tuple(("field", s) for s in idx.segments))
-        self._check_path(as_path, params, loop_vars, where)
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +786,7 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
             for path in iter_method_paths(m):
                 add(cls.name, path.root)
                 for kind, payload in path.segments:
-                    if kind == "index" and isinstance(payload, IndexVar):
+                    if kind == "index" and isinstance(payload, Path):
                         add(cls.name, payload.root)
     return DependencyGraph(program.class_names, tuple(edges))
 

@@ -195,12 +195,20 @@ def import_fsm(text: str) -> AnnotatedFSM:
             if not isinstance(t, dict):
                 raise ModelError(f"model transition {i} is not a JSON object")
             key = (t["label"], t["from"], t["to"])
+            if not all(isinstance(part, str) for part in key):
+                raise ModelError(f"model transition {i}: 'label', 'from' and "
+                                 "'to' must be strings")
             if not (isinstance(t["traces"], list)
                     and all(isinstance(trace, list) for trace in t["traces"])):
                 raise ModelError(f"model transition {i}: 'traces' must be a "
                                  "list of event lists")
             transitions[key] = tuple(tuple(MethodCall.from_dict(e) for e in trace)
                                      for trace in t["traces"])
+        if not isinstance(doc["states"], list):
+            raise ModelError("model 'states' must be a list")
+        for i, state in enumerate(doc["states"]):
+            if not isinstance(state, str):
+                raise ModelError(f"model state {i} is not a string")
         states = frozenset(doc["states"])
     except KeyError as exc:
         raise ModelError(f"model document is missing key {exc}") from exc

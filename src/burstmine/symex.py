@@ -127,14 +127,12 @@ class _Executor:
 
     # -- term construction ---------------------------------------------------
 
-    def _index_term(self, idx: ir.Index, env: dict) -> "int | Term":
-        if isinstance(idx, ir.IndexLiteral):
-            return idx.value
-        entry = env.get(idx.root)
-        if entry is not None and entry[0] == "loop" and not idx.segments:
-            return entry[1]
-        path = ir.Path(idx.root, tuple(("field", s) for s in idx.segments))
-        return self._path_term(path, env)
+    def _index_term(self, idx: "int | ir.Path", env: dict) -> "int | Term":
+        if isinstance(idx, int):
+            return idx
+        # A loop variable or an inlined literal argument is a concrete index.
+        term = self._path_term(idx, env)
+        return term.value if isinstance(term, IntTerm) else term
 
     def _path_term(self, path: ir.Path, env: dict) -> Term:
         entry = env.get(path.root)
@@ -145,9 +143,8 @@ class _Executor:
                 return IntTerm(entry[1])
             # inlined call argument
             _, arg_expr, caller_env = entry
-            if isinstance(arg_expr, ir.PathExpr):
-                spliced = ir.Path(arg_expr.path.root,
-                                  arg_expr.path.segments + path.segments)
+            if isinstance(arg_expr, ir.Path):
+                spliced = ir.Path(arg_expr.root, arg_expr.segments + path.segments)
                 return self._path_term(spliced, caller_env)
             if not path.segments:
                 return self._expr_term(arg_expr, caller_env)
@@ -166,14 +163,10 @@ class _Executor:
                          tuple(str(p) for k, p in path.segments if k == "field"))
 
     def _expr_term(self, expr: ir.Expr, env: dict) -> Term:
-        if isinstance(expr, ir.IntLit):
-            return IntTerm(expr.value)
-        if isinstance(expr, ir.BoolLit):
-            return BoolTerm(expr.value)
-        if isinstance(expr, ir.NullLit):
-            return NullTerm()
-        if isinstance(expr, ir.PathExpr):
-            return self._path_term(expr.path, env)
+        if isinstance(expr, (IntTerm, BoolTerm, NullTerm)):
+            return expr
+        if isinstance(expr, ir.Path):
+            return self._path_term(expr, env)
         raise SymexError(
             f"comparison operands must be paths or literals, got {expr}")
 
@@ -232,7 +225,7 @@ class _Executor:
                 return "out"
             if c.op == "<=" and v <= k:
                 return "out"
-            if c.op == "<" and v <= k + 1 and v <= k:
+            if c.op == "<" and v <= k + 1:
                 return "out"
         return None
 
@@ -274,8 +267,8 @@ class _Executor:
         if isinstance(stmt, ir.Assign):
             terms.append(self._path_term(stmt.target, env))
             for e in iter_exprs(stmt.value):
-                if isinstance(e, ir.PathExpr):
-                    terms.append(self._path_term(e.path, env))
+                if isinstance(e, ir.Path):
+                    terms.append(self._path_term(e, env))
         return terms
 
     # -- exploration ------------------------------------------------------------
@@ -347,7 +340,7 @@ class _Executor:
             self._emit(path, truncated=True)
             self._go(below, path)
             return
-        guard = ir.Cmp(">", ir.PathExpr(head.stmt.bound), ir.IntLit(head.k))
+        guard = ir.Cmp(">", head.stmt.bound, IntTerm(head.k))
         body_env = dict(head.env)
         body_env[head.stmt.var] = ("loop", head.k)
 
@@ -371,10 +364,10 @@ class _Executor:
                          lambda p: self._branch(cond.right, env, p, k_true, k_false))
         elif isinstance(cond, ir.Not):
             self._branch(cond.operand, env, path, k_false, k_true)
-        elif isinstance(cond, ir.BoolLit):
+        elif isinstance(cond, BoolTerm):
             (k_true if cond.value else k_false)(path)
-        elif isinstance(cond, ir.PathExpr):
-            self._atom(ir.Cmp("==", cond, ir.BoolLit(True)), env, path, k_true, k_false)
+        elif isinstance(cond, ir.Path):
+            self._atom(ir.Cmp("==", cond, BoolTerm(True)), env, path, k_true, k_false)
         elif isinstance(cond, ir.Cmp):
             self._atom(cond, env, path, k_true, k_false)
         else:

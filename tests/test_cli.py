@@ -177,8 +177,14 @@ def test_missing_key_exits_2(workdir, command, flag, document, error, missing):
         {"label": "a", "from": "T", "to": "T", "traces": []},
         {"label": "b", "from": "T", "to": "T", "traces": 5}]},
      "ModelError", "transition 1"),
+    ("simulate", "--fsm", {"af_hash": "", "states": [["U"]], "transitions": []},
+     "ModelError", "state 0"),
+    ("simulate", "--fsm", {"af_hash": "", "states": [], "transitions": [
+        {"label": ["a"], "from": "T", "to": "T", "traces": []}]},
+     "ModelError", "transition 0"),
 ], ids=["af-entry-not-an-object", "af-functions-not-a-list",
-        "transition-not-an-object", "traces-not-a-list"])
+        "transition-not-an-object", "traces-not-a-list", "state-not-a-string",
+        "label-not-a-string"])
 def test_wrong_shape_exits_2(workdir, command, flag, document, error, names):
     path = workdir / "doc.json"
     path.write_text(json.dumps(document))
@@ -358,6 +364,30 @@ def test_config_file_supplies_defaults(workdir):
     assert rc == 0
     afs, _ = load_af_list((workdir / "c_afs.json").read_text())
     assert len(afs) == 14
+
+
+@pytest.mark.parametrize("command,config,names", [
+    ("collect", [1], "JSON object"),
+    ("extract", {"bounds": {"max_depth": 3}}, "'bounds.max_depth'"),
+    ("extract", {"bounds": 5}, "'bounds'"),
+    ("sweep", {"sweep": {"probabilities": 5, "n_runs": [2], "seeds": [0]}},
+     "'sweep.probabilities'"),
+], ids=["config-not-an-object", "unknown-bound", "bounds-not-an-object",
+        "sweep-axis-not-a-list"])
+def test_malformed_config_exits_2(workdir, command, config, names):
+    path = workdir / "config.json"
+    path.write_text(json.dumps(config))
+    argv = {"collect": ["--traces", workdir / "editor.jsonl",
+                        "--afs", workdir / "editor_afs.json",
+                        "--out", workdir / "b.jsonl"],
+            "extract": ["--program", workdir / "cart.mir",
+                        "--out", workdir / "afs.json"],
+            "sweep": ["--traces", workdir / "editor.jsonl",
+                      "--afs", workdir / "editor_afs.json",
+                      "--out", workdir / "sweep.csv"]}[command]
+    rc, err = run_cli_process(command, "--config", path, *argv)
+    assert_one_line_diagnostic(rc, err, "usage")
+    assert names in json.loads(err)["message"]
 
 
 def test_every_command_is_byte_reproducible(workdir):

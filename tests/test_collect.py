@@ -77,8 +77,15 @@ def _segment(**changes) -> dict:
                                                "objects": {}})}),
     json.dumps({"segment": _segment(events=[{"class": "Cart"}])}),
     "5",
+    json.dumps({"segment": _segment(events=5)}),
+    json.dumps({"segment": _segment(
+        events=[{"method": "m", "class": "C", "params": 5}])}),
+    json.dumps({"segment": _segment(label=["op"])}),
+    json.dumps({"segment": _segment(
+        events=[{"method": "m", "class": "C", "params": [{"k": 1}]}])}),
 ], ids=["objects-not-a-table", "object-without-class", "root-not-an-id",
-        "event-without-method", "bare-number"])
+        "event-without-method", "bare-number", "events-not-a-list",
+        "params-not-a-list", "label-not-a-string", "param-not-a-scalar"])
 def test_malformed_record_reports_record_index(record):
     with pytest.raises(TraceSchemaError, match="record 2"):
         loads_runs(json.dumps({"run": "r1"}) + "\n" + record)
@@ -240,6 +247,20 @@ def test_burst_file_roundtrip(editor):
 def test_burst_header_must_be_an_object():
     with pytest.raises(TraceSchemaError, match="record 1"):
         loads_bursts(json.dumps({"header": 5}))
+
+
+def test_burst_header_that_is_not_json_reports_record_1():
+    with pytest.raises(TraceSchemaError, match="record 1"):
+        loads_bursts("{not json\n")
+
+
+def test_burst_records_are_numbered_by_physical_line(editor):
+    afs, runs = editor
+    text = dumps_bursts(collect_cbr_bursts(runs[:1], afs, SamplerConfig(1.0, 0)))
+    header, *bursts = text.splitlines()
+    lines = [header, "", bursts[0], "", bursts[1], "{}"]
+    with pytest.raises(TraceSchemaError, match="record 6"):
+        loads_bursts("\n".join(lines))
 
 
 def test_burst_state_outside_tfu_reports_record_index(editor):

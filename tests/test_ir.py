@@ -56,8 +56,41 @@ def test_unknown_path_root_rejected():
         parse_program(src)
 
 
-def test_roundtrip_fixpoint_on_cart():
-    p = parse_program(cart_source())
+# Every literal, a literal index, a loop-variable index, a field-path index
+# and call arguments: the parser builds each from the clause-term vocabulary.
+TERMS_SOURCE = """
+class Item { field price: int; field gift: bool; field next: Item; }
+class Cart {
+  const LIMIT = 4;
+  field items: Item[];
+  field nProducts: int;
+  field open: bool;
+  method scan() {
+    if (Cart.items.[0].gift == true && Cart.open != false) {
+      Cart.items.[0].next = null;
+    }
+    for i in 0 .. Cart.items.length {
+      Cart.items.[i].price = Cart.items.[i].price * 2 - 1;
+    }
+    Cart.items.[Cart.nProducts].gift = false;
+    call bump(Cart.nProducts, 7);
+  }
+  method bump(n: int, m: int) {
+    if (!(n > Cart.LIMIT) || m == 7) {
+      Cart.nProducts = n;
+      return;
+    } else {
+      Cart.open = true;
+    }
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("source", [cart_source(), TERMS_SOURCE],
+                         ids=["cart", "term-vocabulary"])
+def test_roundtrip_fixpoint_on_cart(source):
+    p = parse_program(source)
     printed = pretty_print(p)
     p2 = parse_program(printed)
     assert pretty_print(p2) == printed

@@ -1,7 +1,10 @@
 import pytest
 
-from burstmine.functions import Clause, IntTerm, ParamTerm, parse_term
+from burstmine.functions import (Clause, IntTerm, ParamTerm, dump_af_list,
+                                 load_af_list, parse_term)
 from burstmine.ir import parse_program
+from burstmine.states import (ConcreteObject, ConcreteState, Ternary,
+                              eval_function)
 from burstmine.symex import (SymexBounds, SymexError,
                              extract_abstraction_functions,
                              strip_parameter_clauses, symbolic_execute)
@@ -261,3 +264,38 @@ def test_nested_call_havocs():
     paths, report = symbolic_execute(m, p)
     assert report.havocked_calls == 1
     assert [path.clauses for path in paths] == [()]
+
+
+def test_inlined_literal_argument_is_a_concrete_index():
+    p = parse_program("""
+    class Box { field v: int; }
+    class Shelf { field boxes: Box[];
+      method peek() { call look(0); }
+      method look(k: int) { if (Shelf.boxes.[k].v > 3) { return; } }
+    }
+    """)
+    afs, _ = extract_abstraction_functions(p, ("Shelf",))
+    peek = [af for af in afs if af.method_name == "peek"]
+    assert [af.clause_keys() for af in peek] == [
+        ("Shelf.boxes.length == 0",),
+        ("Shelf.boxes.[0].v > 3",),
+        ("Shelf.boxes.[0].v <= 3",),
+    ]
+    state = ConcreteState({"s": ConcreteObject("Shelf", {"boxes": ["b"]}),
+                           "b": ConcreteObject("Box", {"v": 5})},
+                          {"Shelf": "s"})
+    assert eval_function(peek[1], state) is Ternary.T
+    loaded, _ = load_af_list(dump_af_list(peek))
+    assert [af.clauses for af in loaded] == [af.clauses for af in peek]
+
+
+def test_strict_length_guard_pins_the_access_out_of_range():
+    p = parse_program("""
+    class B { field v: int; }
+    class A { field xs: B[];
+      method m() { if (A.xs.length < 1) { A.xs.[0].v = 1; } }
+    }
+    """)
+    afs, _ = extract_abstraction_functions(p, ("A",))
+    assert [af.clause_keys() for af in afs] == [
+        ("A.xs.length < 1",), ("A.xs.length >= 1",)]
