@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -36,9 +37,7 @@ from .symex import SymexBounds, SymexError, extract_abstraction_functions
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = 2) -> None:
-        super().__init__(message)
-        self.code = code
+    """A missing input or a malformed ``--config`` value (exit 2)."""
 
 
 def _warn(message: str) -> None:
@@ -57,92 +56,94 @@ def _write(args, name: str, content: str) -> None:
     _out_path(args, name).write_text(content, encoding="utf-8")
 
 
-def _config(args) -> dict:
-    if not args.config:
+# --- settings: a flag, else its --config value, checked against its JSON type ----
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+_STRING = ("a string", lambda v: isinstance(v, str))
+_NUMBER = ("a number", _is_number)
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_NUMBERS = ("a list of numbers",
+            lambda v: isinstance(v, list) and all(map(_is_number, v)))
+_TARGETS = ("a string or a list of strings", lambda v: isinstance(v, str) or (
+    isinstance(v, list) and all(isinstance(t, str) for t in v)))
+
+_SECTIONS = {
+    "bounds": {f.name: _NUMBER for f in dataclasses.fields(SymexBounds)},
+    "sampler": {"probability": _NUMBER, "rng_seed": _INTEGER, "mode": _STRING,
+                "fixed_length": _INTEGER},
+    "sweep": {"probabilities": _NUMBERS, "n_runs": _NUMBERS, "seeds": _NUMBERS},
+}
+
+
+def _config(path) -> dict:
+    if not path:
         return {}
-    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    config = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(config, dict):
         raise CliError("config must be a JSON object")
     return config
 
 
-def _section(config: dict, key: str) -> dict:
-    section = config.get(key, {})
-    if not isinstance(section, dict):
-        raise CliError(f"config key {key!r} must be an object")
-    return dict(section)
+def _typed(key: str, value, kind):
+    name, ok = kind
+    if not ok(value):
+        raise CliError(f"config key {key!r} must be {name}")
+    return value
 
 
-def _setting(args, config: dict, name: str, default=None):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return config.get(name, default)
+def _setting(args, config: dict, key: str, kind=_STRING):
+    """The flag's value, else the config's, else ``None``."""
+    value = getattr(args, key)
+    if value is None and config.get(key) is not None:
+        value = _typed(key, config[key], kind)
+    return value
 
 
-def _bounds(args, config: dict) -> SymexBounds:
-    section = _section(config, "bounds")
-    known = {f.name for f in dataclasses.fields(SymexBounds)}
-    for key, value in section.items():
-        if key not in known:
-            raise CliError(f"unknown config key 'bounds.{key}'")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CliError(f"config key 'bounds.{key}' must be a number")
-    for flag, key in (("max_branches", "max_branches_per_path"),
-                      ("max_states", "max_states"),
-                      ("time_budget", "per_method_time_budget"),
-                      ("max_unroll", "max_loop_unrollings")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            section[key] = value
-    return SymexBounds(**section)
-
-
-def _sampler(args, config: dict) -> SamplerConfig:
-    section = _section(config, "sampler")
-    if getattr(args, "probability", None) is not None:
-        section["probability"] = args.probability
-    if getattr(args, "mode", None) is not None:
-        section["mode"] = args.mode
-    if getattr(args, "fixed_length", None) is not None:
-        section["fixed_length"] = args.fixed_length
-    if args.seed is not None:
-        section["rng_seed"] = args.seed
-    section.setdefault("probability", 1.0)
-    return SamplerConfig.from_dict(section)
-
-
-def _load_afs(args, config: dict, key: str = "afs"):
+def _input(args, config: dict, key: str) -> str:
+    """The path of a required input file."""
     path = _setting(args, config, key)
     if path is None:
         raise CliError(f"missing required input: --{key}")
-    return load_af_list(Path(path).read_text(encoding="utf-8"))
+    return path
 
 
-def _load_traces(args, config: dict):
-    path = _setting(args, config, "traces")
-    if path is None:
-        raise CliError("missing required input: --traces")
-    return load_runs(path)
+def _read(args, config: dict, key: str) -> str:
+    return Path(_input(args, config, key)).read_text(encoding="utf-8")
+
+
+def _section(config: dict, name: str, flags: dict) -> dict:
+    """The config object ``name`` with every flag that is set laid over it."""
+    section = config.get(name, {})
+    if not isinstance(section, dict):
+        raise CliError(f"config key {name!r} must be an object")
+    for key, value in section.items():
+        if key not in _SECTIONS[name]:
+            raise CliError(f"unknown config key '{name}.{key}'")
+        _typed(f"{name}.{key}", value, _SECTIONS[name][key])
+    return {**section, **{k: v for k, v in flags.items() if v is not None}}
 
 
 # --- subcommands -----------------------------------------------------------------
 
 
-def cmd_extract(args) -> int:
-    config = _config(args)
-    program_path = _setting(args, config, "program")
-    if program_path is None:
-        raise CliError("missing required input: --program")
-    program = parse_program(Path(program_path).read_text(encoding="utf-8"))
-    targets = _setting(args, config, "targets")
+def cmd_extract(args, config: dict) -> int:
+    program = parse_program(_read(args, config, "program"))
+    targets = _setting(args, config, "targets", _TARGETS)
     if isinstance(targets, str):
         targets = [t for t in targets.split(",") if t]
     if targets is None:
         targets = list(program.class_names)
     graph = build_dependency_graph(program)
     relevant = detect_relevant_classes(graph, targets)
-    bounds = _bounds(args, config)
+    bounds = SymexBounds(**_section(config, "bounds", {
+        "max_branches_per_path": args.max_branches, "max_states": args.max_states,
+        "per_method_time_budget": args.time_budget,
+        "max_loop_unrollings": args.max_unroll}))
     afs, report = extract_abstraction_functions(program, relevant, bounds)
     if not afs:
         _warn("no abstraction functions extracted (empty or branch-free program)")
@@ -152,10 +153,9 @@ def cmd_extract(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    config = _config(args)
-    afs, _ = _load_afs(args, config)
-    runs = _load_traces(args, config)
+def cmd_profile(args, config: dict) -> int:
+    afs, _ = load_af_list(_read(args, config, "afs"))
+    runs = load_runs(_input(args, config, "traces"))
     provenance = [(run.run_id, i) for run in runs for i in range(len(run.segments))]
     rows = [abstract_state(afs, seg.pre_state) for run in runs for seg in run.segments]
     if not rows:
@@ -166,20 +166,16 @@ def cmd_profile(args) -> int:
     return 0
 
 
-def cmd_filter(args) -> int:
-    config = _config(args)
-    matrix_path = _setting(args, config, "matrix")
-    if matrix_path is None:
-        raise CliError("missing required input: --matrix")
-    m = filtering.matrix_from_csv(Path(matrix_path).read_text(encoding="utf-8"))
-    if m.n_rows <= 1:
-        _warn(f"matrix has {m.n_rows} row(s); every column is constant and "
-              "will be dropped")
-    afs, _ = _load_afs(args, config)
+def cmd_filter(args, config: dict) -> int:
+    m = filtering.matrix_from_csv(_read(args, config, "matrix"))
+    afs, _ = load_af_list(_read(args, config, "afs"))
     by_id = {af.id: af for af in afs}
     unknown = [c for c in m.column_ids if c not in by_id]
     if unknown:
         raise CliError(f"matrix columns not present in the AF list: {unknown}")
+    if m.n_rows <= 1:
+        _warn(f"matrix has {m.n_rows} row(s); every column is constant and "
+              "will be dropped")
     kept_matrix, report = filtering.filter_functions(m)
     kept = [by_id[c] for c in kept_matrix.column_ids]
     _write(args, args.out_kept, dump_af_list(kept, {"filtered_from": len(afs)}))
@@ -187,12 +183,14 @@ def cmd_filter(args) -> int:
     return 0
 
 
-def cmd_collect(args) -> int:
-    config = _config(args)
-    runs = _load_traces(args, config)
-    cfg = _sampler(args, config)
+def cmd_collect(args, config: dict) -> int:
+    runs = load_runs(_input(args, config, "traces"))
+    cfg = SamplerConfig.from_dict({"probability": 1.0, **_section(
+        config, "sampler", {"probability": args.probability, "mode": args.mode,
+                            "fixed_length": args.fixed_length,
+                            "rng_seed": args.seed})})
     if cfg.mode == "cbr":
-        afs, _ = _load_afs(args, config)
+        afs, _ = load_af_list(_read(args, config, "afs"))
         bursts = collect_cbr_bursts(runs, afs, cfg)
         if not bursts:
             _warn("no bursts collected (probability too low or no segments)")
@@ -209,27 +207,19 @@ def cmd_collect(args) -> int:
     return 0
 
 
-def cmd_synthesize(args) -> int:
-    config = _config(args)
-    bursts_path = _setting(args, config, "bursts")
-    if bursts_path is None:
-        raise CliError("missing required input: --bursts")
-    bursts, _ = loads_bursts(Path(bursts_path).read_text(encoding="utf-8"))
+def cmd_synthesize(args, config: dict) -> int:
+    bursts, header = loads_bursts(_read(args, config, "bursts"))
     if not bursts:
         _warn("no bursts to synthesize from; the model will be empty")
-    fsm = model.synthesize(bursts)
+    fsm = model.synthesize(bursts, header.get("af_hash", ""))
     _write(args, args.out, model.export_fsm(fsm, "json"))
     if args.dot:
         _write(args, args.dot, model.export_fsm(fsm, "dot"))
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = _config(args)
-    fsm_path = _setting(args, config, "fsm")
-    if fsm_path is None:
-        raise CliError("missing required input: --fsm")
-    fsm = model.import_fsm(Path(fsm_path).read_text(encoding="utf-8"))
+def cmd_simulate(args, config: dict) -> int:
+    fsm = model.import_fsm(_read(args, config, "fsm"))
     traces = model.simulate_traces(fsm, args.start, args.max_hops, args.budget)
     doc = [{
         "start": t.start,
@@ -242,17 +232,13 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_evaluate(args) -> int:
-    config = _config(args)
-    fsm_path = _setting(args, config, "fsm")
-    if fsm_path is None:
-        raise CliError("missing required input: --fsm")
-    fsm = model.import_fsm(Path(fsm_path).read_text(encoding="utf-8"))
-    afs, _ = _load_afs(args, config)
-    runs = _load_traces(args, config)
+def cmd_evaluate(args, config: dict) -> int:
+    fsm = model.import_fsm(_read(args, config, "fsm"))
+    afs, _ = load_af_list(_read(args, config, "afs"))
+    runs = load_runs(_input(args, config, "traces"))
+    precision, recall = metrics.evaluate(fsm, runs, afs)
     if fsm.n_states == 0:
         _warn("evaluating an empty model; recall is 0 and precision is absent")
-    precision, recall = metrics.evaluate(fsm, runs, afs)
     _write(args, "precision.json", precision.to_json())
     _write(args, "precision.csv", precision.to_csv())
     _write(args, "recall.json", recall.to_json())
@@ -260,30 +246,24 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    config = _config(args)
-    runs = _load_traces(args, config)
-    afs, _ = _load_afs(args, config)
-    sweep_cfg = _section(config, "sweep")
+def cmd_sweep(args, config: dict) -> int:
+    runs = load_runs(_input(args, config, "traces"))
+    afs, _ = load_af_list(_read(args, config, "afs"))
+    flags = {"probabilities": args.probabilities, "n_runs": args.run_counts,
+             "seeds": args.sweep_seeds}
+    axes = _section(config, "sweep", {
+        key: None if value is None else [v for v in value.split(",") if v]
+        for key, value in flags.items()})
 
-    def axis(flag: str, key: str, cast):
-        value = getattr(args, flag, None)
-        if value is not None:
-            return [cast(v) for v in value.split(",") if v]
-        if key not in sweep_cfg:
+    def axis(key: str, flag: str, cast) -> list:
+        if key not in axes:
             raise CliError(f"missing sweep axis: --{flag}")
-        values = sweep_cfg[key]
-        if isinstance(values, list):
-            try:
-                return [cast(v) for v in values]
-            except TypeError:
-                pass
-        raise CliError(f"config key 'sweep.{key}' must be a list of numbers")
+        return [cast(v) for v in axes[key]]
 
-    probabilities = axis("probabilities", "probabilities", float)
-    n_runs_list = axis("run_counts", "n_runs", int)
-    seeds = axis("sweep_seeds", "seeds", int)
-    result = metrics.run_sweep(runs, afs, probabilities, n_runs_list, seeds)
+    result = metrics.run_sweep(runs, afs,
+                               axis("probabilities", "probabilities", float),
+                               axis("n_runs", "run-counts", int),
+                               axis("seeds", "sweep-seeds", int))
     _write(args, args.out, result.to_csv())
     return 0
 
@@ -383,10 +363,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config(args.config))
     except CliError as exc:
         print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return exc.code
+        return 2
     except (ValueError, OSError, IrError, SymexError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

@@ -318,6 +318,8 @@ def loads_bursts(text: str) -> tuple[list[Burst], dict]:
         raise TraceSchemaError("burst file must start with a header line",
                                head_lineno)
     af_hash = head["header"].get("af_hash", "")
+    if not isinstance(af_hash, str):
+        raise TraceSchemaError("burst header 'af_hash' is not a string", head_lineno)
     bursts: list[Burst] = []
     for lineno, line in lines[1:]:
         try:

@@ -96,7 +96,15 @@ Term = Union[IntTerm, BoolTerm, NullTerm, FieldTerm, ParamTerm]
 
 
 def parse_term(text: str) -> Term:
-    """Inverse of ``str(term)`` (used by the AF JSON reader)."""
+    """Inverse of ``str(term)`` (used by the AF JSON reader): text with an
+    empty path part, or that would not print back as itself, is rejected."""
+    term = _parse_term(text)
+    if str(term) != text:
+        raise ValueError(f"malformed term {text!r}")
+    return term
+
+
+def _parse_term(text: str) -> Term:
     if text == "null":
         return NullTerm()
     if text == "true":
@@ -106,6 +114,8 @@ def parse_term(text: str) -> Term:
     if re_int(text):
         return IntTerm(int(text))
     parts = _split_path(text)
+    if "" in parts:
+        raise ValueError(f"malformed term {text!r}")
     root = parts[0]
     if root[:1].isupper():
         segments: list[tuple[str, object]] = []
@@ -114,7 +124,7 @@ def parse_term(text: str) -> Term:
                 segments.append(("length", None))
             elif p.startswith("["):
                 inner = p[1:-1]
-                idx: object = int(inner) if re_int(inner) else parse_term(inner)
+                idx: object = int(inner) if re_int(inner) else _parse_term(inner)
                 segments.append(("index", idx))
             else:
                 segments.append(("field", p))
@@ -205,8 +215,13 @@ class Clause:
 
     @staticmethod
     def from_dict(d: dict) -> "Clause":
-        return Clause(parse_term(d["lhs"]), d["op"], parse_term(d["rhs"]),
-                      bool(d.get("negated", False)))
+        lhs, op, rhs = d["lhs"], d["op"], d["rhs"]
+        negated = d.get("negated", False)
+        if not (isinstance(lhs, str) and isinstance(op, str)
+                and isinstance(rhs, str) and isinstance(negated, bool)):
+            raise ValueError("a clause needs string 'lhs', 'op' and 'rhs' "
+                             "and a bool 'negated'")
+        return Clause(parse_term(lhs), op, parse_term(rhs), negated)
 
 
 def _index_mentions_param(t: Term) -> bool:
@@ -272,11 +287,15 @@ class AbstractionFunction:
 
     @staticmethod
     def from_dict(d: dict) -> "AbstractionFunction":
+        af_id, clauses = d["id"], d["clauses"]
+        origin = (d["class"], d["method"], d.get("path", ""))
+        if not all(isinstance(v, str) for v in (af_id, *origin)):
+            raise ValueError("'id', 'class', 'method' and 'path' must be strings")
+        if not (isinstance(clauses, list)
+                and all(isinstance(c, dict) for c in clauses)):
+            raise ValueError("'clauses' must be a list of objects")
         return AbstractionFunction(
-            d["id"],
-            tuple(Clause.from_dict(c) for c in d["clauses"]),
-            (d["class"], d["method"], d.get("path", "")),
-        )
+            af_id, tuple(Clause.from_dict(c) for c in clauses), origin)
 
 
 def af_list_hash(afs: "list[AbstractionFunction] | tuple[AbstractionFunction, ...]",
@@ -306,7 +325,10 @@ def load_af_list(text: str) -> tuple[list[AbstractionFunction], dict]:
         for i, d in enumerate(doc["functions"]):
             if not isinstance(d, dict):
                 raise ValueError(f"abstraction function {i} is not a JSON object")
-            afs.append(AbstractionFunction.from_dict(d))
+            try:
+                afs.append(AbstractionFunction.from_dict(d))
+            except ValueError as exc:
+                raise ValueError(f"abstraction function {i}: {exc}") from None
     except KeyError as exc:
         raise ValueError(f"abstraction-function list is missing key {exc}") from exc
     if doc.get("af_hash") and doc["af_hash"] != af_list_hash(afs):

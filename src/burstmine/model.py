@@ -50,13 +50,15 @@ class AnnotatedFSM:
         return sorted(keys, key=lambda k: (k[0], k[1]))
 
 
-def synthesize(bursts: list[Burst]) -> AnnotatedFSM:
+def synthesize(bursts: list[Burst], af_hash: str | None = None) -> AnnotatedFSM:
     """Union of burst endpoints as states; one transition per distinct
     (label, pre, post); annotation sets union the traces (duplicates once).
 
-    The result does not depend on burst order beyond annotation insertion
-    order, which is first-seen."""
-    af_hash = bursts[0].af_hash if bursts else ""
+    ``af_hash`` (default: the first burst's) binds the model to its AF list,
+    an empty one included.  The result does not depend on burst order beyond
+    annotation insertion order, which is first-seen."""
+    if af_hash is None:
+        af_hash = bursts[0].af_hash if bursts else ""
     states: set[str] = set()
     transitions: dict[TransitionKey, list[Trace]] = {}
     seen: dict[TransitionKey, set[Trace]] = {}

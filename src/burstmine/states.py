@@ -69,6 +69,8 @@ class ConcreteState:
             for i, v in enumerate(value):
                 if v is not None:
                     self._check_value(v, f"{where}[{i}]")
+        elif isinstance(value, dict):
+            raise StateError(f"field {where} holds a JSON object")
 
     def to_dict(self) -> dict:
         return {

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,11 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burstmine.cli import main
 from burstmine.collect import dump_runs, loads_bursts
-from burstmine.functions import load_af_list
+from burstmine.functions import af_list_hash, load_af_list
 from burstmine.metrics import run_sweep
 from burstmine.model import import_fsm
 from burstmine.synthetic import (checkout_abstraction_functions, checkout_runs,
@@ -46,7 +49,7 @@ def run_cli_process(*argv) -> tuple[int, str]:
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "burstmine.cli",
-                           *map(str, argv)],
+                           *map(str, argv)], stdin=subprocess.DEVNULL,
                           env=env, capture_output=True, text=True, timeout=60)
     return proc.returncode, proc.stderr
 
@@ -168,6 +171,12 @@ def test_missing_key_exits_2(workdir, command, flag, document, error, missing):
     assert f"missing key '{missing}'" in json.loads(err)["message"]
 
 
+def _af_list(**changes) -> dict:
+    af = {"id": "C.m-F1", "class": "C", "method": "m",
+          "clauses": [{"lhs": "C.x", "op": ">", "rhs": "1"}]}
+    return {"functions": [{**af, **changes}]}
+
+
 @pytest.mark.parametrize("command,flag,document,error,names", [
     ("profile", "--afs", {"functions": [5]}, "ValueError", "function 0"),
     ("profile", "--afs", {"functions": 5}, "ValueError", "'functions'"),
@@ -182,9 +191,18 @@ def test_missing_key_exits_2(workdir, command, flag, document, error, missing):
     ("simulate", "--fsm", {"af_hash": "", "states": [], "transitions": [
         {"label": ["a"], "from": "T", "to": "T", "traces": []}]},
      "ModelError", "transition 0"),
+    ("profile", "--afs", _af_list(clauses=[{"lhs": 5, "op": ">", "rhs": "1"}]),
+     "ValueError", "function 0"),
+    ("profile", "--afs", _af_list(clauses=5), "ValueError", "function 0"),
+    ("profile", "--afs", _af_list(clauses=[5]), "ValueError", "function 0"),
+    ("profile", "--afs", _af_list(id=["a"]), "ValueError", "function 0"),
+    ("profile", "--afs", _af_list(clauses=[
+        {"lhs": "C.x", "op": ">", "rhs": "1", "negated": "false"}]),
+     "ValueError", "function 0"),
 ], ids=["af-entry-not-an-object", "af-functions-not-a-list",
         "transition-not-an-object", "traces-not-a-list", "state-not-a-string",
-        "label-not-a-string"])
+        "label-not-a-string", "clause-lhs-not-a-string", "clauses-not-a-list",
+        "clause-not-an-object", "af-id-not-a-string", "negated-not-a-bool"])
 def test_wrong_shape_exits_2(workdir, command, flag, document, error, names):
     path = workdir / "doc.json"
     path.write_text(json.dumps(document))
@@ -265,6 +283,28 @@ def test_collect_p_zero_warns_and_evaluates_empty(workdir, capsys):
     assert recall["mean_recall"] == 0.0
     precision = json.loads((workdir / "empty_reports" / "precision.json").read_text())
     assert precision["overall"] is None
+
+
+def test_empty_model_keeps_af_binding(workdir, capsys):
+    rc = run_cli("collect", "--traces", workdir / "checkout.jsonl",
+                 "--afs", workdir / "checkout_afs.json",
+                 "--probability", "0.0", "--seed", "1",
+                 "--out", workdir / "none.jsonl")
+    assert rc == 0
+    rc = run_cli("synthesize", "--bursts", workdir / "none.jsonl",
+                 "--out", workdir / "empty_fsm.json")
+    assert rc == 0
+    fsm = import_fsm((workdir / "empty_fsm.json").read_text())
+    assert fsm.af_hash == af_list_hash(checkout_abstraction_functions())
+    capsys.readouterr()
+    rc = run_cli("evaluate", "--fsm", workdir / "empty_fsm.json",
+                 "--traces", workdir / "checkout.jsonl",
+                 "--afs", workdir / "editor_afs.json",
+                 "--out-dir", workdir / "bad_reports")
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1  # no empty-model warning before the error
+    assert json.loads(lines[0])["error"] == "ModelError"
 
 
 def test_collect_fixed_length_mode(workdir):
@@ -366,28 +406,138 @@ def test_config_file_supplies_defaults(workdir):
     assert len(afs) == 14
 
 
+_SWEEP = {"probabilities": [0.5], "n_runs": [2], "seeds": [0]}
+
+
 @pytest.mark.parametrize("command,config,names", [
     ("collect", [1], "JSON object"),
     ("extract", {"bounds": {"max_depth": 3}}, "'bounds.max_depth'"),
     ("extract", {"bounds": 5}, "'bounds'"),
     ("sweep", {"sweep": {"probabilities": 5, "n_runs": [2], "seeds": [0]}},
      "'sweep.probabilities'"),
+    ("collect", {"sampler": {"probability": [1]}}, "'sampler.probability'"),
+    ("extract", {"program": 5}, "'program'"),
+    ("extract", {"targets": 5}, "'targets'"),
+    ("extract", {"targets": [["Cart"]]}, "'targets'"),
+    ("collect", {"afs": 0}, "'afs'"),
+    ("profile", {"traces": 0}, "'traces'"),
+    ("extract", {"bounds": {"max_states": True}}, "'bounds.max_states'"),
+    ("collect", {"sampler": {"rng_seed": 1.5}}, "'sampler.rng_seed'"),
+    ("collect", {"sampler": {"seed": 1}}, "'sampler.seed'"),
+    ("sweep", {"sweep": {**_SWEEP, "step": 1}}, "'sweep.step'"),
+    ("sweep", {"sweep": {**_SWEEP, "seeds": [float("inf")]}}, "'sweep.seeds'"),
 ], ids=["config-not-an-object", "unknown-bound", "bounds-not-an-object",
-        "sweep-axis-not-a-list"])
+        "sweep-axis-not-a-list", "sampler-value-a-list", "program-not-a-string",
+        "targets-a-number", "targets-nested-list", "afs-a-number",
+        "traces-a-number", "bound-a-bool", "rng-seed-not-an-integer",
+        "unknown-sampler-key", "unknown-sweep-key", "sweep-axis-not-finite"])
 def test_malformed_config_exits_2(workdir, command, config, names):
     path = workdir / "config.json"
     path.write_text(json.dumps(config))
-    argv = {"collect": ["--traces", workdir / "editor.jsonl",
-                        "--afs", workdir / "editor_afs.json",
-                        "--out", workdir / "b.jsonl"],
-            "extract": ["--program", workdir / "cart.mir",
-                        "--out", workdir / "afs.json"],
-            "sweep": ["--traces", workdir / "editor.jsonl",
-                      "--afs", workdir / "editor_afs.json",
-                      "--out", workdir / "sweep.csv"]}[command]
-    rc, err = run_cli_process(command, "--config", path, *argv)
+    traces = {"traces": workdir / "editor.jsonl", "afs": workdir / "editor_afs.json"}
+    inputs = {"collect": traces, "profile": traces, "sweep": traces,
+              "extract": {"program": workdir / "cart.mir"}}[command]
+    argv = [arg for key, value in inputs.items() if key not in config
+            for arg in (f"--{key}", value)]
+    rc, err = run_cli_process(command, "--config", path, *argv,
+                              "--out", workdir / "out")
     assert_one_line_diagnostic(rc, err, "usage")
     assert names in json.loads(err)["message"]
+
+
+@pytest.fixture(scope="module")
+def full_config(tmp_path_factory):
+    """A directory and a config that supplies every input of every command."""
+    d = tmp_path_factory.mktemp("config")
+    (d / "cart.mir").write_text(cart_source())
+    dump_runs(checkout_runs(), d / "traces.jsonl")
+    (d / "afs.json").write_text(dump_af_list(checkout_abstraction_functions()))
+    files = {key: str(d / name) for key, name in (
+        ("program", "cart.mir"), ("traces", "traces.jsonl"), ("afs", "afs.json"),
+        ("matrix", "matrix.csv"), ("bursts", "bursts.jsonl"), ("fsm", "fsm.json"))}
+    inputs = ["--traces", files["traces"], "--afs", files["afs"]]
+    assert run_cli("profile", *inputs, "--out", files["matrix"]) == 0
+    assert run_cli("collect", *inputs, "--out", files["bursts"]) == 0
+    assert run_cli("synthesize", "--bursts", files["bursts"],
+                   "--out", files["fsm"]) == 0
+    config = {**files, "targets": "Cart",
+              "bounds": {"max_branches_per_path": 10, "max_states": 1000,
+                         "per_method_time_budget": 60.0,
+                         "max_loop_unrollings": 1},
+              "sampler": {"probability": 0.5, "rng_seed": 1, "mode": "cbr",
+                          "fixed_length": 5},
+              "sweep": {"probabilities": [0.5, 1.0], "n_runs": [1, 2],
+                        "seeds": [0]}}
+    start = min(import_fsm(Path(files["fsm"]).read_text()).states)
+    return d, config, start
+
+
+# The config keys each command reads; a dotted key is one value of a section.
+_COMMAND_KEYS = {
+    "extract": ["program", "targets", "bounds", "bounds.max_branches_per_path",
+                "bounds.max_states", "bounds.per_method_time_budget",
+                "bounds.max_loop_unrollings"],
+    "profile": ["traces", "afs"],
+    "filter": ["matrix", "afs"],
+    "collect": ["traces", "afs", "sampler", "sampler.probability",
+                "sampler.rng_seed", "sampler.mode", "sampler.fixed_length"],
+    "synthesize": ["bursts"],
+    "simulate": ["fsm"],
+    "evaluate": ["fsm", "traces", "afs"],
+    "sweep": ["traces", "afs", "sweep", "sweep.probabilities", "sweep.n_runs",
+              "sweep.seeds"],
+}
+_PATH_KEYS = {"program", "traces", "afs", "matrix", "bursts", "fsm"}
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _run_with_config(directory: Path, command: str, config: dict, start: str):
+    path = directory / "config.json"
+    path.write_text(json.dumps(config))
+    argv = [command, "--config", path, "--out-dir", directory / "out"]
+    if command == "simulate":
+        argv += ["--start", start]
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = run_cli(*argv)
+    return rc, stderr.getvalue().splitlines()
+
+
+def test_config_supplies_every_input(full_config):
+    directory, config, start = full_config
+    for command in _COMMAND_KEYS:
+        rc, err = _run_with_config(directory, command, config, start)
+        assert rc == 0, (command, err)
+
+
+@st.composite
+def _config_edits(draw):
+    command, key = draw(st.sampled_from(
+        [(c, k) for c, keys in _COMMAND_KEYS.items() for k in keys]))
+    # A path is drawn as a string only: an integer path names a file
+    # descriptor, which an in-process run would read (the subprocess cases
+    # of test_malformed_config_exits_2 cover those).
+    value = draw(st.text(max_size=12) if key in _PATH_KEYS else _JSON)
+    return command, key, value
+
+
+@settings(max_examples=60, deadline=None)
+@given(edit=_config_edits())
+def test_any_config_value_exits_0_or_2(full_config, edit):
+    directory, config, start = full_config
+    command, key, value = edit
+    config = json.loads(json.dumps(config))
+    section, _, name = key.rpartition(".")
+    (config[section] if section else config)[name] = value
+    rc, err = _run_with_config(directory, command, config, start)
+    assert rc in (0, 2)
+    if rc == 2:
+        assert len(err) == 1
+        assert "error" in json.loads(err[0])
 
 
 def test_every_command_is_byte_reproducible(workdir):

@@ -83,9 +83,12 @@ def _segment(**changes) -> dict:
     json.dumps({"segment": _segment(label=["op"])}),
     json.dumps({"segment": _segment(
         events=[{"method": "m", "class": "C", "params": [{"k": 1}]}])}),
+    json.dumps({"segment": _segment(pre_state={"roots": {}, "objects": {
+        "o1": {"class": "C", "fields": {"dirty": {"a": 1}}}}})}),
 ], ids=["objects-not-a-table", "object-without-class", "root-not-an-id",
         "event-without-method", "bare-number", "events-not-a-list",
-        "params-not-a-list", "label-not-a-string", "param-not-a-scalar"])
+        "params-not-a-list", "label-not-a-string", "param-not-a-scalar",
+        "field-value-an-object"])
 def test_malformed_record_reports_record_index(record):
     with pytest.raises(TraceSchemaError, match="record 2"):
         loads_runs(json.dumps({"run": "r1"}) + "\n" + record)
@@ -247,6 +250,11 @@ def test_burst_file_roundtrip(editor):
 def test_burst_header_must_be_an_object():
     with pytest.raises(TraceSchemaError, match="record 1"):
         loads_bursts(json.dumps({"header": 5}))
+
+
+def test_burst_header_hash_must_be_a_string():
+    with pytest.raises(TraceSchemaError, match="record 1: burst header 'af_hash'"):
+        loads_bursts(json.dumps({"header": {"af_hash": 5}}))
 
 
 def test_burst_header_that_is_not_json_reports_record_1():

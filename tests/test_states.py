@@ -74,6 +74,13 @@ def test_clauses_are_canonical_from_construction():
     assert written.to_dict()["negated"] is False
 
 
+@pytest.mark.parametrize("text", ["Cart.x.[Abc", "C..x", "Cart.a.[Cart..n]",
+                                  "007", "-0", ""])
+def test_parse_term_rejects_text_it_would_not_print_back(text):
+    with pytest.raises(ValueError, match="malformed term"):
+        parse_term(text)
+
+
 def test_length_and_index_resolution():
     s = cart_state(n_products=1, products=[(40, True)])
     assert eval_clause(clause("Cart.products.length > 0"), s) is Ternary.T
