@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -32,6 +31,7 @@ from .collect import (SamplerConfig, collect_cbr_bursts, collect_fixed_sampling,
 from .functions import af_list_hash, dump_af_list, load_af_list
 from .ir import (IrError, build_dependency_graph, detect_relevant_classes,
                  parse_program)
+from .schema import INTEGER, NUMBER, STRING, TARGETS, ListOf, Record, check
 from .states import abstract_state
 from .symex import SymexBounds, SymexError, extract_abstraction_functions
 
@@ -56,52 +56,33 @@ def _write(args, name: str, content: str) -> None:
     _out_path(args, name).write_text(content, encoding="utf-8")
 
 
-# --- settings: a flag, else its --config value, checked against its JSON type ----
+# --- settings: a flag, else its --config value, checked by the config shape ------
 
 
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-_STRING = ("a string", lambda v: isinstance(v, str))
-_NUMBER = ("a number", _is_number)
-_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-_NUMBERS = ("a list of numbers",
-            lambda v: isinstance(v, list) and all(map(_is_number, v)))
-_TARGETS = ("a string or a list of strings", lambda v: isinstance(v, str) or (
-    isinstance(v, list) and all(isinstance(t, str) for t in v)))
-
-_SECTIONS = {
-    "bounds": {f.name: _NUMBER for f in dataclasses.fields(SymexBounds)},
-    "sampler": {"probability": _NUMBER, "rng_seed": _INTEGER, "mode": _STRING,
-                "fixed_length": _INTEGER},
-    "sweep": {"probabilities": _NUMBERS, "n_runs": _NUMBERS, "seeds": _NUMBERS},
-}
+# The input files, each a flag and a config key of the same name.
+_INPUTS = ("program", "traces", "afs", "matrix", "bursts", "fsm")
+CONFIG = Record({}, {
+    **dict.fromkeys(_INPUTS, STRING), "targets": TARGETS,
+    "bounds": Record({}, {f.name: NUMBER for f in dataclasses.fields(SymexBounds)},
+                     closed=True),
+    "sampler": Record({}, {"probability": NUMBER, "rng_seed": INTEGER,
+                           "mode": STRING, "fixed_length": INTEGER}, closed=True),
+    "sweep": Record({}, {"probabilities": ListOf(NUMBER), "n_runs": ListOf(INTEGER),
+                         "seeds": ListOf(INTEGER)}, closed=True),
+})
 
 
 def _config(path) -> dict:
     if not path:
         return {}
-    config = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(config, dict):
-        raise CliError("config must be a JSON object")
-    return config
+    return check(json.loads(Path(path).read_text(encoding="utf-8")), CONFIG,
+                 "config", CliError)
 
 
-def _typed(key: str, value, kind):
-    name, ok = kind
-    if not ok(value):
-        raise CliError(f"config key {key!r} must be {name}")
-    return value
-
-
-def _setting(args, config: dict, key: str, kind=_STRING):
+def _setting(args, config: dict, key: str):
     """The flag's value, else the config's, else ``None``."""
     value = getattr(args, key)
-    if value is None and config.get(key) is not None:
-        value = _typed(key, config[key], kind)
-    return value
+    return config.get(key) if value is None else value
 
 
 def _input(args, config: dict, key: str) -> str:
@@ -118,14 +99,8 @@ def _read(args, config: dict, key: str) -> str:
 
 def _section(config: dict, name: str, flags: dict) -> dict:
     """The config object ``name`` with every flag that is set laid over it."""
-    section = config.get(name, {})
-    if not isinstance(section, dict):
-        raise CliError(f"config key {name!r} must be an object")
-    for key, value in section.items():
-        if key not in _SECTIONS[name]:
-            raise CliError(f"unknown config key '{name}.{key}'")
-        _typed(f"{name}.{key}", value, _SECTIONS[name][key])
-    return {**section, **{k: v for k, v in flags.items() if v is not None}}
+    return {**config.get(name, {}),
+            **{k: v for k, v in flags.items() if v is not None}}
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -133,7 +108,7 @@ def _section(config: dict, name: str, flags: dict) -> dict:
 
 def cmd_extract(args, config: dict) -> int:
     program = parse_program(_read(args, config, "program"))
-    targets = _setting(args, config, "targets", _TARGETS)
+    targets = _setting(args, config, "targets")
     if isinstance(targets, str):
         targets = [t for t in targets.split(",") if t]
     if targets is None:
@@ -185,10 +160,11 @@ def cmd_filter(args, config: dict) -> int:
 
 def cmd_collect(args, config: dict) -> int:
     runs = load_runs(_input(args, config, "traces"))
-    cfg = SamplerConfig.from_dict({"probability": 1.0, **_section(
-        config, "sampler", {"probability": args.probability, "mode": args.mode,
-                            "fixed_length": args.fixed_length,
-                            "rng_seed": args.seed})})
+    sampler = _section(config, "sampler", {
+        "probability": args.probability, "mode": args.mode,
+        "fixed_length": args.fixed_length, "rng_seed": args.seed})
+    cfg = SamplerConfig(**{**sampler, "probability": float(
+        sampler.get("probability", 1.0))})
     if cfg.mode == "cbr":
         afs, _ = load_af_list(_read(args, config, "afs"))
         bursts = collect_cbr_bursts(runs, afs, cfg)
@@ -285,76 +261,58 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("extract", parents=[common],
-                       help="derive abstraction functions from a program")
-    p.add_argument("--program", help="mini-IR source file")
+    def command(func, help_text: str, *inputs: str, out: str = ""):
+        p = sub.add_parser(func.__name__[len("cmd_"):], parents=[common],
+                           help=help_text)
+        p.set_defaults(func=func)
+        for key in inputs:
+            p.add_argument(f"--{key}", help=f"input file (default: config {key!r})")
+        if out:
+            p.add_argument("--out", default=out)
+        return p
+
+    p = command(cmd_extract, "derive abstraction functions from a program",
+                "program", out="afs.json")
     p.add_argument("--targets", help="comma-separated target classes "
                                      "(default: every class)")
     p.add_argument("--max-branches", type=int, dest="max_branches")
     p.add_argument("--max-states", type=int, dest="max_states")
     p.add_argument("--time-budget", type=float, dest="time_budget")
     p.add_argument("--max-unroll", type=int, dest="max_unroll")
-    p.add_argument("--out", default="afs.json")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("profile", parents=[common],
-                       help="evaluate abstraction functions over training traces")
-    p.add_argument("--traces")
-    p.add_argument("--afs")
-    p.add_argument("--out", default="matrix.csv")
-    p.set_defaults(func=cmd_profile)
+    command(cmd_profile, "evaluate abstraction functions over training traces",
+            "traces", "afs", out="matrix.csv")
 
-    p = sub.add_parser("filter", parents=[common],
-                       help="reduce the evaluation matrix to a minimal AF set")
-    p.add_argument("--matrix")
-    p.add_argument("--afs")
+    p = command(cmd_filter, "reduce the evaluation matrix to a minimal AF set",
+                "matrix", "afs")
     p.add_argument("--out-kept", default="kept.json", dest="out_kept")
     p.add_argument("--out-report", default="filter_report.json", dest="out_report")
-    p.set_defaults(func=cmd_filter)
 
-    p = sub.add_parser("collect", parents=[common],
-                       help="sample bursts (or baseline traces) from runs")
-    p.add_argument("--traces")
-    p.add_argument("--afs")
+    p = command(cmd_collect, "sample bursts (or baseline traces) from runs",
+                "traces", "afs", out="bursts.jsonl")
     p.add_argument("--probability", type=float)
     p.add_argument("--mode", choices=["cbr", "fixed_length"])
     p.add_argument("--fixed-length", type=int, dest="fixed_length")
-    p.add_argument("--out", default="bursts.jsonl")
-    p.set_defaults(func=cmd_collect)
 
-    p = sub.add_parser("synthesize", parents=[common],
-                       help="build the annotated state model from bursts")
-    p.add_argument("--bursts")
-    p.add_argument("--out", default="fsm.json")
+    p = command(cmd_synthesize, "build the annotated state model from bursts",
+                "bursts", out="fsm.json")
     p.add_argument("--dot", default=None, help="also write a DOT rendering")
-    p.set_defaults(func=cmd_synthesize)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="reconstruct traces by chaining model transitions")
-    p.add_argument("--fsm")
+    p = command(cmd_simulate, "reconstruct traces by chaining model transitions",
+                "fsm", out="reconstructions.json")
     p.add_argument("--start", required=True, help="start state, e.g. UF")
     p.add_argument("--max-hops", type=int, default=3, dest="max_hops")
     p.add_argument("--budget", type=int, default=10_000)
-    p.add_argument("--out", default="reconstructions.json")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("evaluate", parents=[common],
-                       help="score a model against original runs")
-    p.add_argument("--fsm")
-    p.add_argument("--traces")
-    p.add_argument("--afs")
-    p.set_defaults(func=cmd_evaluate)
+    command(cmd_evaluate, "score a model against original runs",
+            "fsm", "traces", "afs")
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="probability x run-count grid experiment")
-    p.add_argument("--traces")
-    p.add_argument("--afs")
+    p = command(cmd_sweep, "probability x run-count grid experiment",
+                "traces", "afs", out="sweep.csv")
     p.add_argument("--probabilities", help="comma-separated, increasing")
     p.add_argument("--run-counts", dest="run_counts",
                    help="comma-separated, increasing")
     p.add_argument("--sweep-seeds", dest="sweep_seeds", help="comma-separated")
-    p.add_argument("--out", default="sweep.csv")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -364,12 +322,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, _config(args.config))
-    except CliError as exc:
-        print(json.dumps({"error": "usage", "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (ValueError, OSError, IrError, SymexError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
+    except (CliError, ValueError, OSError, IrError, SymexError,
+            RecursionError) as exc:
+        error = "usage" if isinstance(exc, CliError) else type(exc).__name__
+        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

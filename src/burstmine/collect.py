@@ -20,7 +20,8 @@ import random
 from dataclasses import dataclass
 
 from .functions import AbstractionFunction, af_list_hash
-from .states import ConcreteState, StateError, abstract_state
+from .schema import ANY, LIST, SCALAR, STRING, TFU, ListOf, Record, check
+from .states import STATE, ConcreteState, StateError, abstract_state
 
 SRT_CATEGORIES = ("Instantaneous", "Immediate", "Continuous", "Captive")
 
@@ -42,32 +43,39 @@ class MethodCall:
         return {"method": self.method, "class": self.class_name,
                 "params": list(self.params)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "MethodCall":
-        try:
-            method, class_name = d["method"], d["class"]
-        except (KeyError, TypeError):
-            raise TraceSchemaError(
-                f"event {d!r} needs a 'method' and a 'class'") from None
-        params = d.get("params", [])
-        if not (isinstance(method, str) and isinstance(class_name, str)
-                and isinstance(params, list)):
-            raise TraceSchemaError(f"event {d!r} needs a string 'method' and "
-                                   "'class' and a list of 'params'")
-        params = tuple(params)
-        try:
-            hash(params)  # one C call finds a JSON object or list among them
-        except TypeError:
-            raise TraceSchemaError(
-                f"event {d!r} has a param that is not a JSON scalar") from None
-        return MethodCall(method, class_name, params)
-
     def __str__(self) -> str:
         args = ", ".join(repr(p) for p in self.params)
         return f"{self.class_name}.{self.method}({args})"
 
 
 Trace = tuple[MethodCall, ...]
+
+EVENT = Record({"method": STRING, "class": STRING}, {"params": ListOf(SCALAR)})
+
+
+def _event_key(e) -> tuple:
+    return e["method"], e["class"], repr(e.get("params", ()))
+
+
+class EventTable(dict):
+    """One ``MethodCall`` per distinct event of one load, keyed by method, class
+    and the ``repr`` of the params (``()`` if absent), which tells ``1``,
+    ``true``, ``1.0``, ``"1"``, ``-0.0``, ``0.0``, absent and ``null`` apart.
+    A miss, as when the key cannot be formed, checks and builds the event."""
+
+    def trace(self, events: list, error) -> Trace:
+        """The events as a trace; a malformed one raises ``error(message)``."""
+        try:
+            return tuple([self[_event_key(e)] for e in events])
+        except (KeyError, TypeError):
+            for e in events:
+                try:
+                    self[_event_key(e)]
+                except (KeyError, TypeError):
+                    check(e, EVENT, "event", error)
+                    self[_event_key(e)] = MethodCall(
+                        e["method"], e["class"], tuple(e.get("params", ())))
+            return self.trace(events, error)
 
 
 @dataclass(frozen=True)
@@ -125,11 +133,6 @@ class SamplerConfig:
         return {"probability": self.probability, "rng_seed": self.rng_seed,
                 "mode": self.mode, "fixed_length": self.fixed_length}
 
-    @staticmethod
-    def from_dict(d: dict) -> "SamplerConfig":
-        return SamplerConfig(float(d["probability"]), int(d.get("rng_seed", 0)),
-                             d.get("mode", "cbr"), int(d.get("fixed_length", 30)))
-
 
 # ---------------------------------------------------------------------------
 # Trace files (JSONL: {"run": id} lines open runs, {"segment": {...}} lines
@@ -137,58 +140,44 @@ class SamplerConfig:
 # ---------------------------------------------------------------------------
 
 
-def _segment_from_dict(d: dict, record: int) -> OperationSegment:
-    if not isinstance(d, dict):
-        raise TraceSchemaError("segment is not a JSON object", record)
-    for key in ("label", "pre_state", "events", "post_state"):
-        if key not in d:
-            raise TraceSchemaError(f"segment missing {key!r}", record)
-    if not isinstance(d["label"], str):
-        raise TraceSchemaError(f"segment label {d['label']!r} is not a string",
-                               record)
-    if not isinstance(d["events"], list):
-        raise TraceSchemaError("segment 'events' must be a list", record)
+LINE = Record({}, {"run": ANY, "segment": Record(
+    {"label": STRING, "pre_state": STATE, "events": LIST, "post_state": STATE},
+    {"srt_category": STRING}, name="segment")})
+
+
+def _record(line: str, lineno: int, shape, what: str) -> dict:
+    """One JSONL line parsed and checked against ``shape``."""
     try:
-        pre = ConcreteState.from_dict(d["pre_state"])
-        post = ConcreteState.from_dict(d["post_state"])
-        events = tuple([MethodCall.from_dict(e) for e in d["events"]])
-        return OperationSegment(d["label"], events, pre, post,
-                                d.get("srt_category", "Instantaneous"))
-    except (StateError, TraceSchemaError) as exc:
-        raise TraceSchemaError(str(exc), record) from exc
+        doc = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise TraceSchemaError(f"invalid JSON: {exc}", lineno) from exc
+    return check(doc, shape, what, lambda message: TraceSchemaError(message, lineno))
 
 
 def loads_runs(text: str) -> list[Run]:
-    runs: list[Run] = []
-    current_id: str | None = None
-    current_segments: list[OperationSegment] = []
-
-    def close() -> None:
-        nonlocal current_id, current_segments
-        if current_id is not None:
-            runs.append(Run(current_id, tuple(current_segments)))
-        current_id, current_segments = None, []
-
+    runs: list[tuple[str, list[OperationSegment]]] = []
+    events = EventTable()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            doc = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceSchemaError(f"invalid JSON: {exc}", lineno) from exc
-        if not isinstance(doc, dict):
-            raise TraceSchemaError("line is not a JSON object", lineno)
+        doc = _record(line, lineno, LINE, "line")
         if "run" in doc:
-            close()
-            current_id = str(doc["run"])
+            runs.append((str(doc["run"]), []))
         elif "segment" in doc:
-            if current_id is None:
+            if not runs:
                 raise TraceSchemaError("segment before any run line", lineno)
-            current_segments.append(_segment_from_dict(doc["segment"], lineno))
+            seg = doc["segment"]
+            try:
+                runs[-1][1].append(OperationSegment(
+                    seg["label"], events.trace(seg["events"], TraceSchemaError),
+                    ConcreteState.from_checked(seg["pre_state"]),
+                    ConcreteState.from_checked(seg["post_state"]),
+                    seg.get("srt_category", "Instantaneous")))
+            except (StateError, TraceSchemaError) as exc:
+                raise TraceSchemaError(str(exc), lineno) from exc
         else:
             raise TraceSchemaError("line is neither a run nor a segment", lineno)
-    close()
-    return runs
+    return [Run(run_id, tuple(segments)) for run_id, segments in runs]
 
 
 def load_runs(path) -> list[Run]:
@@ -303,36 +292,21 @@ def dumps_bursts(bursts: list[Burst], cfg: SamplerConfig | None = None,
     return "\n".join(lines) + "\n"
 
 
+HEADER_LINE = Record({"header": Record({}, {"af_hash": STRING}, name="header")})
+BURST = Record({"label": STRING, "pre": TFU, "trace": LIST, "post": TFU})
+
+
 def loads_bursts(text: str) -> tuple[list[Burst], dict]:
     """Read a burst file; errors name the physical line as the record."""
     lines = [(lineno, line) for lineno, line in
              enumerate(text.splitlines(), start=1) if line.strip()]
     if not lines:
         raise TraceSchemaError("empty burst document")
-    head_lineno, head_line = lines[0]
-    try:
-        head = json.loads(head_line)
-    except json.JSONDecodeError as exc:
-        raise TraceSchemaError(f"invalid JSON: {exc}", head_lineno) from exc
-    if not isinstance(head, dict) or not isinstance(head.get("header"), dict):
-        raise TraceSchemaError("burst file must start with a header line",
-                               head_lineno)
-    af_hash = head["header"].get("af_hash", "")
-    if not isinstance(af_hash, str):
-        raise TraceSchemaError("burst header 'af_hash' is not a string", head_lineno)
+    header = _record(lines[0][1], lines[0][0], HEADER_LINE, "burst")["header"]
+    af_hash, events = header.get("af_hash", ""), EventTable()
     bursts: list[Burst] = []
     for lineno, line in lines[1:]:
-        try:
-            d = json.loads(line)
-            if not isinstance(d["label"], str):
-                raise ValueError(f"burst label {d['label']!r} is not a string")
-            for state in (d["pre"], d["post"]):
-                if not isinstance(state, str) or state.strip("TFU"):
-                    raise ValueError(f"abstract state {state!r} is not a T/F/U string")
-            bursts.append(Burst(
-                d["label"], d["pre"],
-                tuple(MethodCall.from_dict(e) for e in d["trace"]),
-                d["post"], af_hash))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise TraceSchemaError(str(exc), lineno) from exc
-    return bursts, head["header"]
+        d = _record(line, lineno, BURST, "burst")
+        trace = events.trace(d["trace"], lambda m: TraceSchemaError(m, lineno))
+        bursts.append(Burst(d["label"], d["pre"], trace, d["post"], af_hash))
+    return bursts, header

@@ -22,6 +22,8 @@ import json
 from dataclasses import InitVar, dataclass
 from typing import Union
 
+from .schema import ANY, BOOL, STRING, ListOf, MapOf, Record, check
+
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 _MIRROR = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
@@ -215,13 +217,7 @@ class Clause:
 
     @staticmethod
     def from_dict(d: dict) -> "Clause":
-        lhs, op, rhs = d["lhs"], d["op"], d["rhs"]
-        negated = d.get("negated", False)
-        if not (isinstance(lhs, str) and isinstance(op, str)
-                and isinstance(rhs, str) and isinstance(negated, bool)):
-            raise ValueError("a clause needs string 'lhs', 'op' and 'rhs' "
-                             "and a bool 'negated'")
-        return Clause(parse_term(lhs), op, parse_term(rhs), negated)
+        return _clause(check(d, CLAUSE, "clause"))
 
 
 def _index_mentions_param(t: Term) -> bool:
@@ -287,15 +283,24 @@ class AbstractionFunction:
 
     @staticmethod
     def from_dict(d: dict) -> "AbstractionFunction":
-        af_id, clauses = d["id"], d["clauses"]
-        origin = (d["class"], d["method"], d.get("path", ""))
-        if not all(isinstance(v, str) for v in (af_id, *origin)):
-            raise ValueError("'id', 'class', 'method' and 'path' must be strings")
-        if not (isinstance(clauses, list)
-                and all(isinstance(c, dict) for c in clauses)):
-            raise ValueError("'clauses' must be a list of objects")
-        return AbstractionFunction(
-            af_id, tuple(Clause.from_dict(c) for c in clauses), origin)
+        return _function(check(d, FUNCTION, "abstraction function"))
+
+
+CLAUSE = Record({"lhs": STRING, "op": STRING, "rhs": STRING}, {"negated": BOOL})
+FUNCTION = Record({"id": STRING, "class": STRING, "method": STRING,
+                   "clauses": ListOf(CLAUSE, "clause")}, {"path": STRING})
+AF_LIST = Record({"functions": ListOf(FUNCTION, "function")},
+                 {"af_hash": STRING, "header": MapOf(ANY)})
+
+
+def _clause(d: dict) -> Clause:
+    return Clause(parse_term(d["lhs"]), d["op"], parse_term(d["rhs"]),
+                  d.get("negated", False))
+
+
+def _function(d: dict) -> AbstractionFunction:
+    return AbstractionFunction(d["id"], tuple(map(_clause, d["clauses"])),
+                               (d["class"], d["method"], d.get("path", "")))
 
 
 def af_list_hash(afs: "list[AbstractionFunction] | tuple[AbstractionFunction, ...]",
@@ -315,22 +320,13 @@ def dump_af_list(afs: list[AbstractionFunction], header: dict | None = None) -> 
 
 
 def load_af_list(text: str) -> tuple[list[AbstractionFunction], dict]:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("abstraction-function list must be a JSON object")
-    try:
-        if not isinstance(doc["functions"], list):
-            raise ValueError("abstraction-function list 'functions' must be a list")
-        afs = []
-        for i, d in enumerate(doc["functions"]):
-            if not isinstance(d, dict):
-                raise ValueError(f"abstraction function {i} is not a JSON object")
-            try:
-                afs.append(AbstractionFunction.from_dict(d))
-            except ValueError as exc:
-                raise ValueError(f"abstraction function {i}: {exc}") from None
-    except KeyError as exc:
-        raise ValueError(f"abstraction-function list is missing key {exc}") from exc
+    doc = check(json.loads(text), AF_LIST, "abstraction-function list")
+    afs = []
+    for i, d in enumerate(doc["functions"]):
+        try:
+            afs.append(_function(d))
+        except ValueError as exc:
+            raise ValueError(f"abstraction function {i}: {exc}") from None
     if doc.get("af_hash") and doc["af_hash"] != af_list_hash(afs):
         raise ValueError("abstraction-function list hash mismatch")
     return afs, doc.get("header", {})

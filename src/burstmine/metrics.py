@@ -254,8 +254,8 @@ def run_sweep(runs: list[Run], afs: list[AbstractionFunction],
         raise ValueError("probability axis must be strictly increasing")
     if list(n_runs_list) != sorted(set(n_runs_list)):
         raise ValueError("run-count axis must be strictly increasing")
-    if any(n > len(runs) for n in n_runs_list):
-        raise ValueError("run-count axis exceeds the available runs")
+    if any(not 0 <= n <= len(runs) for n in n_runs_list):
+        raise ValueError(f"run-count axis must lie in [0, {len(runs)}], the runs given")
     result = SweepResult(probabilities, n_runs_list, seeds)
     af_hash = af_list_hash(afs)
     abstracted = [collect(run.segments, afs, af_hash) for run in runs]

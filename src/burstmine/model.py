@@ -14,7 +14,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .collect import Burst, MethodCall, Trace
+from .collect import Burst, EventTable, Trace
+from .schema import LIST, STRING, TFU, ListOf, Record, check
 
 
 class ModelError(ValueError):
@@ -185,35 +186,23 @@ def _to_json(fsm: AnnotatedFSM) -> str:
     }, indent=2)
 
 
+MODEL = Record({"states": ListOf(TFU, "state"), "transitions": ListOf(Record(
+    {"label": STRING, "from": TFU, "to": TFU, "traces": ListOf(LIST)}),
+    "transition")}, {"af_hash": STRING})
+
+
 def import_fsm(text: str) -> AnnotatedFSM:
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ModelError("model document must be a JSON object")
+    doc = check(json.loads(text), MODEL, "model", ModelError)
+    states = frozenset(doc["states"])
+    events = EventTable()
     transitions: dict[TransitionKey, tuple[Trace, ...]] = {}
-    try:
-        if not isinstance(doc["transitions"], list):
-            raise ModelError("model 'transitions' must be a list")
-        for i, t in enumerate(doc["transitions"]):
-            if not isinstance(t, dict):
-                raise ModelError(f"model transition {i} is not a JSON object")
-            key = (t["label"], t["from"], t["to"])
-            if not all(isinstance(part, str) for part in key):
-                raise ModelError(f"model transition {i}: 'label', 'from' and "
-                                 "'to' must be strings")
-            if not (isinstance(t["traces"], list)
-                    and all(isinstance(trace, list) for trace in t["traces"])):
-                raise ModelError(f"model transition {i}: 'traces' must be a "
-                                 "list of event lists")
-            transitions[key] = tuple(tuple(MethodCall.from_dict(e) for e in trace)
-                                     for trace in t["traces"])
-        if not isinstance(doc["states"], list):
-            raise ModelError("model 'states' must be a list")
-        for i, state in enumerate(doc["states"]):
-            if not isinstance(state, str):
-                raise ModelError(f"model state {i} is not a string")
-        states = frozenset(doc["states"])
-    except KeyError as exc:
-        raise ModelError(f"model document is missing key {exc}") from exc
+    for i, t in enumerate(doc["transitions"]):
+        key = (t["label"], t["from"], t["to"])
+        if not states.issuperset(key[1:]):
+            raise ModelError(f"model transition {i} joins a state that is not "
+                             "in 'states'")
+        transitions[key] = tuple(events.trace(trace, lambda m: ModelError(
+            f"model transition {i} {m}")) for trace in t["traces"])
     return AnnotatedFSM(doc.get("af_hash", ""), states, transitions)
 
 

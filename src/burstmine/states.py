@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
                         IntTerm, NullTerm, ParamTerm, Term)
+from .schema import STRING, MapOf, Record, check
 
 
 class Ternary(enum.Enum):
@@ -30,6 +31,15 @@ class Ternary(enum.Enum):
 
 class StateError(ValueError):
     """Malformed concrete state (dangling object id, bad shape)."""
+
+
+# The shape of a state document; ``validate`` checks its object ids.  A field
+# holds anything but a JSON object, at any list depth.
+FIELD = ("a scalar, an object id or a list of them", lambda v: all(
+    map(FIELD[1], v)) if isinstance(v, list) else not isinstance(v, dict))
+ROOT = ("an object id or null", lambda v: v is None or isinstance(v, str))
+STATE = Record({}, {"roots": MapOf(ROOT, "root"), "objects": MapOf(Record(
+    {"class": STRING}, {"fields": MapOf(FIELD, "field")}), "object")})
 
 
 @dataclass(frozen=True)
@@ -57,9 +67,7 @@ class ConcreteState:
             for fname, value in obj.fields.items():
                 self._check_value(value, f"{oid}.{fname}")
         for cls, oid in self.roots.items():
-            if oid is not None and (not isinstance(oid, str)
-                                    or oid not in self.objects):
-                raise StateError(f"root of {cls!r} is dangling object id {oid!r}")
+            self._check_value(oid, f"root {cls!r}")
 
     def _check_value(self, value, where: str) -> None:
         if isinstance(value, str):
@@ -69,8 +77,6 @@ class ConcreteState:
             for i, v in enumerate(value):
                 if v is not None:
                     self._check_value(v, f"{where}[{i}]")
-        elif isinstance(value, dict):
-            raise StateError(f"field {where} holds a JSON object")
 
     def to_dict(self) -> dict:
         return {
@@ -80,17 +86,15 @@ class ConcreteState:
 
     @staticmethod
     def from_dict(d: dict) -> "ConcreteState":
-        objects = d.get("objects", {}) if isinstance(d, dict) else None
-        roots = d.get("roots", {}) if isinstance(d, dict) else None
-        if not (isinstance(objects, dict) and isinstance(roots, dict) and all(
-                isinstance(spec, dict) and "class" in spec
-                and isinstance(spec.get("fields", {}), dict)
-                for spec in objects.values())):
-            raise StateError("a state needs a 'roots' object and an 'objects' "
-                             "table of {'class', 'fields'} objects")
+        return ConcreteState.from_checked(check(d, STATE, "state", StateError))
+
+    @staticmethod
+    def from_checked(d: dict) -> "ConcreteState":
+        """``from_dict`` of a document already checked against ``STATE``."""
         state = ConcreteState(
             {oid: ConcreteObject(spec["class"], dict(spec.get("fields", {})))
-             for oid, spec in objects.items()}, dict(roots))
+             for oid, spec in d.get("objects", {}).items()},
+            dict(d.get("roots", {})))
         state.validate()
         return state
 

@@ -1,7 +1,9 @@
 import contextlib
+import functools
 import hashlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -426,11 +428,17 @@ _SWEEP = {"probabilities": [0.5], "n_runs": [2], "seeds": [0]}
     ("collect", {"sampler": {"seed": 1}}, "'sampler.seed'"),
     ("sweep", {"sweep": {**_SWEEP, "step": 1}}, "'sweep.step'"),
     ("sweep", {"sweep": {**_SWEEP, "seeds": [float("inf")]}}, "'sweep.seeds'"),
+    ("sweep", {"sweep": {**_SWEEP, "n_runs": [1.5]}}, "'sweep.n_runs'"),
+    ("sweep", {"sweep": {**_SWEEP, "seeds": [0.7]}}, "'sweep.seeds'"),
+    ("sweep", {"sweep": {**_SWEEP, "seeds": [True]}}, "'sweep.seeds'"),
+    ("extract", {"targets": None}, "'targets'"),
 ], ids=["config-not-an-object", "unknown-bound", "bounds-not-an-object",
         "sweep-axis-not-a-list", "sampler-value-a-list", "program-not-a-string",
         "targets-a-number", "targets-nested-list", "afs-a-number",
         "traces-a-number", "bound-a-bool", "rng-seed-not-an-integer",
-        "unknown-sampler-key", "unknown-sweep-key", "sweep-axis-not-finite"])
+        "unknown-sampler-key", "unknown-sweep-key", "sweep-axis-not-finite",
+        "run-count-not-an-integer", "sweep-seed-not-an-integer",
+        "sweep-seed-a-bool", "targets-null"])
 def test_malformed_config_exits_2(workdir, command, config, names):
     path = workdir / "config.json"
     path.write_text(json.dumps(config))
@@ -577,3 +585,138 @@ def test_every_command_is_byte_reproducible(workdir):
     first = pipeline(workdir / "run_a")
     second = pipeline(workdir / "run_b")
     assert first == second
+
+
+def test_negative_sweep_run_count_exits_2(workdir, capsys):
+    rc = run_cli("sweep", "--traces", workdir / "editor.jsonl",
+                 "--afs", workdir / "editor_afs.json", "--probabilities", "0.5",
+                 "--run-counts=-2,1", "--sweep-seeds", "0",
+                 "--out", workdir / "sweep.csv")
+    assert_one_line_diagnostic(rc, capsys.readouterr().err, "ValueError")
+
+
+def _deep_inputs(directory: Path) -> dict:
+    """Inputs that each nest deeper than the interpreter's recursion limit."""
+    assignments = "\n".join("    A.x = 1;" for _ in range(1500))
+    guard = "(" * 2000 + "A.x > 0" + ")" * 2000
+    files = {
+        "sequential.mir": f"class A {{\n  field x: int;\n  method m() {{\n"
+                          f"{assignments}\n  }}\n}}\n",
+        "parenthesised.mir": "class A {\n  field x: int;\n  method m() {\n"
+                             f"    if ({guard}) {{ A.x = 1; }}\n  }}\n}}\n",
+        "nested.jsonl": '{"run": "r1"}\n' + "[" * 100_000 + "]" * 100_000 + "\n",
+    }
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    return {name: directory / name for name in files}
+
+
+@pytest.mark.parametrize("case", ["sequential-assignments", "nested-guard",
+                                  "nested-trace-line", "long-walk"])
+def test_deep_recursion_exits_2(workdir, case):
+    deep = _deep_inputs(workdir)
+    if case == "long-walk":
+        assert run_cli("collect", "--traces", workdir / "checkout.jsonl",
+                       "--afs", workdir / "checkout_afs.json",
+                       "--out", workdir / "b.jsonl") == 0
+        assert run_cli("synthesize", "--bursts", workdir / "b.jsonl",
+                       "--out", workdir / "fsm.json") == 0
+    argv = {
+        "sequential-assignments": ["extract", "--program", deep["sequential.mir"]],
+        "nested-guard": ["extract", "--program", deep["parenthesised.mir"]],
+        "nested-trace-line": ["profile", "--traces", deep["nested.jsonl"],
+                              "--afs", workdir / "checkout_afs.json"],
+        "long-walk": ["simulate", "--fsm", workdir / "fsm.json", "--start", "FF",
+                      "--max-hops", "3000"],
+    }[case]
+    rc, err = run_cli_process(*argv, "--out-dir", workdir / "out")
+    assert_one_line_diagnostic(rc, err, "RecursionError")
+
+
+# --- every file the pipeline reads, damaged ------------------------------------------
+
+# The subcommands that read each input file, and the files each one reads.
+_READERS = {"traces": ["profile", "collect", "evaluate", "sweep"],
+            "bursts": ["synthesize"],
+            "fsm": ["simulate", "evaluate"],
+            "afs": ["profile", "filter", "collect", "evaluate", "sweep"]}
+_COMMAND_FILES = {"profile": ["traces", "afs"], "filter": ["matrix", "afs"],
+                  "collect": ["traces", "afs"], "synthesize": ["bursts"],
+                  "simulate": ["fsm"], "evaluate": ["fsm", "traces", "afs"],
+                  "sweep": ["traces", "afs"]}
+
+
+def _run_on(files: dict, command: str, out: Path, start: str):
+    argv = [command, "--out-dir", out]
+    for key in _COMMAND_FILES[command]:
+        argv += [f"--{key}", files[key]]
+    argv += {"simulate": ["--start", start, "--max-hops", "2"],
+             "sweep": ["--probabilities", "0.5,1.0", "--run-counts", "1,2",
+                       "--sweep-seeds", "0"]}.get(command, [])
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr):
+        rc = run_cli(*argv)
+    return rc, stderr.getvalue().splitlines()
+
+
+def _read_doc(path: Path, jsonl: bool):
+    text = path.read_text()
+    return [json.loads(line) for line in text.splitlines()] if jsonl else json.loads(text)
+
+
+def _node_paths(node, path=()):
+    yield path
+    children = (node.items() if isinstance(node, dict) else
+                enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+@pytest.mark.parametrize("kind,change,names", [
+    ("fsm", lambda doc: doc.update(af_hash=5), "'af_hash'"),
+    ("fsm", lambda doc: doc["states"].append("QQ"), "state 3"),
+    ("fsm", lambda doc: doc.update(states=["FF"]), "transition 0"),
+    ("bursts", lambda doc: doc[1].update(trace={}), "record 2"),
+    ("traces", lambda doc: doc[1]["segment"]["post_state"]["objects"]
+     ["c1"].update({"class": 5}), "record 2"),
+    ("afs", lambda doc: doc.update(header=5), "'header'"),
+], ids=["model-af-hash-a-number", "model-state-outside-tfu",
+        "model-endpoint-not-a-state", "burst-trace-an-object",
+        "object-class-not-a-string", "af-list-header-not-an-object"])
+def test_newly_rejected_input_exits_2(full_config, tmp_path, kind, change, names):
+    directory, config, start = full_config
+    jsonl = kind in ("traces", "bursts")
+    doc = _read_doc(Path(config[kind]), jsonl)
+    change(doc)
+    damaged = tmp_path / f"damaged-{kind}"
+    damaged.write_text("\n".join(map(json.dumps, doc)) if jsonl else json.dumps(doc))
+    for command in _READERS[kind]:
+        rc, err = _run_on({**config, kind: damaged}, command, tmp_path, start)
+        assert rc == 2 and len(err) == 1, (command, err)
+        assert names in json.loads(err[0])["message"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_any_damaged_input_exits_0_or_2(full_config, data):
+    """Replace one node of a valid input with any JSON value, or delete one
+    key; every subcommand that reads the file exits 0, or 2 with one line."""
+    directory, config, start = full_config
+    kind = data.draw(st.sampled_from(sorted(_READERS)))
+    jsonl = kind in ("traces", "bursts")
+    doc = _read_doc(Path(config[kind]), jsonl)
+    path = data.draw(st.sampled_from([p for p in _node_paths(doc) if p or not jsonl]))
+    parent = functools.reduce(operator.getitem, path[:-1], doc)
+    if path and isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[path[-1]]
+    elif path:
+        parent[path[-1]] = data.draw(_JSON)
+    else:
+        doc = data.draw(_JSON)
+    damaged = directory / f"damaged-{kind}"
+    damaged.write_text("\n".join(map(json.dumps, doc)) if jsonl else json.dumps(doc))
+    for command in _READERS[kind]:
+        rc, err = _run_on({**config, kind: damaged}, command, directory / "out", start)
+        assert rc in (0, 2), command
+        if rc == 2:
+            assert len(err) == 1 and "error" in json.loads(err[0]), (command, err)

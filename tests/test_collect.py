@@ -10,7 +10,7 @@ from burstmine.collect import (MethodCall, OperationSegment, Run,
                                dumps_bursts, dumps_runs, loads_bursts,
                                loads_runs)
 from burstmine.functions import af_list_hash
-from burstmine.states import abstract_state
+from burstmine.states import ConcreteState, abstract_state
 from burstmine.synthetic import (checkout_abstraction_functions, checkout_runs,
                                  editor_abstraction_functions,
                                  generate_editor_runs)
@@ -92,6 +92,24 @@ def _segment(**changes) -> dict:
 def test_malformed_record_reports_record_index(record):
     with pytest.raises(TraceSchemaError, match="record 2"):
         loads_runs(json.dumps({"run": "r1"}) + "\n" + record)
+
+
+def test_equal_events_that_print_differently_stay_apart():
+    params = [(1,), (True,), (1.0,), ("1",), (-0.0,), (0.0,), ()]
+    seg = OperationSegment("op", tuple(MethodCall("m", "C", p) for p in params),
+                           ConcreteState(), ConcreteState())
+    text = dumps_runs([Run("r1", (seg, seg))])
+    first, second = loads_runs(text)[0].segments
+    assert dumps_runs([Run("r1", (first, second))]) == text
+    assert all(a is b for a, b in zip(first.events, second.events))
+    # An event without params reads as one with empty params ...
+    bare = text.replace(', "params": []}', "}")
+    assert bare != text and dumps_runs(loads_runs(bare)) == text
+    # ... but a later event with null params is still rejected.
+    run, seg_line, _ = bare.splitlines()
+    null = seg_line.replace('"class": "C"}', '"class": "C", "params": null}')
+    with pytest.raises(TraceSchemaError, match="record 3: event 'params'"):
+        loads_runs("\n".join([run, seg_line, null]))
 
 
 def test_segment_before_run_rejected():

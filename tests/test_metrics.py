@@ -237,6 +237,15 @@ def test_sweep_axis_validation():
         run_sweep(runs, afs, [0.5], [1, 5], [0])
 
 
+def test_sweep_rejects_a_negative_run_count_and_keeps_zero():
+    afs = editor_abstraction_functions()
+    runs = generate_editor_runs(2, master_seed=1)
+    with pytest.raises(ValueError, match="run-count axis"):
+        run_sweep(runs, afs, [0.5], [-2, 1], [0])
+    empty = run_sweep(runs, afs, [0.5], [0, 1], [0]).cell(0.5, 0, 0)
+    assert empty.mean_recall == 0.0 and empty.overall_precision is None
+
+
 def test_sweep_csv_shape(small_sweep):
     _, _, sweep = small_sweep
     lines = sweep.to_csv().strip().splitlines()

@@ -191,6 +191,12 @@ def test_export_json_roundtrip():
     assert again.transitions == fsm.transitions
 
 
+def test_import_builds_each_distinct_event_once():
+    fsm = import_fsm(export_fsm(checkout_fsm(), "json"))
+    events = [e for traces in fsm.transitions.values() for t in traces for e in t]
+    assert len({id(e) for e in events}) == len(set(events)) < len(events)
+
+
 def test_export_empty_fsm():
     fsm = synthesize([])
     doc = json.loads(export_fsm(fsm, "json"))
