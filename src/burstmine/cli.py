@@ -12,9 +12,10 @@ Subcommands mirror the pipeline stages::
     evaluate    model + traces   -> precision/recall reports (JSON + CSV)
     sweep       traces + AFs     -> probability x run-count recall/precision CSV
 
-Commands are pure functions of their inputs and flags: re-running with the
-same inputs and --seed produces byte-identical outputs.  Failures print a
-one-line JSON diagnostic on stderr and exit nonzero.
+Commands are pure functions of their inputs and flags (collect's --seed
+among them): re-running with the same inputs and flags produces
+byte-identical outputs.  Failures print a one-line JSON diagnostic on stderr
+and exit nonzero.
 """
 
 from __future__ import annotations
@@ -252,8 +253,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="burstmine",
         description="State-annotated burst tracing and model mining pipeline.")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="random seed (commands without randomness ignore it)")
     common.add_argument("--out-dir", default=None,
                         help="directory that relative output paths resolve into")
     common.add_argument("--config", default=None,
@@ -293,6 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probability", type=float)
     p.add_argument("--mode", choices=["cbr", "fixed_length"])
     p.add_argument("--fixed-length", type=int, dest="fixed_length")
+    p.add_argument("--seed", type=int, help="sampler random seed")
 
     p = command(cmd_synthesize, "build the annotated state model from bursts",
                 "bursts", out="fsm.json")

@@ -137,13 +137,6 @@ class FilterReport:
             "log": self.log,
         }, indent=2)
 
-    @staticmethod
-    def from_json(text: str) -> "FilterReport":
-        d = json.loads(text)
-        rep = FilterReport(dict(d["removed_counts"]), tuple(d["kept"]),
-                           list(d["log"]), int(d["initial_columns"]))
-        return rep
-
 
 def remove_duplicate_rows(m: EvalMatrix, report: FilterReport | None = None,
                           ) -> EvalMatrix:

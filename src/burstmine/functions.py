@@ -7,8 +7,9 @@ path condition; evaluated against a concrete state it yields a ternary
 true / false / unknown.
 
 The IR shares this vocabulary: its parser builds literals as ``IntTerm`` /
-``BoolTerm`` / ``NullTerm``, and its paths print with the same
-``path_str`` as ``FieldTerm``.
+``BoolTerm`` / ``NullTerm``, its paths have the segment shape and the
+``path_str`` printer of ``FieldTerm`` and ``ParamTerm``, and ``parse_term``
+reads term text with the IR's own ``atom`` grammar.
 
 This module owns the wire format for abstraction-function lists (a JSON
 document with a header recording extraction bounds and truncation flags),
@@ -17,6 +18,7 @@ which every downstream stage consumes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import InitVar, dataclass
@@ -68,9 +70,9 @@ def path_str(path) -> str:
 class FieldTerm:
     """State-variable path rooted at a class name.
 
-    Segments are ``("field", name)``, ``("index", int | FieldTerm)``, or
-    ``("length", None)``.  Indices are concrete integers except when a
-    program indexes an array with an integer field path.
+    Segments are ``("field", name)``, ``("index", int | FieldTerm |
+    ParamTerm)``, or ``("length", None)``.  Indices are concrete integers
+    except when a program indexes an array with an integer path.
     """
 
     root: str
@@ -85,76 +87,38 @@ class FieldTerm:
 
 @dataclass(frozen=True)
 class ParamTerm:
-    """Method-parameter reference (possibly with field accesses)."""
+    """Method-parameter path; its segments have the ``FieldTerm`` shape."""
 
     root: str
-    segments: tuple[str, ...] = ()
+    segments: tuple[tuple[str, object], ...] = ()
 
-    def __str__(self) -> str:
-        return ".".join((self.root,) + self.segments)
+    __str__ = path_str
 
 
 Term = Union[IntTerm, BoolTerm, NullTerm, FieldTerm, ParamTerm]
 
 
+@functools.lru_cache(maxsize=4096)
 def parse_term(text: str) -> Term:
-    """Inverse of ``str(term)`` (used by the AF JSON reader): text with an
-    empty path part, or that would not print back as itself, is rejected."""
-    term = _parse_term(text)
+    """Inverse of ``str(term)`` (used by the AF JSON reader): one literal or
+    path in the IR's ``atom`` syntax.  Text that would not print back as
+    itself (``007``, whitespace, comments) is rejected."""
+    from . import ir  # not at load time: ir imports this module's literals
+    try:
+        atom = ir.parse_atom(text)
+    except (ir.IrError, ValueError):
+        raise ValueError(f"malformed term {text!r}") from None
+    term = _path_term(atom) if isinstance(atom, ir.Path) else atom
     if str(term) != text:
         raise ValueError(f"malformed term {text!r}")
     return term
 
 
-def _parse_term(text: str) -> Term:
-    if text == "null":
-        return NullTerm()
-    if text == "true":
-        return BoolTerm(True)
-    if text == "false":
-        return BoolTerm(False)
-    if re_int(text):
-        return IntTerm(int(text))
-    parts = _split_path(text)
-    if "" in parts:
-        raise ValueError(f"malformed term {text!r}")
-    root = parts[0]
-    if root[:1].isupper():
-        segments: list[tuple[str, object]] = []
-        for p in parts[1:]:
-            if p == "length":
-                segments.append(("length", None))
-            elif p.startswith("["):
-                inner = p[1:-1]
-                idx: object = int(inner) if re_int(inner) else _parse_term(inner)
-                segments.append(("index", idx))
-            else:
-                segments.append(("field", p))
-        return FieldTerm(root, tuple(segments))
-    return ParamTerm(root, tuple(parts[1:]))
-
-
-def re_int(s: str) -> bool:
-    return s.lstrip("-").isdigit()
-
-
-def _split_path(text: str) -> list[str]:
-    """Split a dotted path, keeping bracketed indices whole."""
-    parts: list[str] = []
-    buf = ""
-    depth = 0
-    for ch in text:
-        if ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        if ch == "." and depth == 0:
-            parts.append(buf)
-            buf = ""
-        else:
-            buf += ch
-    parts.append(buf)
-    return parts
+def _path_term(path) -> "FieldTerm | ParamTerm":
+    """The term of an IR path: a capitalised root names a class."""
+    segments = tuple((kind, _path_term(p) if kind == "index" and not isinstance(p, int)
+                      else p) for kind, p in path.segments)
+    return (FieldTerm if path.root[:1].isupper() else ParamTerm)(path.root, segments)
 
 
 @dataclass(frozen=True)
@@ -221,12 +185,9 @@ class Clause:
 
 
 def _index_mentions_param(t: Term) -> bool:
-    if not isinstance(t, FieldTerm):
-        return False
-    for kind, payload in t.segments:
-        if kind == "index" and isinstance(payload, ParamTerm):
-            return True
-    return False
+    return isinstance(t, FieldTerm) and any(
+        kind == "index" and (isinstance(p, ParamTerm) or _index_mentions_param(p))
+        for kind, p in t.segments)
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ class Path:
 
     Segments have the shape ``FieldTerm`` uses: ``("field", name)``,
     ``("index", int | Path)`` or ``("length", None)``.  An index path is a
-    loop variable or an integer field path of ``("field", name)`` segments.
+    loop variable or an integer path, itself possibly indexed.
     """
 
     root: str
@@ -460,12 +460,7 @@ class _Parser:
         if tok.kind == "int":
             self.next()
             return int(tok.text)
-        root = self.expect_ident()
-        segs: list[tuple[str, object]] = []
-        while self.at("."):
-            self.next()
-            segs.append(("field", self.expect_ident()))
-        return Path(root, tuple(segs))
+        return self.path()
 
     def expr(self) -> Expr:
         return self.or_expr()
@@ -580,6 +575,14 @@ def iter_method_paths(m: MethodDef) -> Iterator[Path]:
                 for e in iter_exprs(a):
                     if isinstance(e, Path):
                         yield e
+
+
+def _path_roots(path: Path) -> Iterator[str]:
+    """The root of ``path`` and of every index path inside it, pre-order."""
+    yield path.root
+    for kind, payload in path.segments:
+        if kind == "index" and isinstance(payload, Path):
+            yield from _path_roots(payload)
 
 
 class _Validator:
@@ -715,6 +718,18 @@ def parse_program(source: str) -> Program:
     return program
 
 
+def parse_atom(text: str) -> "IntTerm | BoolTerm | NullTerm | Path":
+    """One literal or path filling ``text``, read by the grammar's ``atom``;
+    raises :class:`IrSyntaxError` on anything else."""
+    parser = _Parser(_tokenize(text))
+    if parser.at("("):
+        raise parser.error("expected literal or path")
+    atom = parser.atom()
+    if not parser.at(""):
+        raise parser.error("expected end of term")
+    return atom
+
+
 def pretty_print(program: Program) -> str:
     """Canonical text form; ``parse_program(pretty_print(p))`` is a fixpoint."""
     out: list[str] = []
@@ -784,10 +799,8 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
             for p in m.params:
                 add(cls.name, p.type.name)
             for path in iter_method_paths(m):
-                add(cls.name, path.root)
-                for kind, payload in path.segments:
-                    if kind == "index" and isinstance(payload, Path):
-                        add(cls.name, payload.root)
+                for root in _path_roots(path):
+                    add(cls.name, root)
     return DependencyGraph(program.class_names, tuple(edges))
 
 

@@ -266,12 +266,8 @@ def run_sweep(runs: list[Run], afs: list[AbstractionFunction],
             for seed in seeds:
                 cfg = SamplerConfig(probability=p, rng_seed=seed, mode="cbr")
                 fsm = synthesize(draw(collected, cfg))
-                if fsm.n_states == 0:
-                    precision = None
-                    recall = 0.0
-                else:
-                    precision = _precision(fsm, witnesses).overall
-                    accepted = [accepts_prefix(fsm, b) for b in abstracted]
-                    recall = _recall_report(runs, accepted).mean_recall or 0.0
+                precision = _precision(fsm, witnesses).overall
+                accepted = [accepts_prefix(fsm, b) for b in abstracted]
+                recall = _recall_report(runs, accepted).mean_recall or 0.0
                 result.cells.append(SweepCell(p, n, seed, precision, recall))
     return result

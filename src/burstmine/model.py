@@ -201,8 +201,14 @@ def import_fsm(text: str) -> AnnotatedFSM:
         if not states.issuperset(key[1:]):
             raise ModelError(f"model transition {i} joins a state that is not "
                              "in 'states'")
-        transitions[key] = tuple(events.trace(trace, lambda m: ModelError(
+        if key in transitions:
+            raise ModelError(f"model transition {i} repeats an earlier "
+                             "(label, from, to)")
+        traces = tuple(events.trace(trace, lambda m: ModelError(
             f"model transition {i} {m}")) for trace in t["traces"])
+        if len(set(traces)) != len(traces):
+            raise ModelError(f"model transition {i} repeats a trace")
+        transitions[key] = traces
     return AnnotatedFSM(doc.get("af_hash", ""), states, transitions)
 
 

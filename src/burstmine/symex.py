@@ -40,7 +40,7 @@ Exploration rules
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import ir
 from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
@@ -148,19 +148,12 @@ class _Executor:
                 return self._path_term(spliced, caller_env)
             if not path.segments:
                 return self._expr_term(arg_expr, caller_env)
-            return ParamTerm(path.root, tuple(
-                str(p) for _, p in path.segments))
-        if self.program.class_named(path.root) is not None:
-            segments: list[tuple[str, object]] = []
-            for kind, payload in path.segments:
-                if kind == "index":
-                    segments.append(("index", self._index_term(payload, env)))
-                else:
-                    segments.append((kind, payload))
-            return FieldTerm(path.root, tuple(segments))
-        # method parameter of the analyzed method
-        return ParamTerm(path.root,
-                         tuple(str(p) for k, p in path.segments if k == "field"))
+        segments = tuple((kind, self._index_term(p, env) if kind == "index" else p)
+                         for kind, p in path.segments)
+        if entry is None and self.program.class_named(path.root) is not None:
+            return FieldTerm(path.root, segments)
+        # a parameter of the analyzed method, or a path into a literal argument
+        return ParamTerm(path.root, segments)
 
     def _expr_term(self, expr: ir.Expr, env: dict) -> Term:
         if isinstance(expr, (IntTerm, BoolTerm, NullTerm)):
@@ -458,12 +451,7 @@ class ExtractionReport:
 
     def to_header(self) -> dict:
         return {
-            "bounds": {
-                "max_branches_per_path": self.bounds.max_branches_per_path,
-                "max_states": self.bounds.max_states,
-                "per_method_time_budget": self.bounds.per_method_time_budget,
-                "max_loop_unrollings": self.bounds.max_loop_unrollings,
-            },
+            "bounds": asdict(self.bounds),
             "truncated": sorted(k for k, r in self.methods.items() if r.truncated),
             "paths": {k: r.paths for k, r in self.methods.items()},
         }

@@ -680,9 +680,14 @@ def _node_paths(node, path=()):
     ("traces", lambda doc: doc[1]["segment"]["post_state"]["objects"]
      ["c1"].update({"class": 5}), "record 2"),
     ("afs", lambda doc: doc.update(header=5), "'header'"),
+    ("fsm", lambda doc: doc["transitions"].insert(1, doc["transitions"][0]),
+     "transition 1 repeats an earlier"),
+    ("fsm", lambda doc: doc["transitions"][0]["traces"].append(
+        doc["transitions"][0]["traces"][0]), "transition 0 repeats a trace"),
 ], ids=["model-af-hash-a-number", "model-state-outside-tfu",
         "model-endpoint-not-a-state", "burst-trace-an-object",
-        "object-class-not-a-string", "af-list-header-not-an-object"])
+        "object-class-not-a-string", "af-list-header-not-an-object",
+        "model-transition-repeated", "model-trace-repeated"])
 def test_newly_rejected_input_exits_2(full_config, tmp_path, kind, change, names):
     directory, config, start = full_config
     jsonl = kind in ("traces", "bursts")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burstmine.filtering import (EvalMatrix, FilterReport, MatrixError,
+from burstmine.filtering import (EvalMatrix, MatrixError,
                                  filter_functions,
                                  matrix_from_csv, matrix_to_csv,
                                  remove_duplicate_rows,
@@ -401,10 +401,3 @@ def test_csv_errors_name_the_line(body, needle):
     with pytest.raises(MatrixError, match=needle) as exc:
         matrix_from_csv("#run,#snapshot,A,B\n" + body)
     assert len(str(exc.value)) < 60  # names the line, does not echo it
-
-
-def test_report_json_roundtrip():
-    _, report = filter_functions(golden_matrix())
-    again = FilterReport.from_json(report.to_json())
-    assert again.counts == report.counts
-    assert again.kept_column_ids == report.kept_column_ids

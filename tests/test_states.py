@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from burstmine.functions import AbstractionFunction, Clause, af_list_hash, parse_term
+from burstmine.functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
+                                 IntTerm, NullTerm, ParamTerm, af_list_hash,
+                                 parse_term)
+from burstmine.ir import KEYWORDS
 from burstmine.states import (ConcreteObject, ConcreteState,
                               StateError, Ternary, abstract_state, eval_clause,
                               eval_function)
@@ -75,10 +79,35 @@ def test_clauses_are_canonical_from_construction():
 
 
 @pytest.mark.parametrize("text", ["Cart.x.[Abc", "C..x", "Cart.a.[Cart..n]",
-                                  "007", "-0", ""])
+                                  "007", "-0", "", "-1", "Cart.xs.[true]"])
 def test_parse_term_rejects_text_it_would_not_print_back(text):
     with pytest.raises(ValueError, match="malformed term"):
         parse_term(text)
+
+
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).filter(
+    lambda name: name not in KEYWORDS)
+
+
+def _path(segments):
+    """A class path (capitalised root) or a parameter path (any other root)."""
+    return st.builds(lambda root, segs: (FieldTerm if root[:1].isupper() else
+                                         ParamTerm)(root, tuple(segs)),
+                     _NAMES, st.lists(segments, max_size=4))
+
+
+_SEGMENTS = st.deferred(lambda: st.one_of(
+    st.tuples(st.just("field"), _NAMES),
+    st.tuples(st.just("index"), st.one_of(st.integers(0, 10**6), _path(_SEGMENTS))),
+    st.just(("length", None))))
+_TERMS = st.one_of(st.integers(0, 10**12).map(IntTerm), st.booleans().map(BoolTerm),
+                   st.just(NullTerm()), _path(_SEGMENTS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TERMS)
+def test_parse_term_reads_back_every_printed_term(term):
+    assert parse_term(str(term)) == term
 
 
 def test_length_and_index_resolution():

@@ -135,7 +135,7 @@ def test_strip_drops_parameter_clauses():
 def test_strip_all_parameters_yields_none():
     pc = PathCondition(
         (Clause(ParamTerm("p"), "!=", parse_term("null")),
-         Clause(ParamTerm("p", ("value",)), ">", IntTerm(0))),
+         Clause(ParamTerm("p", (("field", "value"),)), ">", IntTerm(0))),
         ("Cart", "addItem", "P0"))
     assert strip_parameter_clauses(pc) is None
 
@@ -163,6 +163,23 @@ def test_parameter_guards_are_explored_then_stripped():
     afs, _ = extract_abstraction_functions(p, ("Box",))
     assert [set(af.clause_set()) for af in afs] == [
         {"Box.n == 0"}, {"Box.n != 0"}]
+
+
+def test_indexed_parameter_guards_stay_apart():
+    p = parse_program("""
+    class Box { field v: int; }
+    class Shelf { field boxes: Box[]; }
+    class Clerk { field n: int;
+      method check(p: Shelf) {
+        if (p.boxes.[0].v > 3) { Clerk.n = 1; }
+        if (p.boxes.[1].v > 3) { Clerk.n = 2; }
+      }
+    }
+    """)
+    paths, _ = symbolic_execute(p.classes[2].methods[0], p)
+    keys = {tuple(c.key() for c in path.clauses) for path in paths}
+    assert len(paths) == len(keys) == 4
+    assert ("p.boxes.[0].v > 3", "p.boxes.[1].v <= 3") in keys
 
 
 def test_constant_guard_follows_decided_branch_silently():
@@ -287,6 +304,36 @@ def test_inlined_literal_argument_is_a_concrete_index():
     assert eval_function(peek[1], state) is Ternary.T
     loaded, _ = load_af_list(dump_af_list(peek))
     assert [af.clauses for af in loaded] == [af.clauses for af in peek]
+
+
+@pytest.mark.parametrize("arg", ["Shelf.boxes.length", "Shelf.ys.[0].n"])
+def test_inlined_path_argument_index_round_trips(arg):
+    p = parse_program(f"""
+    class Box {{ field v: int; field n: int; }}
+    class Shelf {{ field boxes: Box[]; field ys: Box[];
+      method peek() {{ call look({arg}); }}
+      method look(k: int) {{ if (Shelf.boxes.[k].v > 3) {{ return; }} }}
+    }}
+    """)
+    afs, _ = extract_abstraction_functions(p, ("Shelf",))
+    peek = [af for af in afs if af.method_name == "peek"]
+    assert {key for af in peek for key in af.clause_keys()} >= {
+        f"Shelf.boxes.[{arg}].v > 3", f"Shelf.boxes.[{arg}].v <= 3"}
+    loaded, _ = load_af_list(dump_af_list(peek))
+    assert [af.clauses for af in loaded] == [af.clauses for af in peek]
+
+
+def test_nested_parameter_index_is_stripped():
+    p = parse_program("""
+    class Box { field v: int; field n: int; }
+    class Shelf { field boxes: Box[]; field ys: Box[];
+      method m(j: int) { if (Shelf.boxes.[Shelf.ys.[j].n].v > 3) { return; } }
+    }
+    """)
+    paths, _ = symbolic_execute(p.classes[1].methods[0], p)
+    assert [[c.key() for c in path.clauses] for path in paths] == [
+        ["Shelf.boxes.[Shelf.ys.[j].n].v > 3"], ["Shelf.boxes.[Shelf.ys.[j].n].v <= 3"]]
+    assert all(strip_parameter_clauses(path) is None for path in paths)
 
 
 def test_strict_length_guard_pins_the_access_out_of_range():
