@@ -8,11 +8,22 @@ missing root, a null reference, a missing array element) makes the clause
 the whole function U even if another clause is already false.  This is
 deliberately not Kleene conjunction; it reflects that an abstract state is
 only trustworthy when every probe it aggregates was actually observable.
+
+Results are codes T=0, F=1, U=2, so a conjunction is the ``max`` of its
+clauses' codes: U dominates, then F, then T.  Extracted functions repeat
+the same guards, so an AF list is compiled once into a table of its
+distinct terms, its distinct clauses (term-index triples) and each
+function's clause indices.  Per state, each distinct term is resolved once
+and each distinct clause decided once, and the functions are folded from
+the clause codes; the folded string is memoised per distinct code vector.
+A table is found by the identity of its function objects, which it holds
+only weakly, so it lives no longer than they do.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, field
 
 from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
@@ -100,6 +111,7 @@ class ConcreteState:
 
 
 _UNRESOLVED = object()
+_TFU = "TFU"  # letters by code; a conjunction's code is its clauses' max
 
 
 def _resolve(term: Term, state: ConcreteState):
@@ -143,18 +155,6 @@ def _resolve(term: Term, state: ConcreteState):
     return value
 
 
-def eval_clause(clause: Clause, state: ConcreteState) -> Ternary:
-    """Total ternary evaluation of one comparison."""
-    left = _resolve(clause.lhs, state)
-    right = _resolve(clause.rhs, state)
-    if left is _UNRESOLVED or right is _UNRESOLVED:
-        return Ternary.U
-    result = _compare(left, clause.op, right)
-    if result is None:
-        return Ternary.U
-    return Ternary.T if result else Ternary.F
-
-
 def _compare(left, op: str, right) -> "bool | None":
     # refs / null: only equality makes sense
     left_ref = left is None or isinstance(left, (str, list))
@@ -177,16 +177,75 @@ def _compare(left, op: str, right) -> "bool | None":
             ">": left > right, ">=": left >= right}[op]
 
 
+def _decide(left, op: str, right) -> int:
+    """The code of one comparison of resolved values: T 0, F 1, U 2."""
+    if left is _UNRESOLVED or right is _UNRESOLVED:
+        return 2
+    result = _compare(left, op, right)
+    return 2 if result is None else 0 if result else 1
+
+
+def eval_clause(clause: Clause, state: ConcreteState) -> Ternary:
+    """Total ternary evaluation of one comparison."""
+    return Ternary(_TFU[_decide(_resolve(clause.lhs, state), clause.op,
+                                _resolve(clause.rhs, state))])
+
+
+class _Table:
+    """An AF list compiled once: its distinct terms, its distinct clauses as
+    ``(lhs term index, op, rhs term index)`` triples, and each function's
+    clause indices.  The functions themselves are held only weakly: the
+    first one to die drops the table from ``_TABLES``."""
+
+    def __init__(self, afs, key: tuple[int, ...]) -> None:
+        tables = _TABLES  # bound now: module globals may be cleared at exit
+
+        def drop(_ref) -> None:
+            tables.pop(key, None)
+
+        self._refs = [weakref.ref(af, drop) for af in afs]  # kept: callbacks fire
+        terms: dict[Term, int] = {}
+        clauses: dict[tuple[int, str, int], int] = {}
+        functions = []
+        for af in afs:
+            indices = []
+            for c in af.clauses:
+                lhs = terms.setdefault(c.lhs, len(terms))
+                rhs = terms.setdefault(c.rhs, len(terms))
+                indices.append(clauses.setdefault((lhs, c.op, rhs), len(clauses)))
+            functions.append(tuple(indices))
+        self.terms = tuple(terms)
+        self.clauses = tuple(clauses)
+        self.functions = tuple(functions)
+        self._rows: dict[bytes, str] = {}  # clause codes -> folded row
+
+    def row(self, state: ConcreteState) -> str:
+        values = [_resolve(term, state) for term in self.terms]
+        codes = bytes([_decide(values[lhs], op, values[rhs])
+                       for lhs, op, rhs in self.clauses])
+        row = self._rows.get(codes)
+        if row is None:
+            row = self._rows[codes] = "".join(
+                [_TFU[max(map(codes.__getitem__, f))] for f in self.functions])
+        return row
+
+
+# Compiled tables by the ids of their functions.  An entry lives only while
+# every one of its functions does, so equal ids mean the same objects.
+_TABLES: dict[tuple[int, ...], _Table] = {}
+
+
+def _table(afs) -> _Table:
+    key = tuple(map(id, afs))
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _Table(afs, key)
+    return table
+
+
 def eval_function(af: AbstractionFunction, state: ConcreteState) -> Ternary:
     """Unknown dominates, then false, then true."""
-    saw_false = False
-    for clause in af.clauses:
-        v = eval_clause(clause, state)
-        if v is Ternary.U:
-            return Ternary.U
-        if v is Ternary.F:
-            saw_false = True
-    return Ternary.F if saw_false else Ternary.T
+    return Ternary(_table((af,)).row(state))
 
 
 def abstract_state(afs: list[AbstractionFunction], state: ConcreteState) -> str:
@@ -196,4 +255,4 @@ def abstract_state(afs: list[AbstractionFunction], state: ConcreteState) -> str:
     headers carry the list's ``af_hash`` beside it."""
     if not afs:
         raise ValueError("abstract_state needs a non-empty AF list")
-    return "".join(eval_function(af, state).value for af in afs)
+    return _table(afs).row(state)

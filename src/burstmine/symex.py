@@ -34,7 +34,9 @@ Exploration rules
   observable state, and infeasible paths are left for the filtering stage
   to discard).
 * Local calls are inlined one level; calls inside inlined bodies are
-  havocked (skipped, counted in the report).
+  havocked (skipped, counted in the report).  A path rooted at an argument
+  splices the argument (read in the caller) before the callee's own
+  segments, whose indices are read in the callee.
 """
 
 from __future__ import annotations
@@ -136,20 +138,25 @@ class _Executor:
 
     def _path_term(self, path: ir.Path, env: dict) -> Term:
         entry = env.get(path.root)
-        if entry is not None:
-            if entry[0] == "loop":
-                if path.segments:
-                    raise SymexError(f"loop variable {path.root!r} has no fields")
-                return IntTerm(entry[1])
-            # inlined call argument
-            _, arg_expr, caller_env = entry
-            if isinstance(arg_expr, ir.Path):
-                spliced = ir.Path(arg_expr.root, arg_expr.segments + path.segments)
-                return self._path_term(spliced, caller_env)
-            if not path.segments:
-                return self._expr_term(arg_expr, caller_env)
+        if entry is not None and entry[0] == "loop":
+            if path.segments:
+                raise SymexError(f"loop variable {path.root!r} has no fields")
+            return IntTerm(entry[1])
+        # The path's own indices are read where it is written, even when its
+        # root is an inlined call argument read in the caller's env.
         segments = tuple((kind, self._index_term(p, env) if kind == "index" else p)
                          for kind, p in path.segments)
+        if entry is not None:  # an inlined call argument
+            _, arg_expr, caller_env = entry
+            if isinstance(arg_expr, ir.Path):
+                base = self._path_term(arg_expr, caller_env)
+                if not segments:
+                    return base
+                if not isinstance(base, (FieldTerm, ParamTerm)):
+                    raise SymexError(f"argument {arg_expr} has no fields")
+                return type(base)(base.root, base.segments + segments)
+            if not path.segments:
+                return self._expr_term(arg_expr, caller_env)
         if entry is None and self.program.class_named(path.root) is not None:
             return FieldTerm(path.root, segments)
         # a parameter of the analyzed method, or a path into a literal argument

@@ -1,13 +1,22 @@
+import ast
+import gc
+import importlib
+import inspect
+import pkgutil
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burstmine.functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
-                                 IntTerm, NullTerm, ParamTerm, af_list_hash,
-                                 parse_term)
+import burstmine
+from burstmine import cli, collect, states
+from burstmine.functions import (COMPARE_OPS, AbstractionFunction, BoolTerm, Clause,
+                                 FieldTerm, IntTerm, NullTerm, ParamTerm,
+                                 af_list_hash, parse_term)
 from burstmine.ir import KEYWORDS
-from burstmine.states import (ConcreteObject, ConcreteState,
-                              StateError, Ternary, abstract_state, eval_clause,
-                              eval_function)
+from burstmine.states import (_UNRESOLVED, ConcreteObject, ConcreteState,
+                              StateError, Ternary, _compare, _resolve,
+                              abstract_state, eval_clause, eval_function)
 
 
 def clause(text: str) -> Clause:
@@ -196,6 +205,140 @@ def test_abstract_state_shape_and_hash():
 def test_abstract_state_requires_functions():
     with pytest.raises(ValueError):
         abstract_state([], cart_state())
+
+
+# --- the compiled table against the clause-by-clause interpreter ----------
+
+def _reference_clause(c: Clause, state: ConcreteState) -> Ternary:
+    left, right = _resolve(c.lhs, state), _resolve(c.rhs, state)
+    if left is _UNRESOLVED or right is _UNRESOLVED:
+        return Ternary.U
+    result = _compare(left, c.op, right)
+    if result is None:
+        return Ternary.U
+    return Ternary.T if result else Ternary.F
+
+
+def _reference_function(f: AbstractionFunction, state: ConcreteState) -> Ternary:
+    saw_false = False
+    for c in f.clauses:
+        v = _reference_clause(c, state)
+        if v is Ternary.U:
+            return Ternary.U
+        if v is Ternary.F:
+            saw_false = True
+    return Ternary.F if saw_false else Ternary.T
+
+
+# Terms over the states below: ints, bools, refs, lengths, missing fields,
+# and indices that are literal, read from the state, or out of range.
+_LITERALS = tuple(map(parse_term, ("0", "1", "2", "true", "false", "null")))
+_PATHS = tuple(map(parse_term, (
+    "A.n", "A.b", "A.r", "A.r.v", "A.r.ok", "A.xs", "A.xs.length", "A.xs.[0]",
+    "A.xs.[0].v", "A.xs.[1].ok", "A.xs.[A.n].v", "A.xs.[A.r.v].ok",
+    "A.xs.[A.xs.length].v", "B.v", "B.ok", "A.gone", "A.n.v")))
+# random terms a probe may hold: no parameter anywhere in them
+_FREE_TERMS = _TERMS.filter(lambda t: not Clause(t, "==", t).mentions_parameter())
+
+
+@st.composite
+def _af_lists(draw) -> list[AbstractionFunction]:
+    """Functions drawn from a small pool of clauses over a small pool of
+    terms, so that they share clauses and terms, by value and by object."""
+    paths = draw(st.lists(st.sampled_from(_PATHS), min_size=1, max_size=4))
+    paths += draw(st.lists(_FREE_TERMS, max_size=1))
+    lhs = st.sampled_from(paths)
+    rhs = st.one_of(st.sampled_from(_LITERALS), lhs)
+    clauses = draw(st.lists(st.builds(Clause, lhs, st.sampled_from(COMPARE_OPS), rhs,
+                                      st.booleans()), min_size=1, max_size=8))
+    return [AbstractionFunction(f"f{i}", tuple(draw(st.lists(
+                st.sampled_from(clauses), min_size=1, max_size=3))), ("A", "m", f"P{i}"))
+            for i in range(draw(st.integers(1, 8)))]
+
+
+@st.composite
+def _states(draw) -> ConcreteState:
+    """Roots missing or null, refs null, arrays short, fields absent or
+    holding a value of another type."""
+    ids = [f"b{i}" for i in range(draw(st.integers(1, 3)))]
+    ref = st.one_of(st.sampled_from(ids), st.none())
+    num, flag = st.integers(-1, 3), st.booleans()
+    odd = st.one_of(num, flag, st.none())
+
+    def fields(shape: dict) -> dict:
+        values = draw(st.fixed_dictionaries(
+            {name: st.one_of(kind, kind, kind, odd) for name, kind in shape.items()}))
+        return {name: v for name, v in values.items() if draw(st.integers(0, 5)) < 5}
+
+    objects = {oid: ConcreteObject("B", fields({"v": num, "ok": flag})) for oid in ids}
+    objects["a"] = ConcreteObject("A", fields({
+        "n": num, "b": flag, "r": ref, "xs": st.lists(ref, max_size=3)}))
+    roots = {"A": draw(st.sampled_from(["a", "a", "a", None])), "B": draw(ref)}
+    roots = {cls: oid for cls, oid in roots.items() if draw(st.integers(0, 3)) < 3}
+    state = ConcreteState(objects, roots)
+    state.validate()
+    return state
+
+
+@settings(max_examples=300, deadline=None)
+@given(_af_lists(), st.lists(_states(), min_size=2, max_size=5))
+def test_compiled_table_agrees_with_the_reference_interpreter(afs, snapshots):
+    for state in snapshots + snapshots[:1]:  # a repeated state reuses its row
+        expected = [_reference_function(f, state) for f in afs]
+        assert abstract_state(afs, state) == "".join(v.value for v in expected)
+        assert [eval_function(f, state) for f in afs] == expected
+        for c in {c for f in afs for c in f.clauses}:
+            assert eval_clause(c, state) is _reference_clause(c, state)
+
+
+def test_compiled_table_keeps_no_function_alive():
+    afs = [af("Cart.nProducts > 0", af_id="a"), af("Cart.total > 0", af_id="b")]
+    assert abstract_state(afs, cart_state(n_products=1)) == "TF"
+    key, dead = tuple(map(id, afs)), weakref.ref(afs[1])
+    del afs
+    gc.collect()
+    assert dead() is None
+    assert key not in states._TABLES
+
+
+def test_a_changed_list_is_compiled_afresh():
+    s = cart_state(n_products=2)
+    afs = [af("Cart.nProducts > 0", af_id="a"), af("Cart.total > 0", af_id="b")]
+    assert abstract_state(afs, s) == "TF"
+    afs[1] = af("Cart.total <= 0", af_id="b")
+    assert abstract_state(afs, s) == "TT"
+    afs.append(af("Cart.products.[0].value > 0", af_id="c"))
+    assert abstract_state(afs, s) == "TTU"
+    del afs[0]
+    assert abstract_state(afs, s) == "TU"
+
+
+def test_equal_function_ids_with_other_clauses_are_compiled_afresh():
+    # Dropping each list lets the next reuse its objects' memory, and so ids.
+    s = cart_state(n_products=2)
+    for texts, expected in [(("Cart.nProducts > 0", "Cart.total > 0"), "TF"),
+                            (("Cart.nProducts <= 0", "Cart.total <= 0"), "FT")] * 3:
+        afs = [af(text, af_id=f"f{i}") for i, text in enumerate(texts)]
+        assert abstract_state(afs, s) == expected
+        del afs
+
+
+def test_pipeline_calls_the_traced_abstract_state_and_nothing_below_it():
+    """The benchmark counts ``states.abstract_state`` calls and probes at the
+    bindings ``collect`` and ``cli`` import, and wraps whatever one module
+    imports from another; the table's helpers stay inside ``states``."""
+    assert collect.abstract_state is states.abstract_state
+    assert cli.abstract_state is states.abstract_state
+    helpers = ("_Table", "_table", "_TABLES", "_decide")
+    for info in pkgutil.iter_modules(burstmine.__path__):
+        module = importlib.import_module(f"burstmine.{info.name}")
+        if module is states:
+            continue
+        assert not any(getattr(states, h) is v for h in helpers
+                       for v in vars(module).values()), info.name
+        attrs = {node.attr for node in ast.walk(ast.parse(inspect.getsource(module)))
+                 if isinstance(node, ast.Attribute)}
+        assert attrs.isdisjoint(helpers), info.name
 
 
 # --- state validation -------------------------------------------------------

@@ -306,6 +306,22 @@ def test_inlined_literal_argument_is_a_concrete_index():
     assert [af.clauses for af in loaded] == [af.clauses for af in peek]
 
 
+def test_inlined_callee_index_is_read_in_the_callee():
+    loop = "for i in 0 .. {0}.boxes.length {{ if ({0}.boxes.[i].v > 3) {{ return; }} }}"
+    p = parse_program(f"""
+    class Box {{ field v: int; }}
+    class Shelf {{ field boxes: Box[];
+      method peek() {{ call look(Shelf); }}
+      method look(s: Shelf) {{ {loop.format("s")} }}
+      method direct() {{ {loop.format("Shelf")} }}
+    }}
+    """)
+    paths = {m.name: [[c.key() for c in pc.clauses] for pc in symbolic_execute(m, p)[0]]
+             for m in p.classes[1].methods}
+    assert paths["peek"] == paths["direct"]
+    assert ["Shelf.boxes.length > 0", "Shelf.boxes.[0].v > 3"] in paths["peek"]
+
+
 @pytest.mark.parametrize("arg", ["Shelf.boxes.length", "Shelf.ys.[0].n"])
 def test_inlined_path_argument_index_round_trips(arg):
     p = parse_program(f"""
