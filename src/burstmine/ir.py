@@ -41,6 +41,10 @@ class UnknownTargetError(IrError):
     pass
 
 
+class ArityError(IrError):
+    """A local call passes another number of arguments than its callee takes."""
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
@@ -652,9 +656,14 @@ class _Validator:
                 self._check_path(s.bound, params, loop_vars, where)
                 self._check_body(cls, m, s.body, params, loop_vars + (s.var,))
             elif isinstance(s, Call):
-                if all(s.name != mm.name for mm in cls.methods):
+                callee = next((mm for mm in cls.methods if mm.name == s.name), None)
+                if callee is None:
                     raise UndeclaredTypeError(
                         f"{where}: call to unknown local method {s.name!r}")
+                if len(s.args) != len(callee.params):
+                    raise ArityError(
+                        f"{where}: call to {s.name!r} passes {len(s.args)} "
+                        f"argument(s); it takes {len(callee.params)}")
                 for a in s.args:
                     self._check_expr(a, params, loop_vars, where)
 

@@ -14,10 +14,10 @@ the total sampled events for the fixed-length baseline.  Sampling baselines
 are never scored for precision (they record verbatim, so it is 1 by
 definition).
 
-Both metrics read the original runs as bursts (``collect.collect``), one per
-segment, so each recorded state is abstracted once per call; ``evaluate``
-shares them between precision and recall, and ``run_sweep`` between all of
-its grid cells.
+Both metrics read the original runs as bursts, one per segment, from one
+``collect.collect`` call over all runs, so each distinct state object is
+abstracted once; ``evaluate`` shares them between precision and recall, and
+``run_sweep`` between all of its grid cells.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import islice, product
 
 from .collect import (Burst, Run, SamplerConfig, collect,
                       collect_fixed_sampling, draw)
@@ -92,7 +92,16 @@ def _abstract(fsm: AnnotatedFSM, runs: list[Run],
     af_hash = af_list_hash(afs)
     if fsm.af_hash and af_hash != fsm.af_hash:
         raise ModelError("AF list does not match the model's AF ordering")
-    return [collect(run.segments, afs, af_hash) for run in runs]
+    return _bursts(runs, afs, af_hash)
+
+
+def _bursts(runs: list[Run], afs: list[AbstractionFunction],
+            af_hash: str) -> list[list[Burst]]:
+    """Each run as its bursts, from one ``collect`` call over all segments,
+    so a state the runs share is abstracted once."""
+    bursts = iter(collect([seg for run in runs for seg in run.segments],
+                          afs, af_hash))
+    return [list(islice(bursts, len(run.segments))) for run in runs]
 
 
 def _witnesses(abstracted: list[list[Burst]]) -> set[tuple[str, str, str]]:
@@ -257,8 +266,7 @@ def run_sweep(runs: list[Run], afs: list[AbstractionFunction],
     if any(not 0 <= n <= len(runs) for n in n_runs_list):
         raise ValueError(f"run-count axis must lie in [0, {len(runs)}], the runs given")
     result = SweepResult(probabilities, n_runs_list, seeds)
-    af_hash = af_list_hash(afs)
-    abstracted = [collect(run.segments, afs, af_hash) for run in runs]
+    abstracted = _bursts(runs, afs, af_list_hash(afs))
     witnesses = _witnesses(abstracted)
     for p in probabilities:
         for n in n_runs_list:

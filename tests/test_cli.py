@@ -94,6 +94,16 @@ def test_extract_undecidable_constant_guard_exits_2(workdir, capsys):
     assert json.loads(lines[0])["error"] == "SymexError"
 
 
+def test_extract_local_call_with_a_missing_argument_exits_2(workdir):
+    src = workdir / "arity.mir"
+    src.write_text("class Box { field v: int; } class Shelf { field boxes: Box[]; "
+                   "method peek() { call look(); } "
+                   "method look(s: Shelf) { if (s.boxes.[0].v > 3) { return; } } }")
+    rc, err = run_cli_process("extract", "--program", src, "--out", workdir / "x.json")
+    assert_one_line_diagnostic(rc, err, "ArityError")
+    assert not (workdir / "x.json").exists()
+
+
 def test_extract_unknown_target_exits_2(workdir, capsys):
     rc = run_cli("extract", "--program", workdir / "cart.mir",
                  "--targets", "Warehouse", "--out", workdir / "x.json")

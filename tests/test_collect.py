@@ -3,14 +3,16 @@ import math
 import statistics
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from burstmine.collect import (MethodCall, OperationSegment, Run,
-                               SamplerConfig, TraceSchemaError,
+from burstmine.collect import (BURST, HEADER_LINE, LINE, Burst, EventTable,
+                               MethodCall, OperationSegment, Run,
+                               SamplerConfig, TraceSchemaError, _record,
                                collect_cbr_bursts, collect_fixed_sampling,
                                dumps_bursts, dumps_runs, loads_bursts,
                                loads_runs)
 from burstmine.functions import af_list_hash
-from burstmine.states import ConcreteState, abstract_state
+from burstmine.states import ConcreteState, StateError, abstract_state
 from burstmine.synthetic import (checkout_abstraction_functions, checkout_runs,
                                  editor_abstraction_functions,
                                  generate_editor_runs)
@@ -110,6 +112,105 @@ def test_equal_events_that_print_differently_stay_apart():
     null = seg_line.replace('"class": "C"}', '"class": "C", "params": null}')
     with pytest.raises(TraceSchemaError, match="record 3: event 'params'"):
         loads_runs("\n".join([run, seg_line, null]))
+
+
+# --- record splitting and sharing ---------------------------------------------------
+
+@pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
+def test_a_raw_line_break_inside_a_string_stays_in_its_record(editor, mark):
+    afs, runs = editor
+    seg, label = runs[0].segments[0], f"op{mark}x"
+    runs = [Run("r1", (OperationSegment(label, seg.events, seg.pre_state,
+                                        seg.post_state),))]
+    escaped = json.dumps(label)[1:-1]
+    text = dumps_runs(runs).replace(escaped, label)
+    assert mark in text and loads_runs(text) == runs
+    bursts = collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0))
+    raw = dumps_bursts(bursts).replace(escaped, label)
+    assert mark in raw and loads_bursts(raw)[0] == bursts
+
+
+def test_records_are_numbered_by_newline_and_crlf_reads(editor):
+    _, runs = editor
+    text = dumps_runs(runs[:1]).replace('"label": "', '"label": "\u2028', 1)
+    assert loads_runs(text.replace("\n", "\r\n")) == loads_runs(text)
+    damaged = text.split("\n")
+    damaged[2] = "{not json"
+    with pytest.raises(TraceSchemaError, match="record 3: invalid JSON"):
+        loads_runs("\n".join(damaged))
+
+
+def _by_text(objects, text_of) -> dict[str, set[int]]:
+    ids: dict[str, set[int]] = {}
+    for o in objects:
+        ids.setdefault(text_of(o), set()).add(id(o))
+    return ids
+
+
+def test_one_load_shares_one_object_per_distinct_event_and_state_text(editor):
+    _, runs = editor
+    loaded = loads_runs(dumps_runs(runs))
+    events = [e for r in loaded for s in r.segments for e in s.events]
+    states = [st for r in loaded for s in r.segments
+              for st in (s.pre_state, s.post_state)]
+    event_ids = _by_text(events, lambda e: json.dumps(e.to_dict()))
+    state_ids = _by_text(states, lambda st: json.dumps(st.to_dict()))
+    assert len(event_ids) < len(events) and len(state_ids) < len(states)
+    assert all(len(ids) == 1 for ids in [*event_ids.values(), *state_ids.values()])
+    # Another spelling of a known event shares its MethodCall.
+    first = events[0]
+    spelled = json.dumps({"params": list(first.params), "class": first.class_name,
+                          "method": first.method})
+    line = json.dumps({"segment": _segment()}).replace(
+        '"events": []', f'"events": [{json.dumps(first.to_dict())}, {spelled}]')
+    a, b = loads_runs(json.dumps({"run": "r"}) + "\n" + line)[0].segments[0].events
+    assert a is b
+
+
+def test_two_loads_share_no_object(editor):
+    _, runs = editor
+    text = dumps_runs(runs)
+
+    def objects(loaded):
+        return {id(o) for r in loaded for s in r.segments
+                for o in (*s.events, s.pre_state, s.post_state)}
+
+    one, two = loads_runs(text), loads_runs(text)
+    assert not objects(one) & objects(two)
+    bursts = dumps_bursts(collect_cbr_bursts(runs, editor[0], SamplerConfig(1.0, 0)))
+    b1, b2 = loads_bursts(bursts)[0], loads_bursts(bursts)[0]
+    assert not {id(e) for b in b1 for e in b.trace} & {id(e) for b in b2 for e in b.trace}
+
+
+def test_a_dangling_id_names_the_first_record_that_carries_it():
+    good = {"roots": {"C": "o1"}, "objects": {"o1": {"class": "C",
+                                                     "fields": {"next": "o1"}}}}
+    bad = {"roots": {"C": "o1"}, "objects": {"o1": {"class": "C",
+                                                    "fields": {"next": "o2"}}}}
+    lines = [json.dumps({"run": "r1"})] + [json.dumps({"segment": _segment(
+        pre_state=pre, post_state=post)}) for pre, post in
+        [(good, good), (good, good), (good, bad), (bad, good)]]
+    with pytest.raises(TraceSchemaError, match="record 4: dangling object id 'o2'"):
+        loads_runs("\n".join(lines))
+
+
+def test_collect_abstracts_each_distinct_state_object_once(editor, monkeypatch):
+    afs, runs = editor
+    loaded = loads_runs(dumps_runs(runs))
+    calls = []
+
+    def traced(afs, state):
+        calls.append(id(state))
+        return abstract_state(afs, state)
+
+    monkeypatch.setattr("burstmine.collect.abstract_state", traced)
+    bursts = collect_cbr_bursts(loaded, afs, SamplerConfig(1.0, 0))
+    distinct = {id(st) for r in loaded for s in r.segments
+                for st in (s.pre_state, s.post_state)}
+    assert sorted(calls) == sorted(distinct)
+    assert len(distinct) < 2 * len(bursts)
+    monkeypatch.undo()
+    assert bursts == collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0))
 
 
 def test_segment_before_run_rejected():
@@ -297,3 +398,209 @@ def test_burst_state_outside_tfu_reports_record_index(editor):
     doc["pre"] = "X" + doc["pre"][1:]
     with pytest.raises(TraceSchemaError, match="record 2"):
         loads_bursts("\n".join([header, json.dumps(doc), *rest]))
+
+
+# --- the record walker against the parsed reader ------------------------------------
+#
+# The readers as they were before the record walker: every line parsed by
+# ``json.loads`` and checked, every event through ``EventTable``.  Texts here
+# hold no raw line break but "\n" and "\r\n", where the two splits agree.
+
+
+def _reference_loads_runs(text: str) -> list[Run]:
+    runs: list[tuple[str, list[OperationSegment]]] = []
+    events = EventTable()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        doc = _record(line, lineno, LINE, "line")
+        if "run" in doc:
+            runs.append((str(doc["run"]), []))
+        elif "segment" in doc:
+            if not runs:
+                raise TraceSchemaError("segment before any run line", lineno)
+            seg = doc["segment"]
+            try:
+                runs[-1][1].append(OperationSegment(
+                    seg["label"], events.trace(seg["events"], TraceSchemaError),
+                    ConcreteState.from_checked(seg["pre_state"]),
+                    ConcreteState.from_checked(seg["post_state"]),
+                    seg.get("srt_category", "Instantaneous")))
+            except (StateError, TraceSchemaError) as exc:
+                raise TraceSchemaError(str(exc), lineno) from exc
+        else:
+            raise TraceSchemaError("line is neither a run nor a segment", lineno)
+    return [Run(run_id, tuple(segments)) for run_id, segments in runs]
+
+
+def _reference_loads_bursts(text: str) -> tuple[list[Burst], dict]:
+    lines = [(lineno, line) for lineno, line in
+             enumerate(text.splitlines(), start=1) if line.strip()]
+    if not lines:
+        raise TraceSchemaError("empty burst document")
+    header = _record(lines[0][1], lines[0][0], HEADER_LINE, "burst")["header"]
+    af_hash, events = header.get("af_hash", ""), EventTable()
+    bursts: list[Burst] = []
+    for lineno, line in lines[1:]:
+        d = _record(line, lineno, BURST, "burst")
+        trace = events.trace(d["trace"], lambda m: TraceSchemaError(m, lineno))
+        bursts.append(Burst(d["label"], d["pre"], trace, d["post"], af_hash))
+    return bursts, header
+
+
+class _Raw(str):
+    """JSON text written as it is."""
+
+
+# Strings that hold the walker's own delimiters.
+_WORDS = ["op", "m", "C", "}", "}]", "}, {", '"}, {"', "x}]y", "a\\b", "é", ""]
+_PARAMS = [_Raw(t) for t in ("1", "1.0", "true", '"1"', "-0.0", "0.0", "null",
+                             "1e0", "-0", "false")] + ["}, {", "}]", 3]
+_GOOD_EVENTS = st.fixed_dictionaries(
+    {"method": st.sampled_from(_WORDS), "class": st.sampled_from(["C", "D"])},
+    optional={"params": st.lists(st.sampled_from(_PARAMS), max_size=3)})
+_BAD_EVENTS = st.sampled_from([
+    {"method": "m", "class": "C", "params": _Raw("null")},
+    {"method": "m", "class": "C", "params": 5},
+    {"method": "m", "class": "C", "params": [[1]]},
+    {"method": "m", "class": "C", "params": [{"k": 1}]},
+    {"method": 5, "class": "C"}, {"class": "C"}, {}, 5, "m", [1]])
+_ROOTED = {"roots": {"C": "o1"}, "objects": {"o1": {"class": "C", "fields": {
+    "next": "o1", "n": 1, "xs": ["o1", _Raw("null")]}}}}
+_GOOD_STATES = st.sampled_from([
+    {"roots": {}, "objects": {}}, {}, _ROOTED, {"roots": {"C": _Raw("null")}},
+    {"objects": {"o1": {"class": "C", "fields": {"f": [[1, "o1"]]}}}}])
+_BAD_STATES = st.sampled_from([
+    # the same length and prefix as _ROOTED, but dangling
+    {"roots": {"C": "o1"}, "objects": {"o1": {"class": "C", "fields": {
+        "next": "o2", "n": 1, "xs": ["o1", _Raw("null")]}}}},
+    {"roots": {"C": "o1"}, "objects": {"o1": {"class": "C", "fields": {
+        "next": "o1", "n": 1, "xs": ["o2", _Raw("null")]}}}},
+    {"roots": {"C": "o9"}, "objects": {}}, {"roots": {"C": [1]}},
+    {"objects": [1]}, {"objects": {"o1": {"fields": {}}}},
+    {"objects": {"o1": {"class": "C", "fields": {"f": {"a": 1}}}}}, 5])
+_SRT = ["Instantaneous", "Captive", "Zippy", 5]
+_TFU = ["TFU", "UU", "", "TX", 5]
+_JUNK = [5, "x", {}, [1]]  # values of a repeated key that the last one overrides
+
+
+def _one_in(draw, n: int) -> bool:
+    """True about once in ``n`` draws.  The hit is a middle value, since
+    Hypothesis draws the ends of a range more often."""
+    return draw(st.integers(0, n - 1)) == n // 2
+
+
+def _pick(draw, good: list, bad: list, n: int):
+    return draw(st.sampled_from(bad if _one_in(draw, n) else good))
+
+
+@st.composite
+def _trace_lines(draw, bursts: bool):
+    """The documents of one trace file (of one burst file if ``bursts``),
+    drawn from a few events and states, so that texts repeat: the walker's
+    tables hit, and a damaged text comes back.  Half the files also hold
+    ``_ROOTED`` and a dangling twin of it."""
+    events = [draw(_BAD_EVENTS if _one_in(draw, 4) else _GOOD_EVENTS)
+              for _ in range(draw(st.integers(1, 4)))]
+    states = [draw(_BAD_STATES if _one_in(draw, 4) else _GOOD_STATES)
+              for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        states += [_ROOTED, draw(st.sampled_from(_BAD_STATES.elements[:2]))]
+    trace = st.lists(st.sampled_from(events), max_size=4)
+    docs = [{"header": {"af_hash": "abc"}} if bursts else {"run": "r0"}]
+    for _ in range(draw(st.integers(1, 8))):
+        if _one_in(draw, 12):
+            docs.append(draw(st.sampled_from([5, [], {}, {"x": 1}, {"segment": 5},
+                                              {"label": "op"}])))
+            continue
+        if bursts:
+            doc = {"label": _pick(draw, _WORDS, [5], 12),
+                   "pre": _pick(draw, _TFU[:2], _TFU[2:], 6),
+                   "trace": {} if _one_in(draw, 10) else draw(trace),
+                   "post": _pick(draw, _TFU[:2], _TFU[2:], 6)}
+        else:
+            doc = {"label": draw(st.sampled_from(_WORDS)),
+                   "pre_state": draw(st.sampled_from(states)),
+                   "events": 5 if _one_in(draw, 10) else draw(trace),
+                   "post_state": draw(st.sampled_from(states))}
+            if draw(st.booleans()):
+                doc["srt_category"] = _pick(draw, _SRT[:2], _SRT[2:], 6)
+        if _one_in(draw, 30):
+            del doc[draw(st.sampled_from(sorted(doc)))]
+        if not bursts:
+            kind = draw(st.integers(0, 9))
+            if kind == 4:
+                doc = {"run": draw(st.sampled_from(["r1", 7, None, "}, {"]))}
+            else:
+                if kind in (5, 6):  # a run line checks only its segment's shape
+                    docs.append({"run": "r2", "segment": doc})
+                doc = {"segment": doc}
+        docs.append(doc)
+    return docs, _JUNK + states + [events]
+
+
+def _write(draw, value, junk, varied: bool) -> str:
+    """``value`` as JSON as ``json.dumps`` writes it, or if ``varied``, with
+    some keys reordered, repeated or ``\\u``-escaped, and other whitespace."""
+    if isinstance(value, _Raw):
+        return value
+    if not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    plain = not varied or draw(st.booleans())
+    comma, colon = (", ", ": ") if plain else (
+        draw(st.sampled_from([",", " , ", ",\t", ",  "])),
+        draw(st.sampled_from([":", " : ", ":\t"])))
+    if isinstance(value, list):
+        return "[" + comma.join(_write(draw, v, junk, varied) for v in value) + "]"
+    items = [(json.dumps(k), v) for k, v in value.items()]
+    if not plain and items:
+        items = draw(st.permutations(items))
+        k = draw(st.integers(0, len(items) - 1))
+        if draw(st.booleans()):  # a repeated key: the last one counts
+            items.insert(0, (items[k][0], draw(st.sampled_from(junk))))
+        else:
+            items[k] = ('"' + "".join(f"\\u{ord(c):04x}" for c in
+                                      json.loads(items[k][0])) + '"', items[k][1])
+    return "{" + comma.join(k + colon + _write(draw, v, junk, varied)
+                            for k, v in items) + "}"
+
+
+@st.composite
+def _documents(draw, bursts: bool = False):
+    """A JSONL text of ``_trace_lines``, some lines written otherwise than
+    ``json.dumps`` would and some damaged."""
+    docs, junk = draw(_trace_lines(bursts))
+    out = []
+    for doc in docs:
+        text = _write(draw, doc, junk, _one_in(draw, 4))
+        if _one_in(draw, 40):
+            text = text[:draw(st.integers(0, len(text)))]
+        elif _one_in(draw, 40):
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.sampled_from(["}", "]", ",", "x", " "])) + text[at:]
+        elif _one_in(draw, 20):
+            text = "  " + text + "\t"
+        out.append(text)
+    if _one_in(draw, 4):
+        out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(["", "  "])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(out) + draw(
+        st.sampled_from(["", "\n"]))
+
+
+def _outcome(read, text: str):
+    try:
+        return "read", repr(read(text))
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_documents())
+def test_trace_reader_agrees_with_the_parsed_reader(text):
+    assert _outcome(loads_runs, text) == _outcome(_reference_loads_runs, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents(bursts=True))
+def test_burst_reader_agrees_with_the_parsed_reader(text):
+    assert _outcome(loads_bursts, text) == _outcome(_reference_loads_bursts, text)

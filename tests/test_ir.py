@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from burstmine.ir import (DependencyGraph, DuplicateNameError, IrSyntaxError,
-                          UndeclaredTypeError, UnknownTargetError,
+from burstmine.ir import (ArityError, DependencyGraph, DuplicateNameError,
+                          IrSyntaxError, UndeclaredTypeError, UnknownTargetError,
                           build_dependency_graph, detect_relevant_classes,
                           parse_program, pretty_print)
 
@@ -54,6 +54,21 @@ def test_unknown_path_root_rejected():
     src = "class A { method m() { B.x = 1; } }"
     with pytest.raises(UndeclaredTypeError):
         parse_program(src)
+
+
+@pytest.mark.parametrize("args", ["", "Shelf, Shelf"])
+def test_local_call_with_another_argument_count_rejected(args):
+    src = f"""
+    class Box {{ field v: int; }}
+    class Shelf {{ field boxes: Box[];
+      method peek() {{ call look({args}); }}
+      method look(s: Shelf) {{ if (s.boxes.[0].v > 3) {{ return; }} }}
+    }}
+    """
+    with pytest.raises(ArityError, match=r"Shelf.peek: call to 'look' passes "
+                       rf"{len(args.split(',')) if args else 0} argument\(s\); it takes 1"):
+        parse_program(src)
+    assert parse_program(src.replace(f"look({args})", "look(Shelf)"))
 
 
 # Every literal, a literal index, a loop-variable index, a field-path index

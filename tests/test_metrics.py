@@ -1,9 +1,12 @@
 import pytest
 
+from burstmine import collect
 from burstmine.collect import (MethodCall, OperationSegment, Run,
-                               SamplerConfig, collect_cbr_bursts)
-from burstmine.metrics import (baseline_recall, model_recall, node_precision,
-                               overall_precision, run_sweep, trace_recall)
+                               SamplerConfig, collect_cbr_bursts, dumps_runs,
+                               loads_runs)
+from burstmine.metrics import (baseline_recall, evaluate, model_recall,
+                               node_precision, overall_precision, run_sweep,
+                               trace_recall)
 from burstmine.model import ModelError, synthesize, with_transition
 from burstmine.states import ConcreteObject, ConcreteState
 from burstmine.synthetic import (PS_EMPTY, PS_FILLING, PS_PAID,
@@ -244,6 +247,30 @@ def test_sweep_rejects_a_negative_run_count_and_keeps_zero():
         run_sweep(runs, afs, [0.5], [-2, 1], [0])
     empty = run_sweep(runs, afs, [0.5], [0, 1], [0]).cell(0.5, 0, 0)
     assert empty.mean_recall == 0.0 and empty.overall_precision is None
+
+
+def test_sweep_and_evaluate_abstract_a_state_shared_by_runs_once(monkeypatch):
+    afs = editor_abstraction_functions()
+    runs = loads_runs(dumps_runs(generate_editor_runs(6, master_seed=4)))
+    distinct = {id(st) for r in runs for s in r.segments
+                for st in (s.pre_state, s.post_state)}
+    per_run = sum(len({id(st) for s in r.segments
+                       for st in (s.pre_state, s.post_state)}) for r in runs)
+    assert len(distinct) < per_run  # the runs share states
+    fsm = synthesize(collect_cbr_bursts(runs, afs, SamplerConfig(0.5, 0)))
+    calls = []
+    real = collect.abstract_state
+    monkeypatch.setattr(collect, "abstract_state",
+                        lambda afs, state: calls.append(id(state)) or real(afs, state))
+    sweep = run_sweep(runs, afs, [0.5, 1.0], [2, 6], [0, 1])
+    assert sorted(calls) == sorted(distinct)
+    calls.clear()
+    precision, recall = evaluate(fsm, runs, afs)
+    assert sorted(calls) == sorted(distinct)
+    monkeypatch.undo()
+    assert sweep.cells == run_sweep(runs, afs, [0.5, 1.0], [2, 6], [0, 1]).cells
+    assert (precision, recall) == (overall_precision(fsm, runs, afs),
+                                   model_recall(fsm, runs, afs))
 
 
 def test_sweep_csv_shape(small_sweep):
