@@ -27,13 +27,13 @@ import sys
 from pathlib import Path
 
 from . import filtering, metrics, model
-from .collect import (SamplerConfig, collect_cbr_bursts, collect_fixed_sampling,
-                      dumps_bursts, load_runs, loads_bursts)
+from .collect import (SamplerConfig, collect, collect_cbr_bursts,
+                      collect_fixed_sampling, dumps_baseline, dumps_bursts,
+                      load_runs, loads_bursts)
 from .functions import af_list_hash, dump_af_list, load_af_list
 from .ir import (IrError, build_dependency_graph, detect_relevant_classes,
                  parse_program)
 from .schema import INTEGER, NUMBER, STRING, TARGETS, ListOf, Record, check
-from .states import abstract_state
 from .symex import SymexBounds, SymexError, extract_abstraction_functions
 
 
@@ -133,11 +133,13 @@ def cmd_profile(args, config: dict) -> int:
     afs, _ = load_af_list(_read(args, config, "afs"))
     runs = load_runs(_input(args, config, "traces"))
     provenance = [(run.run_id, i) for run in runs for i in range(len(run.segments))]
-    rows = [abstract_state(afs, seg.pre_state) for run in runs for seg in run.segments]
+    af_hash = af_list_hash(afs)
+    rows = [b.pre for b in collect([seg for run in runs for seg in run.segments],
+                                   afs, af_hash)]
     if not rows:
         _warn("no snapshots in the training traces; emitting a header-only matrix")
     m = filtering.EvalMatrix.from_rows(tuple(af.id for af in afs), rows,
-                                       provenance, af_list_hash(afs))
+                                       provenance, af_hash)
     _write(args, args.out, filtering.matrix_to_csv(m))
     return 0
 
@@ -174,13 +176,9 @@ def cmd_collect(args, config: dict) -> int:
         _write(args, args.out, dumps_bursts(bursts, cfg, af_list_hash(afs)))
         return 0
     traces = collect_fixed_sampling(runs, cfg)
-    lines = [json.dumps({"header": {"sampler": cfg.to_dict()}})]
-    for run_id, trace in traces:
-        lines.append(json.dumps(
-            {"run": run_id, "trace": [e.to_dict() for e in trace]}))
     if not traces:
         _warn("no baseline traces recorded")
-    _write(args, args.out, "\n".join(lines) + "\n")
+    _write(args, args.out, dumps_baseline(traces, cfg))
     return 0
 
 
@@ -198,14 +196,7 @@ def cmd_synthesize(args, config: dict) -> int:
 def cmd_simulate(args, config: dict) -> int:
     fsm = model.import_fsm(_read(args, config, "fsm"))
     traces = model.simulate_traces(fsm, args.start, args.max_hops, args.budget)
-    doc = [{
-        "start": t.start,
-        "end": t.end,
-        "labels": list(t.labels),
-        "segments": [{"label": label, "trace": [e.to_dict() for e in trace]}
-                     for label, trace in t.segments],
-    } for t in traces]
-    _write(args, args.out, json.dumps(doc, indent=2))
+    _write(args, args.out, model.dumps_reconstructions(traces))
     return 0
 
 

@@ -13,8 +13,12 @@ seed-0 ``pipeline`` benchmark corpus, 112 of 71,564 events and 84 of 2,880
 state snapshots are distinct.  So a load of a trace or burst file walks
 each JSONL record with ``json.JSONDecoder().raw_decode`` and keeps per-load
 event and state tables from source text to the one ``MethodCall`` or
-``ConcreteState`` built from it, checked once (``_Reader``).  Nothing
-outlives one load or one ``collect`` call.
+``ConcreteState`` built from it, checked once (``_Reader``).  Writing turns
+this round: every event writer, here (``dumps_runs``, ``dumps_bursts``,
+``dumps_baseline``) and in ``model`` (the model and the reconstructions),
+goes through one ``TraceWriter``, which encodes each distinct event once per
+write and joins the texts as ``json.dumps`` lays them out.  Nothing outlives
+one load, one write or one ``collect`` call.
 
 The uncontrolled baseline draws at operation starts only while idle and then
 records a fixed number of consecutive events regardless of operation
@@ -44,9 +48,24 @@ class TraceSchemaError(ValueError):
 
 @dataclass(frozen=True)
 class MethodCall:
+    """One event.  Two events are equal when they are written alike:
+    params ``1``, ``true`` and ``1.0``, or ``-0.0`` and ``0.0``, tell events
+    apart, as the ``repr`` of the params does."""
+
     method: str
     class_name: str
     params: tuple = ()
+
+    def __post_init__(self) -> None:
+        self.__dict__["_key"] = self.method, self.class_name, repr(self.params)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not MethodCall:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
     def to_dict(self) -> dict:
         return {"method": self.method, "class": self.class_name,
@@ -85,6 +104,40 @@ class EventTable(dict):
                     self[_event_key(e)] = MethodCall(
                         e["method"], e["class"], tuple(e.get("params", ())))
             return self.trace(events, error)
+
+
+# In a document ``json.dumps`` indents, each list item and object member has
+# a line of its own, and only a null value ends a line in "null".
+_SLOT = re.compile(r"^( *)(.*)null(,?)$", re.M)
+
+
+class TraceWriter(dict):
+    """One write's ``json.dumps`` text of each distinct event, encoded once,
+    on one line or, ``indented``, as an item of a list at ``indent=2``."""
+
+    def __init__(self, indented: bool = False) -> None:
+        super().__init__()
+        self.indent = 2 if indented else None
+
+    def __missing__(self, event: MethodCall) -> str:
+        text = self[event] = json.dumps(event.to_dict(), indent=self.indent
+                                        ).replace("\n", "\n  ")
+        return text
+
+    def trace(self, trace: Trace, pad: str = "\n") -> str:
+        """The trace as ``json.dumps`` writes its event dicts; indented, as
+        if its ``[`` were on a line that starts with ``pad``."""
+        if self.indent is None:
+            return "[" + ", ".join([self[e] for e in trace]) + "]"
+        text = "[\n  " + ",\n  ".join([self[e] for e in trace]) + "\n]"
+        return text.replace("\n", pad) if trace else "[]"
+
+    def document(self, doc, traces) -> str:
+        """``json.dumps(doc, indent=2)``, each ``None`` in ``doc`` standing
+        for the next of ``traces``; ``doc`` holds no other ``None``."""
+        slots = iter(traces)
+        return _SLOT.sub(lambda m: m[1] + m[2] + self.trace(
+            next(slots), "\n" + m[1]) + m[3], json.dumps(doc, indent=2))
 
 
 @dataclass(frozen=True)
@@ -345,17 +398,16 @@ def load_runs(path) -> list[Run]:
 
 
 def dumps_runs(runs: list[Run]) -> str:
-    lines: list[str] = []
+    dumps, events, lines = json.dumps, TraceWriter(), []
     for run in runs:
-        lines.append(json.dumps({"run": run.run_id}))
+        lines.append(dumps({"run": run.run_id}))
         for seg in run.segments:
-            lines.append(json.dumps({"segment": {
-                "label": seg.label,
-                "srt_category": seg.srt_category,
-                "pre_state": seg.pre_state.to_dict(),
-                "events": [e.to_dict() for e in seg.events],
-                "post_state": seg.post_state.to_dict(),
-            }}))
+            lines.append(
+                f'{{"segment": {{"label": {dumps(seg.label)}, "srt_category": '
+                f'{dumps(seg.srt_category)}, "pre_state": '
+                f'{dumps(seg.pre_state.to_dict())}, "events": '
+                f'{events.trace(seg.events)}, "post_state": '
+                f'{dumps(seg.post_state.to_dict())}}}}}')
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -447,14 +499,20 @@ def dumps_bursts(bursts: list[Burst], cfg: SamplerConfig | None = None,
     header: dict = {"af_hash": af_hash}
     if cfg is not None:
         header["sampler"] = cfg.to_dict()
-    lines = [json.dumps({"header": header})]
-    for b in bursts:
-        lines.append(json.dumps({
-            "label": b.label,
-            "pre": b.pre,
-            "trace": [e.to_dict() for e in b.trace],
-            "post": b.post,
-        }))
+    dumps, events = json.dumps, TraceWriter()
+    lines = [dumps({"header": header})]
+    lines += [f'{{"label": {dumps(b.label)}, "pre": {dumps(b.pre)}, "trace": '
+              f'{events.trace(b.trace)}, "post": {dumps(b.post)}}}' for b in bursts]
+    return "\n".join(lines) + "\n"
+
+
+def dumps_baseline(traces: list[tuple[str, Trace]], cfg: SamplerConfig) -> str:
+    """The baseline file: a header line, then one line per (run id, trace)
+    pair of ``collect_fixed_sampling``."""
+    dumps, events = json.dumps, TraceWriter()
+    lines = [dumps({"header": {"sampler": cfg.to_dict()}})]
+    lines += [f'{{"run": {dumps(run_id)}, "trace": {events.trace(trace)}}}'
+              for run_id, trace in traces]
     return "\n".join(lines) + "\n"
 
 

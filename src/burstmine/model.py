@@ -7,6 +7,10 @@ traces observed for it.  There are no initial or final states: the model is
 a join structure over whatever bursts were recorded, and reconstruction
 chains bursts through shared states.  A run is checked against the model as
 its bursts, one per segment (``collect.collect``).
+
+The model JSON (``export_fsm``) and the reconstructions JSON
+(``dumps_reconstructions``) are written through ``collect.TraceWriter``, so
+one write encodes each distinct event once.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .collect import Burst, EventTable, Trace
+from .collect import Burst, EventTable, Trace, TraceWriter
 from .schema import LIST, STRING, TFU, ListOf, Record, check
 
 
@@ -171,19 +175,25 @@ def export_fsm(fsm: AnnotatedFSM, fmt: str = "json") -> str:
 
 
 def _to_json(fsm: AnnotatedFSM) -> str:
-    transitions = []
-    for key in sorted(fsm.transitions):
-        label, frm, to = key
-        transitions.append({
-            "label": label, "from": frm, "to": to,
-            "traces": [[e.to_dict() for e in trace]
-                       for trace in fsm.transitions[key]],
-        })
-    return json.dumps({
+    keys = sorted(fsm.transitions)
+    return TraceWriter(indented=True).document({
         "af_hash": fsm.af_hash,
         "states": sorted(fsm.states),
-        "transitions": transitions,
-    }, indent=2)
+        "transitions": [{"label": label, "from": frm, "to": to,
+                         "traces": [None] * len(fsm.transitions[label, frm, to])}
+                        for label, frm, to in keys],
+    }, [trace for key in keys for trace in fsm.transitions[key]])
+
+
+def dumps_reconstructions(traces: list[ReconstructedTrace]) -> str:
+    """The ``simulate`` output: the reconstructed traces as an indented JSON
+    list, each with its start and end states, labels and per-hop events."""
+    return TraceWriter(indented=True).document([{
+        "start": t.start,
+        "end": t.end,
+        "labels": list(t.labels),
+        "segments": [{"label": label, "trace": None} for label, _ in t.segments],
+    } for t in traces], [trace for t in traces for _, trace in t.segments])
 
 
 MODEL = Record({"states": ListOf(TFU, "state"), "transitions": ListOf(Record(

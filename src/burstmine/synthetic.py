@@ -84,13 +84,17 @@ def _editor_state(fields: "dict | None") -> ConcreteState:
                          {"Editor": "e1"})
 
 
-def _editor_events(label: str, pre_vector: str) -> tuple[MethodCall, ...]:
+def _editor_events(label: str, pre_vector: str, longest: dict,
+                   ) -> tuple[MethodCall, ...]:
+    """A prefix of the operation's longest event sequence in ``longest``, so
+    the runs of one call share one MethodCall per distinct event, as the runs
+    of one trace-file load do."""
+    if label not in longest:
+        names = _EDITOR_CALLS[label]
+        longest[label] = tuple(MethodCall(names[i % len(names)], "Editor",
+                                          (i % 7,)) for i in range(35 + 27))
     rng = random.Random(_stable_int("editor-events", label, pre_vector))
-    count = 35 + rng.randrange(28)
-    names = _EDITOR_CALLS[label]
-    return tuple(
-        MethodCall(names[i % len(names)], "Editor", (i % 7,))
-        for i in range(count))
+    return longest[label][:35 + rng.randrange(28)]
 
 
 def generate_editor_runs(n_runs: int, master_seed: int = 0,
@@ -98,7 +102,7 @@ def generate_editor_runs(n_runs: int, master_seed: int = 0,
                          ) -> list[Run]:
     """Seeded random walks over the editor's operation machine."""
     afs = afs or editor_abstraction_functions()
-    runs = []
+    runs, longest = [], {}
     for idx in range(n_runs):
         rng = random.Random(_stable_int("editor-run", master_seed, idx))
         fields: dict | None = None  # closed editor: no root object
@@ -114,7 +118,7 @@ def generate_editor_runs(n_runs: int, master_seed: int = 0,
             pre = _editor_state(fields)
             fields = _editor_apply(label, fields)
             post = _editor_state(fields)
-            events = _editor_events(label, abstract_state(afs, pre))
+            events = _editor_events(label, abstract_state(afs, pre), longest)
             segments.append(OperationSegment(
                 label, events, pre, post, _EDITOR_SRT[label]))
         runs.append(Run(f"run{idx:03d}", tuple(segments)))

@@ -13,11 +13,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burstmine import collect, filtering
 from burstmine.cli import main
-from burstmine.collect import dump_runs, loads_bursts
+from burstmine.collect import dump_runs, load_runs, loads_bursts
 from burstmine.functions import af_list_hash, load_af_list
 from burstmine.metrics import run_sweep
 from burstmine.model import import_fsm
+from burstmine.states import abstract_state
 from burstmine.synthetic import (checkout_abstraction_functions, checkout_runs,
                                  editor_abstraction_functions,
                                  generate_editor_runs)
@@ -131,6 +133,27 @@ def test_profile_row_per_segment(workdir):
     total_segments = sum(len(r.segments) for r in checkout_runs())
     assert len(lines) == 1 + total_segments
     assert lines[0].startswith("#run,#snapshot,")
+
+
+def test_profile_abstracts_each_distinct_state_once(workdir, monkeypatch):
+    calls = []
+    monkeypatch.setattr(collect, "abstract_state", lambda afs, state: calls.append(
+        state) or abstract_state(afs, state))
+    out = workdir / "matrix.csv"
+    assert run_cli("profile", "--traces", workdir / "editor.jsonl",
+                   "--afs", workdir / "editor_afs.json", "--out", out) == 0
+    monkeypatch.undo()
+    runs = load_runs(workdir / "editor.jsonl")
+    segments = [s for r in runs for s in r.segments]
+    texts = {json.dumps(st.to_dict()) for s in segments
+             for st in (s.pre_state, s.post_state)}
+    assert len(calls) == len({id(st) for st in calls}) == len(texts) < len(segments)
+    afs, _ = load_af_list((workdir / "editor_afs.json").read_text())
+    rows = [abstract_state(afs, s.pre_state) for s in segments]
+    assert out.read_text() == filtering.matrix_to_csv(filtering.EvalMatrix.from_rows(
+        tuple(af.id for af in afs), rows,
+        [(r.run_id, i) for r in runs for i in range(len(r.segments))],
+        af_list_hash(afs)))
 
 
 def test_profile_empty_traces_header_only(workdir, capsys):

@@ -224,3 +224,32 @@ def test_with_transition_adds_endpoints():
     bigger = with_transition(fsm, "clickOnAddItem", PS_PAID, PS_EMPTY)
     assert ("clickOnAddItem", PS_PAID, PS_EMPTY) in bigger.transitions
     assert bigger.n_transitions == fsm.n_transitions + 1
+
+
+# --- events that are written differently are different events ------------------
+
+def test_synthesize_keeps_traces_whose_params_print_differently():
+    one, true = MethodCall("op", "C", (1,)), MethodCall("op", "C", (True,))
+    fsm = synthesize([mk_burst("op", "T", "F", [one]),
+                      mk_burst("op", "T", "F", [true])])
+    assert fsm.annotations(("op", "T", "F")) == ((one,), (true,))
+    assert '"params": [\n              true' in export_fsm(fsm, "json")
+
+
+def test_accepts_prefix_rejects_a_float_param_against_an_int_annotation():
+    fsm = synthesize([mk_burst("op", "T", "F", [MethodCall("op", "C", (1,))])])
+    for param in (1.0, True):
+        burst = mk_burst("op", "T", "F", [MethodCall("op", "C", (param,))])
+        assert accepts_prefix(fsm, [burst]) == 0
+    assert accepts_prefix(fsm, [mk_burst(
+        "op", "T", "F", [MethodCall("op", "C", (1,))])]) == 1
+
+
+def test_import_accepts_traces_that_differ_only_in_param_type():
+    text = json.dumps({"af_hash": "h", "states": ["F", "T"], "transitions": [
+        {"label": "op", "from": "T", "to": "F", "traces": [
+            [{"method": "m", "class": "C", "params": p}]
+            for p in ([1], [True], [1.0], [-0.0], [0.0], ["1"])]}]}, indent=2)
+    fsm = import_fsm(text)
+    assert len(fsm.annotations(("op", "T", "F"))) == 6
+    assert export_fsm(fsm, "json") == text
