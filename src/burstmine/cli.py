@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from . import filtering, metrics, model
-from .collect import (SamplerConfig, collect, collect_cbr_bursts,
+from .collect import (EventTable, SamplerConfig, collect, collect_cbr_bursts,
                       collect_fixed_sampling, dumps_baseline, dumps_bursts,
                       load_runs, loads_bursts)
 from .functions import af_list_hash, dump_af_list, load_af_list
@@ -201,9 +201,10 @@ def cmd_simulate(args, config: dict) -> int:
 
 
 def cmd_evaluate(args, config: dict) -> int:
-    fsm = model.import_fsm(_read(args, config, "fsm"))
+    events = EventTable()  # one MethodCall per event: acceptance tests identity
+    fsm = model.import_fsm(_read(args, config, "fsm"), events)
     afs, _ = load_af_list(_read(args, config, "afs"))
-    runs = load_runs(_input(args, config, "traces"))
+    runs = load_runs(_input(args, config, "traces"), events)
     precision, recall = metrics.evaluate(fsm, runs, afs)
     if fsm.n_states == 0:
         _warn("evaluating an empty model; recall is 0 and precision is absent")

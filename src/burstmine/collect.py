@@ -8,17 +8,21 @@ call, and the AF list's ``af_hash``.  The controlled collector draws one
 uniform sample per operation (run order, then segment order, one shared
 seeded stream, see ``draw``) and collects the segments whose draw succeeds.
 
-Field runs keep revisiting the same few operations and states: in the
-seed-0 ``pipeline`` benchmark corpus, 112 of 71,564 events and 84 of 2,880
-state snapshots are distinct.  So a load of a trace or burst file walks
-each JSONL record with ``json.JSONDecoder().raw_decode`` and keeps per-load
-event and state tables from source text to the one ``MethodCall`` or
-``ConcreteState`` built from it, checked once (``_Reader``).  Writing turns
-this round: every event writer, here (``dumps_runs``, ``dumps_bursts``,
+Field runs keep repeating the same few operations from the same states: in
+the seed-0 ``pipeline`` benchmark corpus, 185 of 1,440 segment lines, 112 of
+71,564 events and 84 of 2,880 state snapshots are distinct.  So a load of a
+trace or burst file keeps a table from each segment or burst line's text to
+the one ``OperationSegment`` or ``Burst`` built from it, and a repeated line
+appends that object again.  A new line is walked with
+``json.JSONDecoder().raw_decode`` (``_Reader``), through per-load tables from
+an event's or state's source text to the one ``MethodCall`` or
+``ConcreteState`` built from it, checked once; a command that loads a model
+and runs passes both loads one ``EventTable``.  Writing turns this round:
+every event writer, here (``dumps_runs``, ``dumps_bursts``,
 ``dumps_baseline``) and in ``model`` (the model and the reconstructions),
 goes through one ``TraceWriter``, which encodes each distinct event once per
 write and joins the texts as ``json.dumps`` lays them out.  Nothing outlives
-one load, one write or one ``collect`` call.
+one load, one write or one ``collect`` call, nor one command's loads.
 
 The uncontrolled baseline draws at operation starts only while idle and then
 records a fixed number of consecutive events regardless of operation
@@ -220,9 +224,10 @@ def _record(line: str, lineno: int, shape, what: str) -> dict:
 
 def _lines(text: str) -> list[tuple[int, str]]:
     """The non-blank records with their numbers.  Records end at ``\n`` or
-    ``\r\n`` only: JSON strings may hold U+2028 and U+0085 raw."""
+    ``\r\n`` only: JSON strings may hold U+2028 and U+0085 raw.  A blank
+    line holds only JSON whitespace; any other goes to the reader."""
     return [(lineno, line.removesuffix("\r")) for lineno, line in
-            enumerate(text.split("\n"), start=1) if line.strip()]
+            enumerate(text.split("\n"), start=1) if line.strip(" \t\r")]
 
 
 _decode = json.JSONDecoder().raw_decode
@@ -244,8 +249,8 @@ class _Reader:
     through ``_record``.
     """
 
-    def __init__(self) -> None:
-        self.events = EventTable()
+    def __init__(self, events: EventTable | None = None) -> None:
+        self.events = EventTable() if events is None else events
         self._event_texts: dict[str, MethodCall] = {}
         self._states: dict[str, ConcreteState] = {}
 
@@ -368,33 +373,40 @@ def _whole(text: str):
     return value
 
 
-def loads_runs(text: str) -> list[Run]:
+def loads_runs(text: str, events: EventTable | None = None) -> list[Run]:
+    """Read a trace file's text; ``events`` is the event table to share, if
+    another load of the same command reads the same events."""
     runs: list[tuple[str, list[OperationSegment]]] = []
-    reader = _Reader()
+    # Each segment line's text -> the segment built from it.  Only a built
+    # one is stored, so a hit, like its first build, follows a run line.
+    reader, built = _Reader(events), {}
     for lineno, line in _lines(text):
-        doc = reader.record(line, lineno, LINE, "line")
-        if "run" in doc:
-            runs.append((str(doc["run"]), []))
-        elif "segment" in doc:
+        segment = built.get(line)
+        if segment is None:
+            doc = reader.record(line, lineno, LINE, "line")
+            if "run" in doc:
+                runs.append((str(doc["run"]), []))
+                continue
+            if "segment" not in doc:
+                raise TraceSchemaError("line is neither a run nor a segment", lineno)
             if not runs:
                 raise TraceSchemaError("segment before any run line", lineno)
             seg = doc["segment"]
             try:
-                runs[-1][1].append(OperationSegment(
+                segment = built[line] = OperationSegment(
                     seg["label"], reader.trace(seg["events"], TraceSchemaError),
                     reader.state(seg["pre_state"]), reader.state(seg["post_state"]),
-                    seg.get("srt_category", "Instantaneous")))
+                    seg.get("srt_category", "Instantaneous"))
             except (StateError, TraceSchemaError) as exc:
                 raise TraceSchemaError(str(exc), lineno) from exc
-        else:
-            raise TraceSchemaError("line is neither a run nor a segment", lineno)
+        runs[-1][1].append(segment)
     return [Run(run_id, tuple(segments)) for run_id, segments in runs]
 
 
-def load_runs(path) -> list[Run]:
+def load_runs(path, events: EventTable | None = None) -> list[Run]:
     """Read a trace file; schema violations carry the offending record index."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_runs(fh.read())
+        return loads_runs(fh.read(), events)
 
 
 def dumps_runs(runs: list[Run]) -> str:
@@ -527,9 +539,14 @@ def loads_bursts(text: str) -> tuple[list[Burst], dict]:
         raise TraceSchemaError("empty burst document")
     header = _record(lines[0][1], lines[0][0], HEADER_LINE, "burst")["header"]
     af_hash, reader = header.get("af_hash", ""), _Reader()
+    built: dict[str, Burst] = {}  # each burst line's text -> its burst
     bursts: list[Burst] = []
     for lineno, line in lines[1:]:
-        d = reader.record(line, lineno, BURST, "burst")
-        trace = reader.trace(d["trace"], lambda m: TraceSchemaError(m, lineno))
-        bursts.append(Burst(d["label"], d["pre"], trace, d["post"], af_hash))
+        burst = built.get(line)
+        if burst is None:
+            d = reader.record(line, lineno, BURST, "burst")
+            trace = reader.trace(d["trace"], lambda m: TraceSchemaError(m, lineno))
+            burst = built[line] = Burst(d["label"], d["pre"], trace, d["post"],
+                                        af_hash)
+        bursts.append(burst)
     return bursts, header

@@ -201,10 +201,12 @@ MODEL = Record({"states": ListOf(TFU, "state"), "transitions": ListOf(Record(
     "transition")}, {"af_hash": STRING})
 
 
-def import_fsm(text: str) -> AnnotatedFSM:
+def import_fsm(text: str, events: EventTable | None = None) -> AnnotatedFSM:
+    """Read a model; ``events`` is the event table to share, if another load
+    of the same command reads the same events."""
     doc = check(json.loads(text), MODEL, "model", ModelError)
     states = frozenset(doc["states"])
-    events = EventTable()
+    events = EventTable() if events is None else events
     transitions: dict[TransitionKey, tuple[Trace, ...]] = {}
     for i, t in enumerate(doc["transitions"]):
         key = (t["label"], t["from"], t["to"])

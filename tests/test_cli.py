@@ -189,6 +189,34 @@ def test_profile_malformed_trace_exits_2(workdir, damage):
     assert "record 2" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("kind", ["trace", "burst"])
+@pytest.mark.parametrize("space", ["\x0c", "\x1c", "\u2028", "\u00a0"],
+                         ids=["form-feed", "file-separator", "line-separator",
+                              "no-break-space"])
+def test_a_line_of_other_than_json_whitespace_is_a_record(workdir, capsys,
+                                                          kind, space):
+    if kind == "trace":
+        source, argv = workdir / "checkout.jsonl", ["profile", "--afs",
+                                                    workdir / "checkout_afs.json"]
+    else:
+        source, argv = workdir / "bursts.jsonl", ["synthesize"]
+        assert run_cli("collect", "--traces", workdir / "checkout.jsonl",
+                       "--afs", workdir / "checkout_afs.json",
+                       "--probability", "1.0", "--out", source) == 0
+    lines = source.read_text().split("\n")
+    lines.insert(1, space)
+    bad = workdir / "bad.jsonl"
+    bad.write_text("\n".join(lines), encoding="utf-8")
+    flag = "--traces" if kind == "trace" else "--bursts"
+    rc = run_cli(*argv, flag, bad, "--out", workdir / "out")
+    err = capsys.readouterr().err
+    assert_one_line_diagnostic(rc, err, "TraceSchemaError")
+    assert json.loads(err)["message"].startswith("record 2: invalid JSON")
+    assert not (workdir / "out").exists()
+    bad.write_text("\n".join(lines).replace(space, " \t\r"), encoding="utf-8")
+    assert run_cli(*argv, flag, bad, "--out", workdir / "out") == 0
+
+
 @pytest.mark.parametrize("command,flag,document,error,missing", [
     ("profile", "--afs", {}, "ValueError", "functions"),
     ("profile", "--afs", {"functions": [{}]}, "ValueError", "id"),
@@ -297,6 +325,26 @@ def test_collect_and_synthesize_and_evaluate(workdir):
     assert recall["mean_recall"] == 1.0
     precision = json.loads((workdir / "reports" / "precision.json").read_text())
     assert precision["overall"] == 1.0
+
+
+def test_evaluate_compares_the_model_and_the_runs_by_event_identity(
+        workdir, monkeypatch):
+    assert run_cli("collect", "--traces", workdir / "editor.jsonl",
+                   "--afs", workdir / "editor_afs.json", "--probability", "0.5",
+                   "--out", workdir / "bursts.jsonl") == 0
+    assert run_cli("synthesize", "--bursts", workdir / "bursts.jsonl",
+                   "--out", workdir / "fsm.json") == 0
+    calls = []
+    eq = collect.MethodCall.__eq__
+    monkeypatch.setattr(collect.MethodCall, "__eq__",
+                        lambda a, b: calls.append(1) or eq(a, b))
+    assert run_cli("evaluate", "--fsm", workdir / "fsm.json",
+                   "--traces", workdir / "editor.jsonl",
+                   "--afs", workdir / "editor_afs.json",
+                   "--out-dir", workdir / "reports") == 0
+    assert not calls
+    recall = json.loads((workdir / "reports" / "recall.json").read_text())
+    assert 0 < recall["mean_recall"] < 1
 
 
 def test_collect_p_zero_warns_and_evaluates_empty(workdir, capsys):

@@ -182,6 +182,25 @@ def test_two_loads_share_no_object(editor):
     assert not {id(e) for b in b1 for e in b.trace} & {id(e) for b in b2 for e in b.trace}
 
 
+def test_one_load_shares_one_segment_per_distinct_record_text(editor):
+    afs, runs = editor
+    trace_text = dumps_runs(runs)
+    burst_text = dumps_bursts(collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0)))
+    for text, load, lines in [
+            (trace_text, lambda t: [s for r in loads_runs(t) for s in r.segments],
+             [line for line in trace_text.splitlines() if '"segment"' in line]),
+            (burst_text, lambda t: loads_bursts(t)[0], burst_text.splitlines()[1:])]:
+        records = load(text)
+        assert len(records) == len(lines)
+        ids: dict[str, set[int]] = {}
+        for line, record in zip(lines, records):
+            ids.setdefault(line, set()).add(id(record))
+        assert len(ids) < len(lines)
+        assert all(len(same) == 1 for same in ids.values())
+        assert len({id(r) for r in records}) == len(ids)
+        assert not {id(r) for r in load(text)} & {id(r) for r in records}
+
+
 def test_a_dangling_id_names_the_first_record_that_carries_it():
     good = {"roots": {"C": "o1"}, "objects": {"o1": {"class": "C",
                                                      "fields": {"next": "o1"}}}}
@@ -411,7 +430,7 @@ def _reference_loads_runs(text: str) -> list[Run]:
     runs: list[tuple[str, list[OperationSegment]]] = []
     events = EventTable()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
+        if not line.strip(" \t\r"):
             continue
         doc = _record(line, lineno, LINE, "line")
         if "run" in doc:
@@ -435,7 +454,7 @@ def _reference_loads_runs(text: str) -> list[Run]:
 
 def _reference_loads_bursts(text: str) -> tuple[list[Burst], dict]:
     lines = [(lineno, line) for lineno, line in
-             enumerate(text.splitlines(), start=1) if line.strip()]
+             enumerate(text.splitlines(), start=1) if line.strip(" \t\r")]
     if not lines:
         raise TraceSchemaError("empty burst document")
     header = _record(lines[0][1], lines[0][0], HEADER_LINE, "burst")["header"]
@@ -568,7 +587,9 @@ def _write(draw, value, junk, varied: bool) -> str:
 @st.composite
 def _documents(draw, bursts: bool = False):
     """A JSONL text of ``_trace_lines``, some lines written otherwise than
-    ``json.dumps`` would and some damaged."""
+    ``json.dumps`` would, some damaged and some copied further on, as they
+    are or with one character changed, so that the readers' record memo
+    meets run, segment, burst and damaged lines again and near-twins."""
     docs, junk = draw(_trace_lines(bursts))
     out = []
     for doc in docs:
@@ -581,8 +602,16 @@ def _documents(draw, bursts: bool = False):
         elif _one_in(draw, 20):
             text = "  " + text + "\t"
         out.append(text)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(out) - 1))
+        copy = out[at]
+        if copy and draw(st.booleans()):  # as long and alike, but another text
+            i = draw(st.integers(0, len(copy) - 1))
+            copy = copy[:i] + chr(ord(copy[i]) ^ 1) + copy[i + 1:]
+        out.insert(draw(st.integers(at + 1, len(out))), copy)
     if _one_in(draw, 4):
-        out.insert(draw(st.integers(0, len(out))), draw(st.sampled_from(["", "  "])))
+        out.insert(draw(st.integers(0, len(out))),
+                   draw(st.sampled_from(["", "  ", "\t", "\u00a0"])))
     return draw(st.sampled_from(["\n", "\r\n"])).join(out) + draw(
         st.sampled_from(["", "\n"]))
 
