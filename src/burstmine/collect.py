@@ -17,12 +17,15 @@ appends that object again.  A new line is walked with
 ``json.JSONDecoder().raw_decode`` (``_Reader``), through per-load tables from
 an event's or state's source text to the one ``MethodCall`` or
 ``ConcreteState`` built from it, checked once; a command that loads a model
-and runs passes both loads one ``EventTable``.  Writing turns this round:
-every event writer, here (``dumps_runs``, ``dumps_bursts``,
-``dumps_baseline``) and in ``model`` (the model and the reconstructions),
-goes through one ``TraceWriter``, which encodes each distinct event once per
-write and joins the texts as ``json.dumps`` lays them out.  Nothing outlives
-one load, one write or one ``collect`` call, nor one command's loads.
+and runs passes both loads one ``EventTable``.  The walker reads an event
+list only as ``json.dumps`` writes one, split at ``}, {`` or, compact, at
+``},{``; every other list goes through the parsed reader (``_record``).
+Writing turns this round: every event writer, here (``dumps_runs``,
+``dumps_bursts``, ``dumps_baseline``) and in ``model`` (the model and the
+reconstructions), goes through one ``TraceWriter``, which encodes each
+distinct event once per write and joins the texts as ``json.dumps`` lays
+them out.  Nothing outlives one load, one write or one ``collect`` call, nor
+one command's loads.
 
 The uncontrolled baseline draws at operation starts only while idle and then
 records a fixed number of consecutive events regardless of operation
@@ -86,28 +89,29 @@ EVENT = Record({"method": STRING, "class": STRING}, {"params": ListOf(SCALAR)})
 
 
 def _event_key(e) -> tuple:
-    return e["method"], e["class"], repr(e.get("params", ()))
+    return e["method"], e["class"], repr(e.get("params", []))
 
 
 class EventTable(dict):
     """One ``MethodCall`` per distinct event of one load, keyed by method, class
-    and the ``repr`` of the params (``()`` if absent), which tells ``1``,
-    ``true``, ``1.0``, ``"1"``, ``-0.0``, ``0.0``, absent and ``null`` apart.
-    A miss, as when the key cannot be formed, checks and builds the event."""
+    and the ``repr`` of the params (``[]`` if absent), which tells ``1``,
+    ``true``, ``1.0``, ``"1"``, ``-0.0``, ``0.0`` and ``null`` apart.  A miss,
+    as when the key cannot be formed, checks and builds the event."""
+
+    def event(self, e, error) -> MethodCall:
+        """The decoded event's ``MethodCall``; a malformed one raises
+        ``error(message)``."""
+        try:
+            return self[_event_key(e)]
+        except (KeyError, TypeError):
+            check(e, EVENT, "event", error)
+            call = self[_event_key(e)] = MethodCall(
+                e["method"], e["class"], tuple(e.get("params", ())))
+            return call
 
     def trace(self, events: list, error) -> Trace:
         """The events as a trace; a malformed one raises ``error(message)``."""
-        try:
-            return tuple([self[_event_key(e)] for e in events])
-        except (KeyError, TypeError):
-            for e in events:
-                try:
-                    self[_event_key(e)]
-                except (KeyError, TypeError):
-                    check(e, EVENT, "event", error)
-                    self[_event_key(e)] = MethodCall(
-                        e["method"], e["class"], tuple(e.get("params", ())))
-            return self.trace(events, error)
+        return tuple([self.event(e, error) for e in events])
 
 
 # In a document ``json.dumps`` indents, each list item and object member has
@@ -232,6 +236,8 @@ def _lines(text: str) -> list[tuple[int, str]]:
 
 _decode = json.JSONDecoder().raw_decode
 _space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
+# ``json.dumps`` separates list items with ", ", or "," when compact.
+_pieces = re.compile(r"\}, ?\{").split
 
 
 class _Reject(Exception):
@@ -244,9 +250,9 @@ class _Reader:
     Field runs repeat a few events and states, so the walker keeps each
     event's source text (between its braces) and each state's source text
     with the ``MethodCall`` or ``ConcreteState`` built from it, checked once.
-    An event list written as ``json.dumps`` writes it is split at ``}, {``
-    rather than decoded whole.  A record the walker does not accept goes
-    through ``_record``.
+    An event list is read only as ``json.dumps`` writes one: ``[]``, or
+    objects separated by ``}, {`` or ``},{``.  A record the walker does not
+    accept, any other list among them, goes through ``_record``.
     """
 
     def __init__(self, events: EventTable | None = None) -> None:
@@ -321,56 +327,29 @@ class _Reader:
         return state, end
 
     def _trace(self, text: str, pos: int) -> tuple[Trace, int]:
-        known = self._event_texts
+        if text.startswith("[]", pos):
+            return (), pos + 2
         close = text.find("}]", pos) if text.startswith("[{", pos) else -1
-        if close > 0:
-            # If each piece, braced, is one complete JSON object, the list is
-            # exactly those objects, since a complete object is prefix-free.
-            # A known piece was decoded so; a new one is decoded alone.
-            pieces = text[pos + 2:close].split("}, {")
-            try:
-                return tuple([known[piece] for piece in pieces]), close + 2
-            except KeyError:
-                pass
-            try:
-                return tuple([known.get(piece) or self._event(piece, _whole(
-                    "{" + piece + "}")) for piece in pieces]), close + 2
-            except (_Reject, json.JSONDecodeError):
-                pass
-        if text[pos:pos + 1] != "[":
+        if close < 0:
             raise _Reject
-        trace = []
-        pos = _space(text, pos + 1).end()
-        if text[pos:pos + 1] != "]":
-            while True:
-                if text[pos:pos + 1] != "{":
-                    raise _Reject
-                e, end = _decode(text, pos)
-                source = text[pos + 1:end - 1]
-                trace.append(known.get(source) or self._event(source, e))
-                pos = _space(text, end).end()
-                if text[pos:pos + 1] != ",":
-                    break
-                pos = _space(text, pos + 1).end()
-            if text[pos:pos + 1] != "]":
-                raise _Reject
-        return tuple(trace), pos + 1
+        # If each piece, braced, is one complete JSON object, the list is
+        # exactly those objects, since a complete object is prefix-free.
+        # A known piece was decoded so; a new one is decoded alone.
+        known, pieces = self._event_texts, _pieces(text[pos + 2:close])
+        try:
+            return tuple([known[piece] for piece in pieces]), close + 2
+        except KeyError:
+            return tuple([known.get(piece) or self._event(piece)
+                          for piece in pieces]), close + 2
 
-    def _event(self, source: str, e) -> MethodCall:
-        """The event decoded from ``source``, checked and entered once."""
-        check(e, EVENT, "", _Reject)
-        call = self._event_texts[source] = self.events.setdefault(
-            _event_key(e), MethodCall(e["method"], e["class"],
-                                      tuple(e.get("params", ()))))
+    def _event(self, piece: str) -> MethodCall:
+        """The event written ``{piece}``, checked and entered once."""
+        text = "{" + piece + "}"
+        e, end = _decode(text)
+        if end != len(text):
+            raise _Reject
+        call = self._event_texts[piece] = self.events.event(e, _Reject)
         return call
-
-
-def _whole(text: str):
-    """``text`` decoded as one JSON value with nothing after it."""
-    value, end = _decode(text)
-    if end != len(text):
-        raise _Reject
-    return value
 
 
 def loads_runs(text: str, events: EventTable | None = None) -> list[Run]:

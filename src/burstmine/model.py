@@ -120,6 +120,9 @@ def simulate_traces(fsm: AnnotatedFSM, start, max_hops: int,
     in first-seen order, so output order is deterministic; the combination
     budget caps the cross-product explosion.
     """
+    if max_hops < 0 or combination_budget < 1:
+        raise ModelError(f"max_hops {max_hops} must be at least 0 and the "
+                         f"combination budget {combination_budget} at least 1")
     start = str(start)
     if start not in fsm.states:
         raise ModelError(f"unknown start state {start!r}")

@@ -347,6 +347,33 @@ def test_evaluate_compares_the_model_and_the_runs_by_event_identity(
     assert 0 < recall["mean_recall"] < 1
 
 
+def test_evaluate_shares_an_event_written_with_and_without_empty_params(
+        workdir, monkeypatch):
+    assert run_cli("collect", "--traces", workdir / "checkout.jsonl",
+                   "--afs", workdir / "checkout_afs.json", "--probability", "1.0",
+                   "--out", workdir / "bursts.jsonl") == 0
+    assert run_cli("synthesize", "--bursts", workdir / "bursts.jsonl",
+                   "--out", workdir / "fsm.json") == 0
+    doc = json.loads((workdir / "fsm.json").read_text())
+    bare = [e for t in doc["transitions"] for trace in t["traces"] for e in trace
+            if e["params"] == []]
+    for e in bare:
+        del e["params"]
+    assert bare and '"params": []' in (workdir / "checkout.jsonl").read_text()
+    (workdir / "fsm.json").write_text(json.dumps(doc))
+    calls = []
+    eq = collect.MethodCall.__eq__
+    monkeypatch.setattr(collect.MethodCall, "__eq__",
+                        lambda a, b: calls.append(1) or eq(a, b))
+    assert run_cli("evaluate", "--fsm", workdir / "fsm.json",
+                   "--traces", workdir / "checkout.jsonl",
+                   "--afs", workdir / "checkout_afs.json",
+                   "--out-dir", workdir / "reports") == 0
+    assert not calls
+    recall = json.loads((workdir / "reports" / "recall.json").read_text())
+    assert recall["mean_recall"] == 1.0
+
+
 def test_collect_p_zero_warns_and_evaluates_empty(workdir, capsys):
     rc = run_cli("collect", "--traces", workdir / "checkout.jsonl",
                  "--afs", workdir / "checkout_afs.json",
@@ -414,6 +441,23 @@ def test_simulate_from_fsm(workdir):
     assert rc == 0
     doc = json.loads((workdir / "sim.json").read_text())
     assert any(d["labels"] == ["clickOnAddItem", "clickOnPay"] for d in doc)
+
+
+def _simulate_one_state(workdir, *bound) -> int:
+    (workdir / "f.json").write_text(json.dumps(
+        {"af_hash": "", "states": ["UU"], "transitions": []}))
+    return run_cli("simulate", "--fsm", workdir / "f.json", "--start", "UU",
+                   *bound, "--out", workdir / "sim.json")
+
+
+@pytest.mark.parametrize("flag,value,floor", [
+    ("--max-hops", "-1", "0"), ("--budget", "0", "1"), ("--budget", "-3", "1")])
+def test_simulate_bound_below_its_floor_exits_2(workdir, capsys, flag, value,
+                                                floor):
+    assert_one_line_diagnostic(_simulate_one_state(workdir, flag, value),
+                               capsys.readouterr().err, "ModelError")
+    assert not (workdir / "sim.json").exists()
+    assert _simulate_one_state(workdir, flag, floor) == 0
 
 
 def test_evaluate_hash_mismatch_exits_2(workdir, capsys):

@@ -114,6 +114,18 @@ def test_equal_events_that_print_differently_stay_apart():
         loads_runs("\n".join([run, seg_line, null]))
 
 
+@pytest.mark.parametrize("bad", [{"method": "m", "class": "C", "params": None},
+                                 {"method": 5, "class": "C"}])
+def test_a_rejected_event_leaves_no_entry_for_a_later_line(bad):
+    # A run line's segment is walked, but only its shape is checked; the
+    # segment line after it must still check the same event text.
+    seg = json.dumps(_segment(events=[{"method": "m", "class": "C"}, bad]))
+    lines = [json.dumps({"run": "r1"}), '{"run": "r2", "segment": ' + seg + "}",
+             '{"segment": ' + seg + "}"]
+    with pytest.raises(TraceSchemaError, match="record 3: event"):
+        loads_runs("\n".join(lines))
+
+
 # --- record splitting and sharing ---------------------------------------------------
 
 @pytest.mark.parametrize("mark", ["\u2028", "\u2029", "\x85"])
@@ -165,6 +177,28 @@ def test_one_load_shares_one_object_per_distinct_event_and_state_text(editor):
         '"events": []', f'"events": [{json.dumps(first.to_dict())}, {spelled}]')
     a, b = loads_runs(json.dumps({"run": "r"}) + "\n" + line)[0].segments[0].events
     assert a is b
+
+
+def test_a_compact_file_is_walked_and_any_other_list_layout_is_parsed(
+        editor, monkeypatch):
+    _, runs = editor
+    text = dumps_runs(runs)
+    compact = "\n".join(json.dumps(json.loads(line), separators=(",", ":"))
+                        for line in text.splitlines())
+    parsed = []
+    monkeypatch.setattr("burstmine.collect._record",
+                        lambda *args: parsed.append(args) or _record(*args))
+    loaded = loads_runs(compact)
+    assert loaded == loads_runs(text) and not parsed
+    states = [st for r in loaded for s in r.segments
+              for st in (s.pre_state, s.post_state)]
+    state_ids = _by_text(states, lambda st: json.dumps(st.to_dict()))
+    assert all(len(ids) == 1 for ids in state_ids.values())
+    # A list in a layout json.dumps does not write goes to the parsed reader.
+    run, line = text.splitlines()[:2]
+    spaced = line.replace("}, {", "} , {")
+    assert spaced != line and loads_runs(run + "\n" + spaced) == loads_runs(
+        run + "\n" + line) and len(parsed) == 1
 
 
 def test_two_loads_share_no_object(editor):
@@ -472,9 +506,10 @@ class _Raw(str):
 
 
 # Strings that hold the walker's own delimiters.
-_WORDS = ["op", "m", "C", "}", "}]", "}, {", '"}, {"', "x}]y", "a\\b", "é", ""]
+_WORDS = ["op", "m", "C", "}", "}]", "}, {", "},{", '"}, {"', "x}]y", "a\\b",
+          "é", ""]
 _PARAMS = [_Raw(t) for t in ("1", "1.0", "true", '"1"', "-0.0", "0.0", "null",
-                             "1e0", "-0", "false")] + ["}, {", "}]", 3]
+                             "1e0", "-0", "false")] + ["}, {", "},{", "}]", 3]
 _GOOD_EVENTS = st.fixed_dictionaries(
     {"method": st.sampled_from(_WORDS), "class": st.sampled_from(["C", "D"])},
     optional={"params": st.lists(st.sampled_from(_PARAMS), max_size=3)})
@@ -517,34 +552,36 @@ def _pick(draw, good: list, bad: list, n: int):
 def _trace_lines(draw, bursts: bool):
     """The documents of one trace file (of one burst file if ``bursts``),
     drawn from a few events and states, so that texts repeat: the walker's
-    tables hit, and a damaged text comes back.  Half the files also hold
-    ``_ROOTED`` and a dangling twin of it."""
-    events = [draw(_BAD_EVENTS if _one_in(draw, 4) else _GOOD_EVENTS)
+    tables hit, and a damaged text comes back.  Some files also hold
+    ``_ROOTED`` and a dangling twin of it.  Half the files draw a bad value
+    a quarter as often, so that more of them read to their end."""
+    rare = draw(st.sampled_from([1, 4]))
+    events = [draw(_BAD_EVENTS if _one_in(draw, rare * 4) else _GOOD_EVENTS)
               for _ in range(draw(st.integers(1, 4)))]
-    states = [draw(_BAD_STATES if _one_in(draw, 4) else _GOOD_STATES)
+    states = [draw(_BAD_STATES if _one_in(draw, rare * 4) else _GOOD_STATES)
               for _ in range(draw(st.integers(1, 4)))]
-    if draw(st.booleans()):
+    if _one_in(draw, rare * 2):
         states += [_ROOTED, draw(st.sampled_from(_BAD_STATES.elements[:2]))]
     trace = st.lists(st.sampled_from(events), max_size=4)
     docs = [{"header": {"af_hash": "abc"}} if bursts else {"run": "r0"}]
     for _ in range(draw(st.integers(1, 8))):
-        if _one_in(draw, 12):
+        if _one_in(draw, rare * 12):
             docs.append(draw(st.sampled_from([5, [], {}, {"x": 1}, {"segment": 5},
                                               {"label": "op"}])))
             continue
         if bursts:
-            doc = {"label": _pick(draw, _WORDS, [5], 12),
-                   "pre": _pick(draw, _TFU[:2], _TFU[2:], 6),
-                   "trace": {} if _one_in(draw, 10) else draw(trace),
-                   "post": _pick(draw, _TFU[:2], _TFU[2:], 6)}
+            doc = {"label": _pick(draw, _WORDS, [5], rare * 12),
+                   "pre": _pick(draw, _TFU[:2], _TFU[2:], rare * 6),
+                   "trace": {} if _one_in(draw, rare * 10) else draw(trace),
+                   "post": _pick(draw, _TFU[:2], _TFU[2:], rare * 6)}
         else:
             doc = {"label": draw(st.sampled_from(_WORDS)),
                    "pre_state": draw(st.sampled_from(states)),
-                   "events": 5 if _one_in(draw, 10) else draw(trace),
+                   "events": 5 if _one_in(draw, rare * 10) else draw(trace),
                    "post_state": draw(st.sampled_from(states))}
             if draw(st.booleans()):
-                doc["srt_category"] = _pick(draw, _SRT[:2], _SRT[2:], 6)
-        if _one_in(draw, 30):
+                doc["srt_category"] = _pick(draw, _SRT[:2], _SRT[2:], rare * 6)
+        if _one_in(draw, rare * 30):
             del doc[draw(st.sampled_from(sorted(doc)))]
         if not bursts:
             kind = draw(st.integers(0, 9))
@@ -594,6 +631,9 @@ def _documents(draw, bursts: bool = False):
     out = []
     for doc in docs:
         text = _write(draw, doc, junk, _one_in(draw, 4))
+        if _one_in(draw, 3):  # list items separated as another writer would
+            text = text.replace("}, {", draw(st.sampled_from(
+                ["},{", "} , {", "} ,{", "},  {"])))
         if _one_in(draw, 40):
             text = text[:draw(st.integers(0, len(text)))]
         elif _one_in(draw, 40):
