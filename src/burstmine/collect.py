@@ -17,9 +17,10 @@ appends that object again.  A new line is walked with
 ``json.JSONDecoder().raw_decode`` (``_Reader``), through per-load tables from
 an event's or state's source text to the one ``MethodCall`` or
 ``ConcreteState`` built from it, checked once; a command that loads a model
-and runs passes both loads one ``EventTable``.  The walker reads an event
-list only as ``json.dumps`` writes one, split at ``}, {`` or, compact, at
-``},{``; every other list goes through the parsed reader (``_record``).
+and runs passes both loads one ``EventTable``.  The walker splits an event
+list at each ``}``, ``,``, ``{`` with only JSON whitespace between them, so
+it reads every layout a JSON writer may choose; a list whose pieces are not
+each one complete object goes through the parsed reader (``_record``).
 Writing turns this round: every event writer, here (``dumps_runs``,
 ``dumps_bursts``, ``dumps_baseline``) and in ``model`` (the model and the
 reconstructions), goes through one ``TraceWriter``, which encodes each
@@ -236,8 +237,11 @@ def _lines(text: str) -> list[tuple[int, str]]:
 
 _decode = json.JSONDecoder().raw_decode
 _space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
-# ``json.dumps`` separates list items with ", ", or "," when compact.
-_pieces = re.compile(r"\}, ?\{").split
+# An event list's opening, its first close and its item separators, with
+# any JSON whitespace between the tokens.
+_open = re.compile(r"\[[ \t\n\r]*([{\]])").match
+_close = re.compile(r"\}[ \t\n\r]*\]").search
+_pieces = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{").split
 
 
 class _Reject(Exception):
@@ -250,9 +254,8 @@ class _Reader:
     Field runs repeat a few events and states, so the walker keeps each
     event's source text (between its braces) and each state's source text
     with the ``MethodCall`` or ``ConcreteState`` built from it, checked once.
-    An event list is read only as ``json.dumps`` writes one: ``[]``, or
-    objects separated by ``}, {`` or ``},{``.  A record the walker does not
-    accept, any other list among them, goes through ``_record``.
+    An event list is split at its separators rather than decoded whole.  A
+    record the walker does not accept goes through ``_record``.
     """
 
     def __init__(self, events: EventTable | None = None) -> None:
@@ -327,20 +330,23 @@ class _Reader:
         return state, end
 
     def _trace(self, text: str, pos: int) -> tuple[Trace, int]:
-        if text.startswith("[]", pos):
-            return (), pos + 2
-        close = text.find("}]", pos) if text.startswith("[{", pos) else -1
-        if close < 0:
+        start = _open(text, pos)
+        if start is None:
+            raise _Reject
+        if start[1] == "]":
+            return (), start.end()
+        close = _close(text, start.end())
+        if close is None:
             raise _Reject
         # If each piece, braced, is one complete JSON object, the list is
         # exactly those objects, since a complete object is prefix-free.
         # A known piece was decoded so; a new one is decoded alone.
-        known, pieces = self._event_texts, _pieces(text[pos + 2:close])
+        known, pieces = self._event_texts, _pieces(text[start.end():close.start()])
         try:
-            return tuple([known[piece] for piece in pieces]), close + 2
+            return tuple([known[piece] for piece in pieces]), close.end()
         except KeyError:
             return tuple([known.get(piece) or self._event(piece)
-                          for piece in pieces]), close + 2
+                          for piece in pieces]), close.end()
 
     def _event(self, piece: str) -> MethodCall:
         """The event written ``{piece}``, checked and entered once."""

@@ -179,26 +179,34 @@ def test_one_load_shares_one_object_per_distinct_event_and_state_text(editor):
     assert a is b
 
 
-def test_a_compact_file_is_walked_and_any_other_list_layout_is_parsed(
+def test_every_json_list_layout_is_walked_and_other_whitespace_is_parsed(
         editor, monkeypatch):
     _, runs = editor
     text = dumps_runs(runs)
     compact = "\n".join(json.dumps(json.loads(line), separators=(",", ":"))
-                        for line in text.splitlines())
+                         for line in text.splitlines())
+    spaced = text.replace('"events": [{', '"events": [ {').replace(
+        "}, {", "} ,\t{").replace('}], "post', '}\r], "post')
     parsed = []
     monkeypatch.setattr("burstmine.collect._record",
                         lambda *args: parsed.append(args) or _record(*args))
-    loaded = loads_runs(compact)
-    assert loaded == loads_runs(text) and not parsed
-    states = [st for r in loaded for s in r.segments
-              for st in (s.pre_state, s.post_state)]
-    state_ids = _by_text(states, lambda st: json.dumps(st.to_dict()))
-    assert all(len(ids) == 1 for ids in state_ids.values())
-    # A list in a layout json.dumps does not write goes to the parsed reader.
+    expected = loads_runs(text)
+    for layout in (compact, spaced):
+        assert layout != text
+        loaded = loads_runs(layout)
+        assert loaded == expected and not parsed
+        states = [st for r in loaded for s in r.segments
+                  for st in (s.pre_state, s.post_state)]
+        state_ids = _by_text(states, lambda st: json.dumps(st.to_dict()))
+        assert all(len(ids) == 1 for ids in state_ids.values())
+    # A list with whitespace that JSON does not allow, or with no comma,
+    # goes to the parsed reader, which rejects it.
     run, line = text.splitlines()[:2]
-    spaced = line.replace("}, {", "} , {")
-    assert spaced != line and loads_runs(run + "\n" + spaced) == loads_runs(
-        run + "\n" + line) and len(parsed) == 1
+    for old, bad in [("}, {", "},\u00a0{"), ("[{", "[\u00a0{"), ("}]", "}\u00a0]"),
+                     ("}, {", "} {")]:
+        with pytest.raises(TraceSchemaError, match="record 2: invalid JSON"):
+            loads_runs(run + "\n" + line.replace(old, bad, 1))
+    assert len(parsed) == 4
 
 
 def test_two_loads_share_no_object(editor):
@@ -621,6 +629,15 @@ def _write(draw, value, junk, varied: bool) -> str:
                             for k, v in items) + "}"
 
 
+# An event list's "[{", "}, {" and "}]" as other writers lay them out, with
+# JSON whitespace; and damaged, with U+00A0, which JSON does not allow there,
+# or with no comma.
+_LAYOUTS = [("[{", "},{", "}]"), ("[ {", "} , {", "} ]"), ("[{", "} ,{", "}]"),
+            ("[\t{", "},  {", "}\t]")]
+_BAD_LAYOUTS = [("[{", "},\u00a0{", "}]"), ("[\u00a0{", "}, {", "}]"),
+                ("[{", "}, {", "}\u00a0]"), ("[{", "} {", "}]")]
+
+
 @st.composite
 def _documents(draw, bursts: bool = False):
     """A JSONL text of ``_trace_lines``, some lines written otherwise than
@@ -631,9 +648,11 @@ def _documents(draw, bursts: bool = False):
     out = []
     for doc in docs:
         text = _write(draw, doc, junk, _one_in(draw, 4))
-        if _one_in(draw, 3):  # list items separated as another writer would
-            text = text.replace("}, {", draw(st.sampled_from(
-                ["},{", "} , {", "} ,{", "},  {"])))
+        if _one_in(draw, 3):  # a list laid out as another writer would
+            layout = draw(st.sampled_from(
+                _BAD_LAYOUTS if _one_in(draw, 4) else _LAYOUTS))
+            for old, new in zip(("[{", "}, {", "}]"), layout):
+                text = text.replace(old, new)
         if _one_in(draw, 40):
             text = text[:draw(st.integers(0, len(text)))]
         elif _one_in(draw, 40):
