@@ -1,4 +1,4 @@
-"""Ternary evaluation: how concrete heap snapshots become abstract states.
+"""T/F/U evaluation: how concrete heap snapshots become abstract states.
 
 An abstraction function is a conjunction of comparisons over state-variable
 paths.  Against a concrete state each function yields T, F, or U, and U
@@ -47,7 +47,7 @@ snapshots = {
 probe = afs[0]  # Cart.addItem-F1: nProducts == 0 && products.length == 0
 print("probe:", probe)
 for name, state in snapshots.items():
-    print(f"  {name:16s} ->", eval_function(probe, state).value)
+    print(f"  {name:16s} ->", eval_function(probe, state))
 
 print()
 for name, state in snapshots.items():

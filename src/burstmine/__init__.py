@@ -18,7 +18,7 @@ from .metrics import (baseline_recall, evaluate, model_recall, node_precision,
                       overall_precision, run_sweep, trace_recall)
 from .model import (AnnotatedFSM, accepts_prefix, export_fsm, import_fsm,
                     simulate_traces, synthesize)
-from .states import (ConcreteObject, ConcreteState, Ternary, abstract_state,
+from .states import (ConcreteObject, ConcreteState, abstract_state,
                      eval_clause, eval_function)
 from .symex import (SymexBounds, extract_abstraction_functions,
                     strip_parameter_clauses, symbolic_execute)
@@ -29,7 +29,7 @@ __all__ = [
     "AbstractionFunction", "AnnotatedFSM", "Burst", "Clause",
     "ConcreteObject", "ConcreteState", "EvalMatrix", "FilterReport",
     "MethodCall", "OperationSegment", "PathCondition", "Program", "Run",
-    "SamplerConfig", "SymexBounds", "Ternary", "abstract_state",
+    "SamplerConfig", "SymexBounds", "abstract_state",
     "accepts_prefix", "baseline_recall", "build_dependency_graph",
     "collect_cbr_bursts", "collect_fixed_sampling",
     "detect_relevant_classes", "dump_runs", "eval_clause", "eval_function",

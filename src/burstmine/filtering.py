@@ -15,10 +15,10 @@ kept projection equals the number of distinct rows after deduplication.
 Greedy removal yields a locally minimal set, not a global minimum cover.
 
 An ``EvalMatrix`` holds its cells as one ``uint8`` array of codes (T/F/U ->
-0/1/2), parsed from the row text through a 256-entry byte table.  Every rule
-tests distinctness by viewing each row (or column) of codes as one byte-string
-key and calling ``np.unique`` once.  ``EvalMatrix.cells`` decodes the codes
-back into a read-only T/F/U array; ``rows()`` and the CSV form stay text.
+0/1/2, ``schema.LETTERS``), parsed from the row text through a 256-entry byte
+table.  Every rule tests distinctness by viewing each row (or column) of
+codes as one byte-string key and calling ``np.unique`` once.  ``rows()`` and
+the CSV form stay text.
 """
 
 from __future__ import annotations
@@ -28,13 +28,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_CELLS = ("T", "F", "U")
+from .schema import LETTERS
+
 _BAD = 3  # code of a byte that is not a T/F/U cell
 # One 256-entry table each way between cell letters (as ASCII bytes) and codes.
-_ENCODE = bytes(_CELLS.index(chr(b)) if chr(b) in _CELLS else _BAD
+_ENCODE = bytes(LETTERS.index(chr(b)) if chr(b) in LETTERS else _BAD
                 for b in range(256))
-_DECODE = bytes.maketrans(b"\x00\x01\x02", "".join(_CELLS).encode("ascii"))
-_LETTERS = np.array(_CELLS)
+_DECODE = bytes.maketrans(b"\x00\x01\x02", "".join(LETTERS).encode("ascii"))
 
 
 class MatrixError(ValueError):
@@ -70,13 +70,6 @@ class EvalMatrix:
     def n_cols(self) -> int:
         return int(self.codes.shape[1])
 
-    @property
-    def cells(self) -> np.ndarray:
-        """Read-only T/F/U (``<U1``) array decoded from the codes."""
-        letters = _LETTERS[self.codes]
-        letters.flags.writeable = False
-        return letters
-
     def rows(self) -> list[str]:
         text = self.codes.tobytes().translate(_DECODE).decode("ascii")
         n = self.n_cols
@@ -96,7 +89,7 @@ class EvalMatrix:
         bad = _first_bad_row(codes)
         if bad is not None:
             raise MatrixError(f"row {bad}: invalid cell value "
-                              f"{next(c for c in rows[bad] if c not in _CELLS)!r}")
+                              f"{next(c for c in rows[bad] if c not in LETTERS)!r}")
         return EvalMatrix(ids, codes, tuple(provenance), af_hash)
 
 
@@ -274,11 +267,11 @@ def matrix_from_csv(text: str, af_hash: str = "") -> EvalMatrix:
                               f"found {fields}")
         run, _, rest = ln.partition(",")
         snap, _, cells = rest.partition(",")
-        try:
-            prov.append((run, int(snap) if snap else 0))
-        except ValueError:
-            raise MatrixError(f"line {no}: #snapshot {snap!r} is not an "
-                              "integer") from None
+        # ASCII digits, as matrix_to_csv writes: no sign, space, '_' or other
+        # script's digits.
+        if not (snap.isascii() and snap.isdigit()):
+            raise MatrixError(f"line {no}: #snapshot {snap!r} is not an integer")
+        prov.append((run, int(snap)))
         # With one letter per cell the letters sit at the even offsets; any
         # other layout has the wrong length or puts a comma there, which
         # _encode marks bad.
@@ -293,5 +286,5 @@ def matrix_from_csv(text: str, af_hash: str = "") -> EvalMatrix:
 
 
 def _bad_cell(no: int, line: str) -> MatrixError:
-    bad = next(c for c in line.split(",")[2:] if c not in _CELLS)
+    bad = next(c for c in line.split(",")[2:] if c not in LETTERS)
     return MatrixError(f"line {no}: invalid cell value {bad!r}")

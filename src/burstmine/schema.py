@@ -18,7 +18,11 @@ NUMBER = ("a number", lambda v: isinstance(v, (int, float))
           and not isinstance(v, bool) and math.isfinite(v))
 TARGETS = ("a string or a list of strings", lambda v: isinstance(v, str) or (
     isinstance(v, list) and all(map(STRING[1], v))))
-TFU = ("a T/F/U string", lambda v: isinstance(v, str) and not v.strip("TFU"))
+# A probe's value, one letter per code: T=0, F=1, U=2.  A cell test is
+# membership of this tuple, so "TF" and "" are not cells.
+LETTERS = ("T", "F", "U")
+TFU = ("a T/F/U string", lambda v: isinstance(v, str)
+       and not v.strip("".join(LETTERS)))
 SCALAR = ("a JSON scalar", lambda v: not isinstance(v, (list, dict)))
 LIST = ("a list", lambda v: isinstance(v, list))
 

@@ -1,4 +1,4 @@
-"""Ternary evaluation of abstraction functions against concrete states.
+"""T/F/U evaluation of abstraction functions against concrete states.
 
 A concrete state is a small heap snapshot: an object table plus, per class,
 an optional designated root instance (the monitored object).  Evaluating a
@@ -9,8 +9,10 @@ the whole function U even if another clause is already false.  This is
 deliberately not Kleene conjunction; it reflects that an abstract state is
 only trustworthy when every probe it aggregates was actually observable.
 
-Results are codes T=0, F=1, U=2, so a conjunction is the ``max`` of its
-clauses' codes: U dominates, then F, then T.  Extracted functions repeat
+A value is the letter ``"T"``, ``"F"`` or ``"U"``, and an abstract state is
+the string of its functions' letters.  Inside, values are codes T=0, F=1,
+U=2 (``schema.LETTERS``), so a conjunction is the ``max`` of its clauses'
+codes: U dominates, then F, then T.  Extracted functions repeat
 the same guards, so an AF list is compiled once into a table of its
 distinct terms, its distinct clauses (term-index triples) and each
 function's clause indices.  Per state, each distinct term is resolved once
@@ -22,22 +24,12 @@ only weakly, so it lives no longer than they do.
 
 from __future__ import annotations
 
-import enum
 import weakref
 from dataclasses import dataclass, field
 
 from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
                         IntTerm, NullTerm, ParamTerm, Term)
-from .schema import STRING, MapOf, Record, check
-
-
-class Ternary(enum.Enum):
-    T = "T"
-    F = "F"
-    U = "U"
-
-    def __str__(self) -> str:
-        return self.value
+from .schema import LETTERS, STRING, MapOf, Record, check
 
 
 class StateError(ValueError):
@@ -111,7 +103,6 @@ class ConcreteState:
 
 
 _UNRESOLVED = object()
-_TFU = "TFU"  # letters by code; a conjunction's code is its clauses' max
 
 
 def _resolve(term: Term, state: ConcreteState):
@@ -185,10 +176,10 @@ def _decide(left, op: str, right) -> int:
     return 2 if result is None else 0 if result else 1
 
 
-def eval_clause(clause: Clause, state: ConcreteState) -> Ternary:
-    """Total ternary evaluation of one comparison."""
-    return Ternary(_TFU[_decide(_resolve(clause.lhs, state), clause.op,
-                                _resolve(clause.rhs, state))])
+def eval_clause(clause: Clause, state: ConcreteState) -> str:
+    """Total ternary evaluation of one comparison: "T", "F" or "U"."""
+    return LETTERS[_decide(_resolve(clause.lhs, state), clause.op,
+                           _resolve(clause.rhs, state))]
 
 
 class _Table:
@@ -226,7 +217,7 @@ class _Table:
         row = self._rows.get(codes)
         if row is None:
             row = self._rows[codes] = "".join(
-                [_TFU[max(map(codes.__getitem__, f))] for f in self.functions])
+                [LETTERS[max(map(codes.__getitem__, f))] for f in self.functions])
         return row
 
 
@@ -243,9 +234,9 @@ def _table(afs) -> _Table:
     return table
 
 
-def eval_function(af: AbstractionFunction, state: ConcreteState) -> Ternary:
-    """Unknown dominates, then false, then true."""
-    return Ternary(_table((af,)).row(state))
+def eval_function(af: AbstractionFunction, state: ConcreteState) -> str:
+    """The letter "T", "F" or "U": unknown dominates, then false, then true."""
+    return _table((af,)).row(state)
 
 
 def abstract_state(afs: list[AbstractionFunction], state: ConcreteState) -> str:

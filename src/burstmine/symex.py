@@ -1,6 +1,7 @@
 """Bounded symbolic execution of mini-IR methods.
 
-Each method of each relevant class is explored depth-first (then-branch
+Each method of each relevant class is explored depth-first, each atomic
+comparison's true side first (so ``if (!(x > 0))`` explores its else path
 first), accumulating one clause per branch decision.  Entry-to-exit paths,
 defensive aborts at statically-empty array accesses, and bound truncations
 each emit a path condition; stripping parameter clauses from those turns
@@ -48,7 +49,7 @@ from . import ir
 from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
                         IntTerm, NullTerm, ParamTerm, PathCondition, Term)
 from .ir import iter_exprs
-from .states import ConcreteState, Ternary, eval_clause
+from .states import ConcreteState, eval_clause
 
 
 class SymexError(Exception):
@@ -386,9 +387,9 @@ class _Executor:
         if not pos.references_state():
             # Pure constant comparison: decide it as a probe would, record nothing.
             value = eval_clause(pos, ConcreteState())
-            if value is Ternary.U:
+            if value == "U":
                 raise SymexError(f"undecidable constant guard {pos}")
-            (k_true if value is Ternary.T else k_false)(path)
+            (k_true if value == "T" else k_false)(path)
             return
         if pos.key() in path.keys:
             k_true(path)

@@ -106,6 +106,15 @@ def test_extract_local_call_with_a_missing_argument_exits_2(workdir):
     assert not (workdir / "x.json").exists()
 
 
+def test_extract_program_with_a_syntax_error_exits_2(workdir):
+    src = workdir / "bad.mir"
+    src.write_text("class A {\n  field x: int;\n  method m() { A.x = 1 }\n}\n")
+    rc, err = run_cli_process("extract", "--program", src, "--out", workdir / "x.json")
+    assert_one_line_diagnostic(rc, err, "IrSyntaxError")
+    assert json.loads(err)["message"] == "3:24: expected ';' (got '}')"
+    assert not (workdir / "x.json").exists()
+
+
 def test_extract_unknown_target_exits_2(workdir, capsys):
     rc = run_cli("extract", "--program", workdir / "cart.mir",
                  "--targets", "Warehouse", "--out", workdir / "x.json")

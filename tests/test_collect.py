@@ -662,7 +662,9 @@ def _documents(draw, bursts: bool = False):
             text = "  " + text + "\t"
         out.append(text)
     for _ in range(draw(st.integers(0, 3))):
-        at = draw(st.integers(0, len(out) - 1))
+        # A burst file's header line is not copied: a body line that is a
+        # header only fails on its missing 'label'.
+        at = draw(st.integers(1 if bursts else 0, len(out) - 1))
         copy = out[at]
         if copy and draw(st.booleans()):  # as long and alike, but another text
             i = draw(st.integers(0, len(copy) - 1))
@@ -682,13 +684,26 @@ def _outcome(read, text: str):
         return type(exc), str(exc)
 
 
+def _agree_at_every_record(read, reference, text: str) -> None:
+    """The readers agree on ``text`` and on each prefix of it that ends at a
+    line.  A line both reject is left out of the later prefixes, so that a
+    bad line does not hide the lines after it."""
+    assert _outcome(read, text) == _outcome(reference, text)
+    kept = ""
+    for line in text.splitlines(keepends=True):
+        outcome = _outcome(read, kept + line)
+        assert outcome == _outcome(reference, kept + line)
+        if outcome[0] == "read":
+            kept += line
+
+
 @settings(max_examples=400, deadline=None)
 @given(_documents())
 def test_trace_reader_agrees_with_the_parsed_reader(text):
-    assert _outcome(loads_runs, text) == _outcome(_reference_loads_runs, text)
+    _agree_at_every_record(loads_runs, _reference_loads_runs, text)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_documents(bursts=True))
 def test_burst_reader_agrees_with_the_parsed_reader(text):
-    assert _outcome(loads_bursts, text) == _outcome(_reference_loads_bursts, text)
+    _agree_at_every_record(loads_bursts, _reference_loads_bursts, text)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 from importlib import resources
 
@@ -67,14 +68,11 @@ def test_from_rows_empty():
     assert m.n_rows == 0 and m.n_cols == 3
 
 
-def test_codes_and_read_only_cells():
+def test_codes_and_rows():
     m = matrix(["TFU", "UUT"])
     assert m.codes.dtype == np.uint8
     assert m.codes.tolist() == [[0, 1, 2], [2, 2, 0]]
-    assert m.cells.dtype == np.dtype("<U1")
-    assert m.cells.tolist() == [["T", "F", "U"], ["U", "U", "T"]]
-    with pytest.raises(ValueError):
-        m.cells[0, 0] = "F"
+    assert m.rows() == ["TFU", "UUT"]
 
 
 @pytest.mark.parametrize("codes", [
@@ -188,11 +186,11 @@ def test_golden_fixture_constraints_hold():
     m = golden_matrix()
     rows = m.rows()
     assert rows[1] == rows[2] == "UFTTFFF"
-    col = lambda j: "".join(m.cells[:, j])
+    col = lambda j: "".join(row[j] for row in rows)
     assert col(0) == "UUUUU" and col(2) == "TTTTT"
     kept_rows = (0, 1, 3, 4)
-    assert ["".join(m.cells[i, 1]) for i in kept_rows] == list("UFFF")
-    assert ["".join(m.cells[i, 5]) for i in kept_rows] == list("UFFF")
+    assert [rows[i][1] for i in kept_rows] == list("UFFF")
+    assert [rows[i][5] for i in kept_rows] == list("UFFF")
 
 
 def test_empty_matrix_filters_to_empty():
@@ -243,7 +241,7 @@ def test_distinguishability_preserved_and_locally_minimal(seed):
     if out.n_rows > 1:
         for j in range(out.n_cols):
             trial = [c for c in range(out.n_cols) if c != j]
-            proj = ["".join(out.cells[i, trial]) for i in range(out.n_rows)]
+            proj = ["".join(row[c] for c in trial) for row in out.rows()]
             assert len(set(proj)) < out.n_rows
 
 
@@ -388,6 +386,11 @@ def test_csv_text_round_trips_unchanged():
 WIDE_ROW = ",".join(["T"] * 120)
 
 
+# Snapshots that int() reads but matrix_to_csv never writes.
+ODD_SNAPSHOTS = {"arabic-digit": "\u0663", "space": " 7", "underscore": "1_0",
+                 "plus": "+2", "minus": "-1", "empty": ""}
+
+
 @pytest.mark.parametrize("body,needle", [
     ("r,0,T,F\nr,x,T,F\n", r"line 3: #snapshot 'x' is not an integer"),
     ("r,0,T,F\nr,1,T\n", "line 3: expected 4 fields, found 3"),
@@ -395,8 +398,11 @@ WIDE_ROW = ",".join(["T"] * 120)
     ("r,0,TF,F\n", "line 2: invalid cell value 'TF'"),
     ("r,0,,TF\n", "line 2: invalid cell value ''"),
     (f"r,0,{WIDE_ROW}\n", "line 2: expected 4 fields, found 122"),
+    *[(f"r,0,T,F\nr,{snap},T,F\n",
+       re.escape(f"line 3: #snapshot {snap!r} is not an integer"))
+      for snap in ODD_SNAPSHOTS.values()],
 ], ids=["snapshot-not-int", "short-row", "bad-letter", "two-letter-cell",
-        "empty-cell", "wide-row"])
+        "empty-cell", "wide-row", *[f"snapshot-{k}" for k in ODD_SNAPSHOTS]])
 def test_csv_errors_name_the_line(body, needle):
     with pytest.raises(MatrixError, match=needle) as exc:
         matrix_from_csv("#run,#snapshot,A,B\n" + body)

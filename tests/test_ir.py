@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from burstmine.ir import (ArityError, DependencyGraph, DuplicateNameError,
-                          IrSyntaxError, UndeclaredTypeError, UnknownTargetError,
-                          build_dependency_graph, detect_relevant_classes,
-                          parse_program, pretty_print)
+                          IrError, IrSyntaxError, UndeclaredTypeError,
+                          UnknownTargetError, build_dependency_graph,
+                          detect_relevant_classes, parse_atom, parse_program,
+                          pretty_print)
 
 from conftest import cart_source
 
@@ -69,6 +70,80 @@ def test_local_call_with_another_argument_count_rejected(args):
                        rf"{len(args.split(',')) if args else 0} argument\(s\); it takes 1"):
         parse_program(src)
     assert parse_program(src.replace(f"look({args})", "look(Shelf)"))
+
+
+B = "class B { field v: int; field bs: B[]; } "
+
+
+@pytest.mark.parametrize("source,error,message", [
+    pytest.param("class A { field x: int; } $", IrSyntaxError,
+                 "1:27: unexpected character '$'", id="unexpected-character"),
+    pytest.param("class A { const K = true; }", IrSyntaxError,
+                 "1:21: expected integer literal (got 'true')", id="const-not-integer"),
+    pytest.param("class A { x: int; }", IrSyntaxError,
+                 "1:11: expected const, field, or method (got 'x')", id="bad-member"),
+    pytest.param("class A { field x: 3; }", IrSyntaxError,
+                 "1:20: expected type name (got '3')", id="bad-type-name"),
+    pytest.param(B + "class A { method m(p: B[]) { } }", IrSyntaxError,
+                 "1:67: array parameters are not supported (got ')')",
+                 id="array-parameter"),
+    pytest.param(B + "class A { field n: int; method m() { for i in 1 .. A.n { } } }",
+                 IrSyntaxError, "1:88: for loops must start at 0 (got '1')",
+                 id="loop-not-from-0"),
+    pytest.param(B + "class A { field n: int; method m() { A.n.3 = 1; } }",
+                 IrSyntaxError, "1:83: expected field, index, or length (got '3')",
+                 id="bad-path-segment"),
+    pytest.param("class A { const K = 1; const K = 2; }", DuplicateNameError,
+                 "duplicate member A.K", id="duplicate-const"),
+    pytest.param("class A { method m() { } method m() { } }", DuplicateNameError,
+                 "duplicate method A.m", id="duplicate-method"),
+    pytest.param("class A { method m(p: int, p: int) { } }", DuplicateNameError,
+                 "duplicate parameter 'p' in A.m", id="duplicate-parameter"),
+    pytest.param("class A { field xs: int[]; }", UndeclaredTypeError,
+                 "field A.xs: arrays hold object refs, not scalars", id="scalar-array"),
+    pytest.param("class A { method m() { call gone(); } }", UndeclaredTypeError,
+                 "A.m: call to unknown local method 'gone'", id="unknown-local-method"),
+    pytest.param(B + "class A { field n: int; method m() { for i in 0 .. A.n "
+                 "{ A.n = i.v; } } }", UndeclaredTypeError,
+                 "A.m: loop variable 'i' has no fields", id="loop-variable-field"),
+    pytest.param("class A { field n: int; method m() { A.n = A.n.length; } }",
+                 UndeclaredTypeError, "A.m: .length on non-array in A.n.length",
+                 id="length-of-scalar"),
+    pytest.param("class A { field n: int; method m() { A.n = A.n.[0]; } }",
+                 UndeclaredTypeError, "A.m: indexing non-array in A.n.[0]",
+                 id="index-of-scalar"),
+    pytest.param("class A { field n: int; method m() { A.n = A.n.v; } }",
+                 UndeclaredTypeError, "A.m: field access on non-object in A.n.v",
+                 id="field-of-scalar"),
+    # A's method is checked before B's field types.
+    pytest.param("class A { field n: int; method m() { A.n = B.c.v; } } "
+                 "class B { field c: Nope; }", UndeclaredTypeError,
+                 "A.m: undeclared class 'Nope'", id="undeclared-class-in-path"),
+    pytest.param(B + "class A { field n: int; method m() { A.n = B.w; } }",
+                 UndeclaredTypeError, "A.m: 'B' has no member 'w' in B.w",
+                 id="no-such-member"),
+])
+def test_each_ir_diagnostic_names_its_class_and_message(source, error, message):
+    with pytest.raises(IrError) as exc:
+        parse_program(source)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def test_a_clause_term_is_one_atom_without_parentheses():
+    with pytest.raises(IrSyntaxError) as exc:
+        parse_atom("(A.n)")
+    assert str(exc.value) == "1:1: expected literal or path (got '(')"
+
+
+def test_a_class_named_only_in_a_call_argument_is_a_dependency():
+    src = """
+    class A { field n: int;
+      method m() { call look(B.k); }
+      method look(x: int) { A.n = x; }
+    }
+    class B { field k: int; }
+    """
+    assert build_dependency_graph(parse_program(src)).edges == (("A", "B"),)
 
 
 # Every literal, a literal index, a loop-variable index, a field-path index

@@ -15,7 +15,7 @@ from burstmine.functions import (COMPARE_OPS, AbstractionFunction, BoolTerm, Cla
                                  af_list_hash, parse_term)
 from burstmine.ir import KEYWORDS
 from burstmine.states import (_UNRESOLVED, ConcreteObject, ConcreteState,
-                              StateError, Ternary, _compare, _resolve,
+                              StateError, _compare, _resolve,
                               abstract_state, eval_clause, eval_function)
 
 
@@ -52,17 +52,17 @@ def cart_state(n_products=0, products=(), with_cart=True, total=0) -> ConcreteSt
 
 def test_missing_array_element_is_unknown():
     s = cart_state(n_products=0, products=())
-    assert eval_clause(clause("Cart.products.[0].taxFree == true"), s) is Ternary.U
+    assert eval_clause(clause("Cart.products.[0].taxFree == true"), s) == "U"
 
 
 def test_direct_comparison_true():
     s = cart_state(n_products=0)
-    assert eval_clause(clause("Cart.nProducts <= 0"), s) is Ternary.T
+    assert eval_clause(clause("Cart.nProducts <= 0"), s) == "T"
 
 
 def test_missing_root_is_unknown():
     s = cart_state(with_cart=False)
-    assert eval_clause(clause("Cart.nProducts > 0"), s) is Ternary.U
+    assert eval_clause(clause("Cart.nProducts > 0"), s) == "U"
 
 
 def test_negation_swaps_t_f_and_fixes_u():
@@ -70,10 +70,10 @@ def test_negation_swaps_t_f_and_fixes_u():
     base = clause("Cart.nProducts > 0")
     neg = Clause(base.lhs, base.op, base.rhs, negated=True)
     assert neg == Clause(base.lhs, "<=", base.rhs)
-    assert eval_clause(base, s) is Ternary.T
-    assert eval_clause(neg, s) is Ternary.F
+    assert eval_clause(base, s) == "T"
+    assert eval_clause(neg, s) == "F"
     missing = cart_state(with_cart=False)
-    assert eval_clause(neg, missing) is Ternary.U
+    assert eval_clause(neg, missing) == "U"
 
 
 def test_clauses_are_canonical_from_construction():
@@ -121,48 +121,48 @@ def test_parse_term_reads_back_every_printed_term(term):
 
 def test_length_and_index_resolution():
     s = cart_state(n_products=1, products=[(40, True)])
-    assert eval_clause(clause("Cart.products.length > 0"), s) is Ternary.T
-    assert eval_clause(clause("Cart.products.[0].value >= Cart.PRICE"), s) is Ternary.F
-    assert eval_clause(clause("Cart.products.[0].value < Cart.PRICE"), s) is Ternary.T
+    assert eval_clause(clause("Cart.products.length > 0"), s) == "T"
+    assert eval_clause(clause("Cart.products.[0].value >= Cart.PRICE"), s) == "F"
+    assert eval_clause(clause("Cart.products.[0].value < Cart.PRICE"), s) == "T"
 
 
 def test_field_indexed_access():
     # products.[Cart.nProducts] resolves the index through the state
     s = cart_state(n_products=1, products=[(40, True), (70, False)])
     c = clause("Cart.products.[Cart.nProducts].taxFree == false")
-    assert eval_clause(c, s) is Ternary.T  # index 1 -> second product
+    assert eval_clause(c, s) == "T"  # index 1 -> second product
 
 
 def test_missing_field_is_unknown():
     s = ConcreteState({"c1": ConcreteObject("Cart", {"nProducts": 1})},
                       {"Cart": "c1"})
-    assert eval_clause(clause("Cart.total > 0"), s) is Ternary.U
+    assert eval_clause(clause("Cart.total > 0"), s) == "U"
 
 
 # --- eval_function ----------------------------------------------------------
 
 def test_conjunction_true_with_one_product():
     f = af("Cart.nProducts != 0", "Cart.products.length >= 0")
-    assert eval_function(f, cart_state(n_products=1, products=[(5, False)])) is Ternary.T
+    assert eval_function(f, cart_state(n_products=1, products=[(5, False)])) == "T"
 
 
 def test_conjunction_unknown_without_cart():
     f = af("Cart.nProducts != 0", "Cart.products.length >= 0")
-    assert eval_function(f, cart_state(with_cart=False)) is Ternary.U
+    assert eval_function(f, cart_state(with_cart=False)) == "U"
 
 
 def test_conjunction_false():
     f = af("Cart.nProducts <= 0", "Cart.nProducts > 0")
-    assert eval_function(f, cart_state(n_products=0)) is Ternary.F
+    assert eval_function(f, cart_state(n_products=0)) == "F"
 
 
 def test_unknown_dominates_false():
     # Deliberately non-Kleene: an F clause does not settle the conjunction.
     f = af("Cart.nProducts > 0", "Cart.products.[0].value > 0")
     s = cart_state(n_products=0, products=())
-    assert eval_clause(f.clauses[0], s) is Ternary.F
-    assert eval_clause(f.clauses[1], s) is Ternary.U
-    assert eval_function(f, s) is Ternary.U
+    assert eval_clause(f.clauses[0], s) == "F"
+    assert eval_clause(f.clauses[1], s) == "U"
+    assert eval_function(f, s) == "U"
 
 
 def test_resolving_missing_object_only_refines_unknowns():
@@ -174,8 +174,8 @@ def test_resolving_missing_object_only_refines_unknowns():
         {"c1": ConcreteObject("Cart", {"nProducts": 3}),
          "p1": ConcreteObject("Product", {"value": 9})},
         {"Cart": "c1", "Product": "p1"})
-    assert eval_function(f_prod, without) is Ternary.U
-    assert eval_function(f_prod, with_prod) is Ternary.T
+    assert eval_function(f_prod, without) == "U"
+    assert eval_function(f_prod, with_prod) == "T"
     # functions not referencing the new object are unaffected
     assert eval_function(f_cart, without) is eval_function(f_cart, with_prod)
 
@@ -209,25 +209,25 @@ def test_abstract_state_requires_functions():
 
 # --- the compiled table against the clause-by-clause interpreter ----------
 
-def _reference_clause(c: Clause, state: ConcreteState) -> Ternary:
+def _reference_clause(c: Clause, state: ConcreteState) -> str:
     left, right = _resolve(c.lhs, state), _resolve(c.rhs, state)
     if left is _UNRESOLVED or right is _UNRESOLVED:
-        return Ternary.U
+        return "U"
     result = _compare(left, c.op, right)
     if result is None:
-        return Ternary.U
-    return Ternary.T if result else Ternary.F
+        return "U"
+    return "T" if result else "F"
 
 
-def _reference_function(f: AbstractionFunction, state: ConcreteState) -> Ternary:
+def _reference_function(f: AbstractionFunction, state: ConcreteState) -> str:
     saw_false = False
     for c in f.clauses:
         v = _reference_clause(c, state)
-        if v is Ternary.U:
-            return Ternary.U
-        if v is Ternary.F:
+        if v == "U":
+            return "U"
+        if v == "F":
             saw_false = True
-    return Ternary.F if saw_false else Ternary.T
+    return "F" if saw_false else "T"
 
 
 # Terms over the states below: ints, bools, refs, lengths, missing fields,
@@ -285,10 +285,10 @@ def _states(draw) -> ConcreteState:
 def test_compiled_table_agrees_with_the_reference_interpreter(afs, snapshots):
     for state in snapshots + snapshots[:1]:  # a repeated state reuses its row
         expected = [_reference_function(f, state) for f in afs]
-        assert abstract_state(afs, state) == "".join(v.value for v in expected)
+        assert abstract_state(afs, state) == "".join(expected)
         assert [eval_function(f, state) for f in afs] == expected
         for c in {c for f in afs for c in f.clauses}:
-            assert eval_clause(c, state) is _reference_clause(c, state)
+            assert eval_clause(c, state) == _reference_clause(c, state)
 
 
 def test_compiled_table_keeps_no_function_alive():

@@ -3,8 +3,7 @@ import pytest
 from burstmine.functions import (Clause, IntTerm, ParamTerm, dump_af_list,
                                  load_af_list, parse_term)
 from burstmine.ir import parse_program
-from burstmine.states import (ConcreteObject, ConcreteState, Ternary,
-                              eval_function)
+from burstmine.states import ConcreteObject, ConcreteState, eval_function
 from burstmine.symex import (SymexBounds, SymexError,
                              extract_abstraction_functions,
                              strip_parameter_clauses, symbolic_execute)
@@ -203,6 +202,67 @@ def test_undecidable_constant_guard_raises():
         symbolic_execute(p.classes[0].methods[0], p)
 
 
+@pytest.mark.parametrize("guard", ["C.n + 1", "1"])
+def test_a_guard_that_is_no_condition_raises(guard):
+    p = parse_program(f"class C {{ field n: int; method m() {{ if ({guard}) "
+                      "{ C.n = 1; } } }")
+    with pytest.raises(SymexError) as exc:
+        symbolic_execute(p.classes[0].methods[0], p)
+    assert str(exc.value) == f"unsupported guard expression {guard}"
+
+
+# One method of C per exploration rule; an access to C.xs.[1] is followed by
+# a guard on C.b, which shows whether the path went on past the access.
+RULES = ("class B { field v: int; } class C { field n: int; field b: bool; "
+         "field xs: B[]; const K = 3; method m() { %s } }")
+AFTER_ACCESS = "C.xs.[1].v = 1; if (C.b) { C.n = 1; }"
+
+
+@pytest.mark.parametrize("body,paths", [
+    pytest.param("if (C.n > 0 || C.b) { C.n = 1; }",
+                 [["C.n > 0"], ["C.n <= 0", "C.b == true"],
+                  ["C.n <= 0", "C.b == false"]], id="or"),
+    # Each comparison's true side comes first, so here the else path is P0.
+    pytest.param("if (!(C.n > 0)) { C.n = 1; }", [["C.n > 0"], ["C.n <= 0"]],
+                 id="not"),
+    pytest.param("if (C.b) { C.n = 1; }", [["C.b == true"], ["C.b == false"]],
+                 id="bool-path"),
+    pytest.param("if (true) { if (C.n > 0) { C.n = 1; } } else { C.b = true; }",
+                 [["C.n > 0"], ["C.n <= 0"]], id="true-literal"),
+    pytest.param("if (false) { C.b = true; } else { if (C.n > 0) { C.n = 1; } }",
+                 [["C.n > 0"], ["C.n <= 0"]], id="false-literal"),
+    # The second test follows the side the first one pinned, either way.
+    pytest.param("if (C.n > 0) { C.n = 1; } if (C.n > 0) { C.n = 2; } "
+                 "else { C.b = true; }", [["C.n > 0"], ["C.n <= 0"]],
+                 id="re-tested"),
+    pytest.param("if (C.xs.length < 0) { C.n = 1; }", [["C.xs.length >= 0"]],
+                 id="statically-true-mirror"),
+    pytest.param("if (C.K < 0) { C.n = 1; }", [["C.K >= 0"]],
+                 id="statically-true-constant-mirror"),
+    pytest.param(f"if (C.xs.length > 1) {{ {AFTER_ACCESS} }}",
+                 [["C.xs.length > 1", "C.b == true"],
+                  ["C.xs.length > 1", "C.b == false"], ["C.xs.length <= 1"]],
+                 id="in-range-greater"),
+    pytest.param(f"if (C.xs.length >= 2) {{ {AFTER_ACCESS} }}",
+                 [["C.xs.length >= 2", "C.b == true"],
+                  ["C.xs.length >= 2", "C.b == false"], ["C.xs.length < 2"]],
+                 id="in-range-at-least"),
+    pytest.param(f"if (C.xs.length == 2) {{ {AFTER_ACCESS} }}",
+                 [["C.xs.length == 2", "C.b == true"],
+                  ["C.xs.length == 2", "C.b == false"], ["C.xs.length != 2"]],
+                 id="in-range-equal"),
+    pytest.param(f"if (C.xs.length == 1) {{ {AFTER_ACCESS} }}",
+                 [["C.xs.length == 1"], ["C.xs.length != 1"]], id="out-of-range-equal"),
+    pytest.param(f"if (C.xs.length <= 1) {{ {AFTER_ACCESS} }}",
+                 [["C.xs.length <= 1"], ["C.xs.length > 1"]], id="out-of-range-at-most"),
+])
+def test_exploration_rules_pin_the_paths(body, paths):
+    p = parse_program(RULES % body)
+    got, report = symbolic_execute(p.classes[1].methods[0], p)
+    assert [[c.key() for c in path.clauses] for path in got] == paths
+    assert not report.truncated
+
+
 # --- dedup and bounds ---------------------------------------------------------
 
 def test_twin_methods_deduplicate():
@@ -301,7 +361,7 @@ def test_inlined_literal_argument_is_a_concrete_index():
     state = ConcreteState({"s": ConcreteObject("Shelf", {"boxes": ["b"]}),
                            "b": ConcreteObject("Box", {"v": 5})},
                           {"Shelf": "s"})
-    assert eval_function(peek[1], state) is Ternary.T
+    assert eval_function(peek[1], state) == "T"
     loaded, _ = load_af_list(dump_af_list(peek))
     assert [af.clauses for af in loaded] == [af.clauses for af in peek]
 
