@@ -14,11 +14,11 @@ The rules never lose distinguishability: the number of distinct rows of the
 kept projection equals the number of distinct rows after deduplication.
 Greedy removal yields a locally minimal set, not a global minimum cover.
 
-An ``EvalMatrix`` holds its cells as one ``uint8`` array of codes (T/F/U ->
-0/1/2, ``schema.LETTERS``), parsed from the row text through a 256-entry byte
-table.  Every rule tests distinctness by viewing each row (or column) of
-codes as one byte-string key and calling ``np.unique`` once.  ``rows()`` and
-the CSV form stay text.
+An ``EvalMatrix`` holds its cells as one T/F/U string per row, as
+``states.abstract_state`` returns them.  The rules work on those strings: a
+dict of first occurrences for rows, stride slices of the joined row text
+(``text[j::n_cols]``) for columns, and a set of trial rows for each greedy
+removal.
 """
 
 from __future__ import annotations
@@ -26,15 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .schema import LETTERS
-
-_BAD = 3  # code of a byte that is not a T/F/U cell
-# One 256-entry table each way between cell letters (as ASCII bytes) and codes.
-_ENCODE = bytes(LETTERS.index(chr(b)) if chr(b) in LETTERS else _BAD
-                for b in range(256))
-_DECODE = bytes.maketrans(b"\x00\x01\x02", "".join(LETTERS).encode("ascii"))
 
 
 class MatrixError(ValueError):
@@ -46,63 +38,53 @@ class EvalMatrix:
     """Rows of ternary cells with parallel column ids and row provenance."""
 
     column_ids: tuple[str, ...]
-    codes: np.ndarray  # shape (rows, cols), dtype uint8: 0 = T, 1 = F, 2 = U
+    cells: tuple[str, ...]  # one T/F/U string per row
     provenance: tuple[tuple[str, int], ...] = ()
     af_hash: str = ""
 
     def __post_init__(self) -> None:
-        if not isinstance(self.codes, np.ndarray) or self.codes.dtype != np.uint8:
-            raise MatrixError("cell codes must be a uint8 array")
-        if self.codes.ndim != 2 or self.codes.shape[1] != len(self.column_ids):
-            raise MatrixError("cell block does not match column ids")
-        if self.codes.size and self.codes.max() > 2:
-            raise MatrixError("cell codes must be 0 (T), 1 (F) or 2 (U)")
-        if self.provenance and len(self.provenance) != self.codes.shape[0]:
+        width = len(self.column_ids)
+        bad = _bad_row(self.cells, width)
+        if bad is not None:
+            row = self.cells[bad]
+            if len(row) != width:
+                raise MatrixError(f"row {bad} has {len(row)} cells, "
+                                  f"expected {width}")
+            raise MatrixError(f"row {bad}: invalid cell value "
+                              f"{next(c for c in row if c not in LETTERS)!r}")
+        if self.provenance and len(self.provenance) != len(self.cells):
             raise MatrixError("provenance does not match row count")
-        if len(set(self.column_ids)) != len(self.column_ids):
+        if len(set(self.column_ids)) != width:
             raise MatrixError("column ids must be unique")
 
     @property
     def n_rows(self) -> int:
-        return int(self.codes.shape[0])
+        return len(self.cells)
 
     @property
     def n_cols(self) -> int:
-        return int(self.codes.shape[1])
+        return len(self.column_ids)
 
     def rows(self) -> list[str]:
-        text = self.codes.tobytes().translate(_DECODE).decode("ascii")
-        n = self.n_cols
-        return [text[i * n:(i + 1) * n] for i in range(self.n_rows)]
+        return list(self.cells)
 
     def distinct_row_count(self) -> int:
-        return _distinct_rows(self.codes)
+        return len(set(self.cells))
 
     @staticmethod
     def from_rows(column_ids, rows, provenance=(), af_hash: str = "") -> "EvalMatrix":
-        ids, rows = tuple(column_ids), list(rows)
-        for i, row in enumerate(rows):
-            if len(row) != len(ids):
-                raise MatrixError(f"row {i} has {len(row)} cells, "
-                                  f"expected {len(ids)}")
-        codes = _encode(rows, len(ids))
-        bad = _first_bad_row(codes)
-        if bad is not None:
-            raise MatrixError(f"row {bad}: invalid cell value "
-                              f"{next(c for c in rows[bad] if c not in LETTERS)!r}")
-        return EvalMatrix(ids, codes, tuple(provenance), af_hash)
+        return EvalMatrix(tuple(column_ids), tuple(rows), tuple(provenance), af_hash)
 
 
-def _encode(rows: list[str], width: int) -> np.ndarray:
-    """Codes of equal-length rows, cells outside T/F/U becoming ``_BAD``."""
-    data = "".join(rows).encode("ascii", "replace").translate(_ENCODE)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-
-
-def _first_bad_row(codes: np.ndarray) -> int | None:
-    if codes.size and codes.max() > 2:
-        return int((codes > 2).any(axis=1).argmax())
-    return None
+def _bad_row(rows, width: int) -> int | None:
+    """Index of the first row that is not ``width`` T/F/U letters, if any.
+    The letters of all rows are checked in one pass over their joined text."""
+    letters = "".join(LETTERS)
+    text = "".join(rows).encode("ascii", "replace")
+    if set(map(len, rows)) <= {width} and not text.translate(None, letters.encode()):
+        return None
+    return next(i for i, row in enumerate(rows)
+                if len(row) != width or row.strip(letters))
 
 
 @dataclass
@@ -133,13 +115,15 @@ class FilterReport:
 
 def remove_duplicate_rows(m: EvalMatrix, report: FilterReport | None = None,
                           ) -> EvalMatrix:
-    keep, dropped = _kept_and_dropped(m.codes)
-    if report is not None:
-        for i in dropped:
+    first: dict[str, int] = {}
+    for i, row in enumerate(m.cells):
+        if row not in first:
+            first[row] = i
+        elif report is not None:
             prov = m.provenance[i] if m.provenance else ("row", i)
             report.record("duplicate-row", f"{prov[0]}:{prov[1]}")
-    prov = tuple(m.provenance[i] for i in keep) if m.provenance else ()
-    return EvalMatrix(m.column_ids, m.codes[keep], prov, m.af_hash)
+    prov = tuple(m.provenance[i] for i in first.values()) if m.provenance else ()
+    return EvalMatrix(m.column_ids, tuple(first), prov, m.af_hash)
 
 
 def remove_nondiscriminating_columns(m: EvalMatrix,
@@ -147,24 +131,27 @@ def remove_nondiscriminating_columns(m: EvalMatrix,
                                      ) -> EvalMatrix:
     if m.n_rows == 0:
         return m
-    constant = (m.codes == m.codes[0]).all(axis=0)
+    columns = _columns(m)
     keep: list[int] = []
-    for j in range(m.n_cols):
-        if constant[j]:
+    for j, column in enumerate(columns):
+        if column == column[0] * m.n_rows:
             if report is not None:
                 report.record("non-discriminating", m.column_ids[j])
         else:
             keep.append(j)
-    return _project(m, keep)
+    return _project(m, columns, keep)
 
 
 def remove_equivalent_columns(m: EvalMatrix, report: FilterReport | None = None,
                               ) -> EvalMatrix:
-    keep, dropped = _kept_and_dropped(m.codes.T)
-    if report is not None:
-        for j in dropped:
+    columns = _columns(m)
+    first: dict[str, int] = {}
+    for j, column in enumerate(columns):
+        if column not in first:
+            first[column] = j
+        elif report is not None:
             report.record("equivalent", m.column_ids[j])
-    return _project(m, keep)
+    return _project(m, columns, list(first.values()))
 
 
 def remove_redundant_columns(m: EvalMatrix, report: FilterReport | None = None,
@@ -172,21 +159,25 @@ def remove_redundant_columns(m: EvalMatrix, report: FilterReport | None = None,
     if m.distinct_row_count() != m.n_rows:
         raise MatrixError("redundancy removal requires pairwise-distinct rows "
                           "(run duplicate-row removal first)")
-    keep = list(range(m.n_cols))
+    rows, keep = list(m.cells), list(m.column_ids)
     pass_no = 0
     while True:
         pass_no += 1
         committed = False
-        for j in list(keep):
-            trial = [c for c in keep if c != j]
-            if _distinct_rows(m.codes[:, trial]) == m.n_rows:
-                keep = trial
+        p = 0  # position of the tried column in the current rows
+        for ident in list(keep):
+            trial = [r[:p] + r[p + 1:] for r in rows]
+            if len(set(trial)) == m.n_rows:
+                rows = trial
+                del keep[p]
                 committed = True
                 if report is not None:
-                    report.record("redundant", m.column_ids[j], pass_no)
+                    report.record("redundant", ident, pass_no)
+            else:
+                p += 1
         if not committed:
             break
-    return _project(m, keep)
+    return EvalMatrix(tuple(keep), tuple(rows), m.provenance, m.af_hash)
 
 
 def filter_functions(m: EvalMatrix) -> tuple[EvalMatrix, FilterReport]:
@@ -200,40 +191,18 @@ def filter_functions(m: EvalMatrix) -> tuple[EvalMatrix, FilterReport]:
     return out, report
 
 
-def _project(m: EvalMatrix, cols: list[int]) -> EvalMatrix:
-    ids = tuple(m.column_ids[j] for j in cols)
-    return EvalMatrix(ids, m.codes[:, cols], m.provenance, m.af_hash)
+def _columns(m: EvalMatrix) -> list[str]:
+    text = "".join(m.cells)
+    return [text[j::m.n_cols] for j in range(m.n_cols)]
 
 
-# Distinctness kernel.  Each row of a code block becomes one np.void key of
-# its bytes, so equal keys are equal rows.  It uses only NumPy 1.24 APIs
-# (the pyproject floor): a void view and np.unique(..., return_index=True);
-# not np.unique_values/np.unique_counts or np.strings, which need 2.0.
-# return_index also keeps NumPy 2 from importing numpy.ma (about 1 MB) on
-# the first call, which it does to rule out masked input.
-
-
-def _row_keys(codes: np.ndarray) -> np.ndarray:
-    if codes.shape[1] == 0:  # np.void cannot be 0 bytes wide; all rows equal
-        return np.zeros(codes.shape[0], dtype=np.uint8)
-    block = np.ascontiguousarray(codes)
-    return block.view(np.dtype((np.void, block.shape[1]))).ravel()
-
-
-def _first_occurrences(codes: np.ndarray) -> np.ndarray:
-    """Index of the first row of each distinct row, in key order."""
-    return np.unique(_row_keys(codes), return_index=True)[1]
-
-
-def _distinct_rows(codes: np.ndarray) -> int:
-    return len(_first_occurrences(codes))
-
-
-def _kept_and_dropped(codes: np.ndarray) -> tuple[list[int], list[int]]:
-    """Ascending indices of first-occurrence rows, and of the other rows."""
-    keep = sorted(_first_occurrences(codes).tolist())
-    kept = set(keep)
-    return keep, [i for i in range(codes.shape[0]) if i not in kept]
+def _project(m: EvalMatrix, columns: list[str], keep: list[int]) -> EvalMatrix:
+    """The matrix of the kept columns; its rows are stride slices of the
+    joined column text, as the columns are of the joined row text."""
+    text = "".join(columns[j] for j in keep)
+    rows = tuple(text[i::m.n_rows] for i in range(m.n_rows))
+    return EvalMatrix(tuple(m.column_ids[j] for j in keep), rows,
+                      m.provenance, m.af_hash)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +211,10 @@ def _kept_and_dropped(codes: np.ndarray) -> tuple[list[int], list[int]]:
 
 
 def matrix_to_csv(m: EvalMatrix) -> str:
+    for run in dict.fromkeys(str(run) for run, _ in m.provenance):
+        if "," in run or "\n" in run or "\r" in run:
+            raise MatrixError(f"run {run!r} holds ',', '\\n' or '\\r', "
+                              "which a matrix CSV field cannot hold")
     lines = [",".join(("#run", "#snapshot") + m.column_ids)]
     for i, row in enumerate(m.rows()):
         run, snap = m.provenance[i] if m.provenance else ("", i)
@@ -250,7 +223,10 @@ def matrix_to_csv(m: EvalMatrix) -> str:
 
 
 def matrix_from_csv(text: str, af_hash: str = "") -> EvalMatrix:
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    # Records end at "\n" or "\r\n" only, and a blank line holds only spaces,
+    # tabs and "\r", as in the trace readers (``collect._lines``).
+    lines = [(no, ln.removesuffix("\r")) for no, ln in
+             enumerate(text.split("\n"), 1) if ln.strip(" \t\r")]
     if not lines:
         raise MatrixError("empty matrix document")
     header = lines[0][1].split(",")
@@ -274,15 +250,14 @@ def matrix_from_csv(text: str, af_hash: str = "") -> EvalMatrix:
         prov.append((run, int(snap)))
         # With one letter per cell the letters sit at the even offsets; any
         # other layout has the wrong length or puts a comma there, which
-        # _encode marks bad.
+        # _bad_row finds.
         if len(cells) != max(2 * width - 1, 0):
             raise _bad_cell(no, ln)
         rows.append(cells[::2])
-    codes = _encode(rows, width)
-    bad = _first_bad_row(codes)
+    bad = _bad_row(rows, width)
     if bad is not None:
         raise _bad_cell(*lines[1 + bad])
-    return EvalMatrix(ids, codes, tuple(prov), af_hash)
+    return EvalMatrix(ids, tuple(rows), tuple(prov), af_hash)
 
 
 def _bad_cell(no: int, line: str) -> MatrixError:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -64,6 +65,19 @@ def assert_one_line_diagnostic(rc: int, stderr: str, error: str) -> None:
     lines = stderr.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+
+
+def test_importing_the_cli_loads_no_third_party_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = ("import sys; before = set(sys.modules); import burstmine.cli; "
+             "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60, check=True)
+    loaded = proc.stdout.split()
+    assert "burstmine.cli" in loaded
+    assert [m for m in loaded if m.partition(".")[0] not in
+            {*sys.stdlib_module_names, "burstmine"}] == []
 
 
 def test_extract_cart(workdir):
@@ -174,6 +188,31 @@ def test_profile_empty_traces_header_only(workdir, capsys):
     assert rc == 0
     assert out.read_text().strip().splitlines() == ["#run,#snapshot,"
                                                     "Receipt.isOpen-F1,Cart.isEmpty-F1"]
+
+
+@pytest.mark.parametrize("run_id,rc", [
+    ("a,b", 2), ("c\nd", 2), ("e\rf", 2), ("x\x1cy", 0), ("p\u2028q", 0),
+    ("s\x85t", 0)], ids=["comma", "newline", "carriage-return",
+                         "file-separator", "line-separator", "next-line"])
+def test_profile_writes_only_a_matrix_that_filter_reads(workdir, capsys, run_id, rc):
+    runs = [dataclasses.replace(r, run_id=f"{run_id}{i}")
+            for i, r in enumerate(checkout_runs())]
+    dump_runs(runs, workdir / "renamed.jsonl")
+    matrix, afs = workdir / "matrix.csv", workdir / "checkout_afs.json"
+    assert run_cli("profile", "--traces", workdir / "renamed.jsonl",
+                   "--afs", afs, "--out", matrix) == rc
+    if rc:
+        err = capsys.readouterr().err
+        assert_one_line_diagnostic(rc, err, "MatrixError")
+        assert repr(f"{run_id}0") in json.loads(err)["message"]
+        assert not matrix.exists()
+        return
+    assert run_cli("filter", "--matrix", matrix, "--afs", afs,
+                   "--out-kept", workdir / "kept.json",
+                   "--out-report", workdir / "report.json") == 0
+    read = filtering.matrix_from_csv(matrix.read_text())
+    assert read.provenance == tuple((r.run_id, i) for r in runs
+                                    for i in range(len(r.segments)))
 
 
 @pytest.mark.parametrize("damage", ["objects-not-a-table", "event-without-method",

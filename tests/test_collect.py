@@ -561,8 +561,11 @@ def _trace_lines(draw, bursts: bool):
     """The documents of one trace file (of one burst file if ``bursts``),
     drawn from a few events and states, so that texts repeat: the walker's
     tables hit, and a damaged text comes back.  Some files also hold
-    ``_ROOTED`` and a dangling twin of it.  Half the files draw a bad value
-    a quarter as often, so that more of them read to their end."""
+    ``_ROOTED`` and a dangling twin of it.  Half the segments follow a run
+    line that carries them, whose check reaches only their shape, and half
+    of those carry a bad event there, so that the segment line meets it again
+    in the walker's table.  Half the files draw a bad value a quarter as
+    often, so that more of them read to their end."""
     rare = draw(st.sampled_from([1, 4]))
     events = [draw(_BAD_EVENTS if _one_in(draw, rare * 4) else _GOOD_EVENTS)
               for _ in range(draw(st.integers(1, 4)))]
@@ -596,7 +599,10 @@ def _trace_lines(draw, bursts: bool):
             if kind == 4:
                 doc = {"run": draw(st.sampled_from(["r1", 7, None, "}, {"]))}
             else:
-                if kind in (5, 6):  # a run line checks only its segment's shape
+                if kind >= 5:  # a run line checks only its segment's shape
+                    if draw(st.booleans()) and type(doc.get("events")) is list:
+                        # a bad event the segment line after it meets again
+                        doc["events"] = doc["events"] + [draw(_BAD_EVENTS)]
                     docs.append({"run": "r2", "segment": doc})
                 doc = {"segment": doc}
         docs.append(doc)

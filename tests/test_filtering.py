@@ -4,7 +4,6 @@ import re
 from collections import Counter
 from importlib import resources
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,22 +67,14 @@ def test_from_rows_empty():
     assert m.n_rows == 0 and m.n_cols == 3
 
 
-def test_codes_and_rows():
-    m = matrix(["TFU", "UUT"])
-    assert m.codes.dtype == np.uint8
-    assert m.codes.tolist() == [[0, 1, 2], [2, 2, 0]]
-    assert m.rows() == ["TFU", "UUT"]
-
-
-@pytest.mark.parametrize("codes", [
-    np.zeros((2, 2), dtype=np.int64),
-    np.array([["T", "F"], ["U", "T"]]),
-    np.array([[0, 1], [2, 3]], dtype=np.uint8),
-    np.array([[0, 255], [1, 1]], dtype=np.uint8),
-], ids=["int64", "letters", "code-3", "code-255"])
-def test_eval_matrix_rejects_bad_code_block(codes):
-    with pytest.raises(MatrixError):
-        EvalMatrix(("a", "b"), codes)
+@pytest.mark.parametrize("cells,needle", [
+    (("TF", "T"), "row 1 has 1 cells, expected 2"),
+    (("TF", "T0"), "row 1: invalid cell value '0'"),
+    (("\u0422F", "TF"), "row 0: invalid cell value '\u0422'"),
+], ids=["ragged", "not-tfu", "non-ascii"])
+def test_eval_matrix_rejects_bad_cells(cells, needle):
+    with pytest.raises(MatrixError, match=needle):
+        EvalMatrix(("a", "b"), cells)
 
 
 @pytest.mark.parametrize("rows,needle", [
@@ -373,8 +364,8 @@ def test_csv_rejects_bad_cell():
 def test_csv_text_round_trips_unchanged():
     text = resources.files("burstmine.data").joinpath("filter_example.csv").read_text()
     assert matrix_to_csv(matrix_from_csv(text)) == text
-    rng = np.random.default_rng(0)
-    letters = np.array(["T", "F", "U"])[rng.integers(0, 3, size=(2400, 120))]
+    rng = random.Random(0)
+    letters = [rng.choices("TFU", k=120) for _ in range(2400)]
     wide = "".join(
         [",".join(["#run", "#snapshot"] + [f"AF{j}" for j in range(120)]) + "\n"]
         + [f"run{i // 7},{i % 7}," + ",".join(r) + "\n" for i, r in enumerate(letters)])
