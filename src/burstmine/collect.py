@@ -9,18 +9,19 @@ uniform sample per operation (run order, then segment order, one shared
 seeded stream, see ``draw``) and collects the segments whose draw succeeds.
 
 Field runs keep repeating the same few operations from the same states: in
-the seed-0 ``pipeline`` benchmark corpus, 185 of 1,440 segment lines, 112 of
-71,564 events and 84 of 2,880 state snapshots are distinct.  So a load of a
-trace or burst file keeps a table from each segment or burst line's text to
-the one ``OperationSegment`` or ``Burst`` built from it, and a repeated line
-appends that object again.  A new line is walked with
-``json.JSONDecoder().raw_decode`` (``_Reader``), through per-load tables from
-an event's or state's source text to the one ``MethodCall`` or
-``ConcreteState`` built from it, checked once; a command that loads a model
-and runs passes both loads one ``EventTable``.  The walker splits an event
-list at each ``}``, ``,``, ``{`` with only JSON whitespace between them, so
-it reads every layout a JSON writer may choose; a list whose pieces are not
-each one complete object goes through the parsed reader (``_record``).
+the seed-0 ``pipeline`` benchmark corpus, 185 of 1,440 segment lines, 36 of
+1,440 event lists, 112 of 71,564 events and 84 of 2,880 state snapshots are
+distinct.  So a load of a trace or burst file keeps a table from each
+segment or burst line's text to the one ``OperationSegment`` or ``Burst``
+built from it, and a repeated line appends that object again.  A new line is
+walked with ``json.JSONDecoder().raw_decode`` (``_Reader``), through
+per-load tables from an event list's, an event's or a state's source text to
+the one trace, ``MethodCall`` or ``ConcreteState`` built from it, checked
+once; a command that loads a model and runs passes both loads one
+``EventTable``.  The walker splits an event list at each ``}``, ``,``, ``{``
+with only JSON whitespace between them, so it reads every layout a JSON
+writer may choose; a list whose pieces are not each one complete object goes
+through the parsed reader (``_record``).
 Writing turns this round: every event writer, here (``dumps_runs``,
 ``dumps_bursts``, ``dumps_baseline``) and in ``model`` (the model and the
 reconstructions), goes through one ``TraceWriter``, which encodes each
@@ -39,6 +40,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .functions import AbstractionFunction, af_list_hash
 from .schema import ANY, LIST, SCALAR, STRING, TFU, ListOf, Record, check
@@ -168,7 +170,7 @@ class Run:
     run_id: str
     segments: tuple[OperationSegment, ...] = ()
 
-    @property
+    @cached_property
     def total_events(self) -> int:
         return sum(len(s.events) for s in self.segments)
 
@@ -251,9 +253,9 @@ class _Reject(Exception):
 class _Reader:
     """One load's JSONL records, walked with ``raw_decode``.
 
-    Field runs repeat a few events and states, so the walker keeps each
-    event's source text (between its braces) and each state's source text
-    with the ``MethodCall`` or ``ConcreteState`` built from it, checked once.
+    Field runs repeat a few event lists, events and states, so the walker
+    keeps each one's source text with the trace, ``MethodCall`` or
+    ``ConcreteState`` built from it, checked once.
     An event list is split at its separators rather than decoded whole.  A
     record the walker does not accept goes through ``_record``.
     """
@@ -261,6 +263,7 @@ class _Reader:
     def __init__(self, events: EventTable | None = None) -> None:
         self.events = EventTable() if events is None else events
         self._event_texts: dict[str, MethodCall] = {}
+        self._traces: dict[str, Trace] = {}
         self._states: dict[str, ConcreteState] = {}
 
     def record(self, line: str, lineno: int, shape, what: str) -> dict:
@@ -340,13 +343,15 @@ class _Reader:
             raise _Reject
         # If each piece, braced, is one complete JSON object, the list is
         # exactly those objects, since a complete object is prefix-free.
-        # A known piece was decoded so; a new one is decoded alone.
-        known, pieces = self._event_texts, _pieces(text[start.end():close.start()])
-        try:
-            return tuple([known[piece] for piece in pieces]), close.end()
-        except KeyError:
-            return tuple([known.get(piece) or self._event(piece)
-                          for piece in pieces]), close.end()
+        # A known piece was decoded so; a new one is decoded alone.  A known
+        # body (between the first "{" and last "}") gives its built trace.
+        body = text[start.end():close.start()]
+        trace = self._traces.get(body)
+        if trace is None:
+            trace = self._traces[body] = tuple([self._event_texts.get(piece)
+                                                or self._event(piece)
+                                                for piece in _pieces(body)])
+        return trace, close.end()
 
     def _event(self, piece: str) -> MethodCall:
         """The event written ``{piece}``, checked and entered once."""

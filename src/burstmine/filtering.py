@@ -211,9 +211,10 @@ def _project(m: EvalMatrix, columns: list[str], keep: list[int]) -> EvalMatrix:
 
 
 def matrix_to_csv(m: EvalMatrix) -> str:
-    for run in dict.fromkeys(str(run) for run, _ in m.provenance):
-        if "," in run or "\n" in run or "\r" in run:
-            raise MatrixError(f"run {run!r} holds ',', '\\n' or '\\r', "
+    names = [("run", run) for run in dict.fromkeys(str(run) for run, _ in m.provenance)]
+    for what, name in names + [("AF id", af) for af in m.column_ids]:
+        if "," in name or "\n" in name or "\r" in name:
+            raise MatrixError(f"{what} {name!r} holds ',', '\\n' or '\\r', "
                               "which a matrix CSV field cannot hold")
     lines = [",".join(("#run", "#snapshot") + m.column_ids)]
     for i, row in enumerate(m.rows()):

@@ -8,7 +8,9 @@ a join structure over whatever bursts were recorded, and reconstruction
 chains bursts through shared states.  A run is checked against the model as
 its bursts, one per segment (``collect.collect``).
 
-The model JSON (``export_fsm``) and the reconstructions JSON
+A load shares one trace object per distinct event list, so ``synthesize``
+tells a transition's traces apart by identity before it merges equal ones by
+value.  The model JSON (``export_fsm``) and the reconstructions JSON
 (``dumps_reconstructions``) are written through ``collect.TraceWriter``, so
 one write encodes each distinct event once.
 """
@@ -65,21 +67,18 @@ def synthesize(bursts: list[Burst], af_hash: str | None = None) -> AnnotatedFSM:
     if af_hash is None:
         af_hash = bursts[0].af_hash if bursts else ""
     states: set[str] = set()
-    transitions: dict[TransitionKey, list[Trace]] = {}
-    seen: dict[TransitionKey, set[Trace]] = {}
+    # Each key's id(trace) -> trace, which hashes no event; the table holds
+    # the traces, so an id stays its object's.  Equal traces held in
+    # separate objects are merged by value at the end.
+    transitions: dict[TransitionKey, dict[int, Trace]] = {}
     for b in bursts:
         if b.af_hash != af_hash:
             raise ModelError("bursts mix different AF orderings")
         states.add(b.pre)
         states.add(b.post)
-        key = (b.label, b.pre, b.post)
-        bucket = transitions.setdefault(key, [])
-        dedup = seen.setdefault(key, set())
-        if b.trace not in dedup:
-            dedup.add(b.trace)
-            bucket.append(b.trace)
-    return AnnotatedFSM(af_hash, frozenset(states),
-                        {k: tuple(v) for k, v in transitions.items()})
+        transitions.setdefault((b.label, b.pre, b.post), {})[id(b.trace)] = b.trace
+    return AnnotatedFSM(af_hash, frozenset(states), {
+        k: tuple(dict.fromkeys(v.values())) for k, v in transitions.items()})
 
 
 def with_transition(fsm: AnnotatedFSM, label: str, frm: str, to: str,
@@ -227,6 +226,12 @@ def import_fsm(text: str, events: EventTable | None = None) -> AnnotatedFSM:
     return AnnotatedFSM(doc.get("af_hash", ""), states, transitions)
 
 
+# A label as a DOT quoted string; each character that ``str.splitlines``
+# breaks at is written as Graphviz's "\n", so each statement keeps its line.
+_DOT_ESCAPES = str.maketrans({"\\": "\\\\", '"': '\\"', **dict.fromkeys(
+    "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", "\\n")})
+
+
 def _to_dot(fsm: AnnotatedFSM) -> str:
     lines = ["digraph bursts {", "  rankdir=LR;", "  node [shape=ellipse];"]
     names = {s: f"s{i}" for i, s in enumerate(sorted(fsm.states))}
@@ -234,8 +239,7 @@ def _to_dot(fsm: AnnotatedFSM) -> str:
         lines.append(f'  {names[state]} [label="({", ".join(state)})"];')
     for key in sorted(fsm.transitions):
         label, frm, to = key
-        count = len(fsm.transitions[key])
-        lines.append(
-            f'  {names[frm]} -> {names[to]} [label="{label} ({count})"];')
+        text = f"{label} ({len(fsm.transitions[key])})".translate(_DOT_ESCAPES)
+        lines.append(f'  {names[frm]} -> {names[to]} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

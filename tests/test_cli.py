@@ -215,6 +215,19 @@ def test_profile_writes_only_a_matrix_that_filter_reads(workdir, capsys, run_id,
                                     for i in range(len(r.segments)))
 
 
+def test_profile_rejects_an_af_id_with_a_comma(workdir, capsys):
+    afs, matrix = workdir / "renamed_afs.json", workdir / "matrix.csv"
+    for af_id in ("a,b", "c\nd", "e\rf"):
+        first, *rest = checkout_abstraction_functions()
+        afs.write_text(dump_af_list([dataclasses.replace(first, id=af_id), *rest]))
+        assert run_cli("profile", "--traces", workdir / "checkout.jsonl",
+                       "--afs", afs, "--out", matrix) == 2
+        err = capsys.readouterr().err
+        assert_one_line_diagnostic(2, err, "MatrixError")
+        assert repr(af_id) in json.loads(err)["message"]
+        assert not matrix.exists()
+
+
 @pytest.mark.parametrize("damage", ["objects-not-a-table", "event-without-method",
                                     "bare-number"])
 def test_profile_malformed_trace_exits_2(workdir, damage):

@@ -224,6 +224,25 @@ def test_two_loads_share_no_object(editor):
     assert not {id(e) for b in b1 for e in b.trace} & {id(e) for b in b2 for e in b.trace}
 
 
+def test_one_load_shares_one_trace_per_distinct_event_list_text(editor):
+    afs, runs = editor
+    written = tuple(s.events for r in runs for s in r.segments)
+    trace_text = dumps_runs(runs)
+    burst_text = dumps_bursts(collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0)))
+    for text, load in [
+            (trace_text, lambda t: [(s, s.events) for r in loads_runs(t)
+                                    for s in r.segments]),
+            (burst_text, lambda t: [(b, b.trace) for b in loads_bursts(t)[0]])]:
+        records, traces = zip(*load(text))
+        assert traces == written
+        ids = _by_text(traces, lambda t: json.dumps([e.to_dict() for e in t]))
+        assert all(len(same) == 1 for same in ids.values())
+        # Records of different texts share their equal traces.
+        assert len(ids) < len({id(r) for r in records})
+        assert len({id(t) for t in traces}) == len(ids)
+        assert not {id(t) for _, t in load(text) if t} & {id(t) for t in traces if t}
+
+
 def test_one_load_shares_one_segment_per_distinct_record_text(editor):
     afs, runs = editor
     trace_text = dumps_runs(runs)

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from burstmine.collect import (Burst, MethodCall, SamplerConfig, collect,
                                collect_cbr_bursts)
 from burstmine.functions import af_list_hash
-from burstmine.model import (ModelError, accepts_prefix,
+from burstmine.model import (AnnotatedFSM, ModelError, accepts_prefix,
                              export_fsm, import_fsm, simulate_traces,
                              synthesize, with_transition)
 from burstmine.synthetic import (PS_EMPTY, PS_FILLING, PS_PAID,
@@ -80,6 +83,65 @@ def test_synthesize_hash_mismatch():
     bursts = [mk_burst("a", "T", "F", h="h1"), mk_burst("b", "T", "F", h="h2")]
     with pytest.raises(ModelError):
         synthesize(bursts)
+
+
+def _reference_synthesize(bursts, af_hash=None) -> AnnotatedFSM:
+    """The value-only reference for ``synthesize``: every burst's trace is
+    hashed by value."""
+    if af_hash is None:
+        af_hash = bursts[0].af_hash if bursts else ""
+    states, transitions, seen = set(), {}, {}
+    for b in bursts:
+        if b.af_hash != af_hash:
+            raise ModelError("bursts mix different AF orderings")
+        states.add(b.pre)
+        states.add(b.post)
+        key = (b.label, b.pre, b.post)
+        bucket = transitions.setdefault(key, [])
+        dedup = seen.setdefault(key, set())
+        if b.trace not in dedup:
+            dedup.add(b.trace)
+            bucket.append(b.trace)
+    return AnnotatedFSM(af_hash, frozenset(states),
+                        {k: tuple(v) for k, v in transitions.items()})
+
+
+# Events whose params are equal Python values (1, True, 1.0; -0.0, 0.0) but
+# are written differently, so that they are different events.
+_TWINS = [MethodCall("op", "C", params) for params in
+          [(), (1,), (True,), (1.0,), (-0.0,), (0.0,), ("1",)]]
+
+
+@st.composite
+def _shared_bursts(draw):
+    """Bursts over a few keys whose traces are a few objects, shared by
+    several bursts, some of them equal to another object's trace."""
+    values = draw(st.lists(st.lists(st.sampled_from(_TWINS), max_size=3),
+                           min_size=1, max_size=4))
+    traces = [tuple(value) for value in values for _ in range(draw(st.integers(1, 3)))]
+    bursts = [mk_burst(draw(st.sampled_from("ab")), draw(st.sampled_from("TF")),
+                       draw(st.sampled_from("TF")), draw(st.sampled_from(traces)))
+              for _ in range(draw(st.integers(0, 12)))]
+    if bursts and draw(st.integers(0, 7)) == 0:
+        at = draw(st.integers(0, len(bursts) - 1))
+        bursts[at] = dataclasses.replace(bursts[at], af_hash="h2")
+    return bursts
+
+
+def _synthesized(synth, bursts):
+    try:
+        fsm = synth(bursts)
+    except ModelError as exc:
+        return str(exc)
+    annotations = [id(t) for traces in fsm.transitions.values() for t in traces]
+    return fsm, export_fsm(fsm, "json"), annotations
+
+
+@settings(max_examples=400, deadline=None)
+@given(_shared_bursts())
+def test_synthesize_agrees_with_hashing_every_trace(bursts):
+    assert _synthesized(synthesize, bursts) == _synthesized(
+        _reference_synthesize, bursts)
 
 
 def test_every_burst_trace_lands_in_exactly_one_transition():
@@ -212,6 +274,44 @@ def test_export_dot_shape():
     node_lines = [ln for ln in dot.splitlines() if "[label=\"(" in ln]
     edge_lines = [ln for ln in dot.splitlines() if "->" in ln]
     assert len(node_lines) == 3 and len(edge_lines) == 2
+
+
+# DOT's tokens as ``export_fsm`` writes them: IDs, the operators, and
+# quoted strings, which hold no raw line break and in which a backslash
+# escapes the next character.
+_DOT_TOKEN = re.compile(r'[ \t\n]*(?:([A-Za-z_][A-Za-z_0-9]*|->|[{}\[\];=])'
+                        r'|"((?:[^"\\\n\r\x85\u2028\u2029]|\\[^\n\r\x85\u2028\u2029])*)")')
+# Graphviz reads these escapes in a label as one character each.
+_DOT_LABEL_ESCAPES = {"\\": "\\", '"': '"', "n": "\n"}
+
+
+def dot_tokens(text: str) -> list[tuple[str, str]]:
+    """The text's tokens, each ("id", text) or ("string", label); a quoted
+    string is decoded as Graphviz reads a label.  Anything else raises."""
+    tokens, pos, end = [], 0, len(text.rstrip(" \t\n"))
+    while pos < end:
+        m = _DOT_TOKEN.match(text, pos)
+        if m is None:
+            raise ValueError(f"not DOT at {pos}: {text[pos:pos + 20]!r}")
+        if m[1] is not None:
+            tokens.append(("id", m[1]))
+        else:
+            tokens.append(("string", re.sub(r"\\(.)", lambda e: _DOT_LABEL_ESCAPES[e[1]],
+                                            m[2])))
+        pos = m.end()
+    return tokens
+
+
+def test_dot_labels_are_quoted_strings_that_read_back():
+    quoted, broken = 'say "hi" \\N\nbye', "a\rb\u2028c\x85d"
+    dot = export_fsm(synthesize([mk_burst(quoted, "T", "F", [call("a")]),
+                                 mk_burst(broken, "F", "T", [call("b")])]), "dot")
+    tokens = dot_tokens(dot)
+    labels = [tokens[i + 2][1] for i, token in enumerate(tokens)
+              if token == ("id", "label")]
+    # Every line break reads back as "\n"; each statement keeps its line.
+    assert labels == ["(F)", "(T)", "a\nb\nc\nd (1)", f"{quoted} (1)"]
+    assert len(dot.splitlines()) == 8
 
 
 def test_export_unknown_format():
