@@ -9,8 +9,8 @@ editor subject and compares against an uncontrolled fixed-length-30 sampler.
 
 import statistics
 
-from burstmine import (SamplerConfig, baseline_recall, node_precision,
-                       overall_precision, run_sweep, synthesize)
+from burstmine import (SamplerConfig, baseline_recall, evaluate,
+                       node_precision, run_sweep, synthesize)
 from burstmine.model import with_transition
 from burstmine.synthetic import (PS_EMPTY, PS_PAID,
                                  checkout_abstraction_functions,
@@ -23,7 +23,7 @@ afs = checkout_abstraction_functions()
 runs = checkout_runs()
 fsm = synthesize(checkout_reference_bursts())
 
-report = overall_precision(fsm, runs, afs)
+report, _ = evaluate(fsm, runs, afs)
 for node in report.per_node:
     print(f"node ({node.state}): {node.correct}/{node.total} "
           f"sequences witnessed -> precision {node.precision:.0%}")

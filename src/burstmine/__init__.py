@@ -14,8 +14,8 @@ from .filtering import EvalMatrix, FilterReport, filter_functions
 from .functions import AbstractionFunction, Clause, PathCondition
 from .ir import (Program, build_dependency_graph, detect_relevant_classes,
                  parse_program, pretty_print)
-from .metrics import (baseline_recall, evaluate, model_recall, node_precision,
-                      overall_precision, run_sweep, trace_recall)
+from .metrics import (baseline_recall, evaluate, node_precision, run_sweep,
+                      trace_recall)
 from .model import (AnnotatedFSM, accepts_prefix, export_fsm, import_fsm,
                     simulate_traces, synthesize)
 from .states import (ConcreteObject, ConcreteState, abstract_state,
@@ -34,8 +34,8 @@ __all__ = [
     "collect_cbr_bursts", "collect_fixed_sampling",
     "detect_relevant_classes", "dump_runs", "eval_clause", "eval_function",
     "evaluate", "export_fsm", "extract_abstraction_functions", "filter_functions",
-    "import_fsm", "load_runs", "model_recall", "node_precision",
-    "overall_precision", "parse_program", "pretty_print", "run_sweep",
+    "import_fsm", "load_runs", "node_precision", "parse_program",
+    "pretty_print", "run_sweep",
     "simulate_traces", "strip_parameter_clauses", "symbolic_execute",
     "synthesize", "trace_recall",
 ]

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .functions import AbstractionFunction, af_list_hash
-from .schema import ANY, LIST, SCALAR, STRING, TFU, ListOf, Record, check
+from .schema import ANY, LIST, SCALAR, STRING, TFU, ListOf, Record, check, records
 from .states import STATE, ConcreteState, StateError, abstract_state
 
 SRT_CATEGORIES = ("Instantaneous", "Immediate", "Continuous", "Captive")
@@ -229,14 +229,6 @@ def _record(line: str, lineno: int, shape, what: str) -> dict:
     return check(doc, shape, what, lambda message: TraceSchemaError(message, lineno))
 
 
-def _lines(text: str) -> list[tuple[int, str]]:
-    """The non-blank records with their numbers.  Records end at ``\n`` or
-    ``\r\n`` only: JSON strings may hold U+2028 and U+0085 raw.  A blank
-    line holds only JSON whitespace; any other goes to the reader."""
-    return [(lineno, line.removesuffix("\r")) for lineno, line in
-            enumerate(text.split("\n"), start=1) if line.strip(" \t\r")]
-
-
 _decode = json.JSONDecoder().raw_decode
 _space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
 # An event list's opening, its first close and its item separators, with
@@ -370,7 +362,7 @@ def loads_runs(text: str, events: EventTable | None = None) -> list[Run]:
     # Each segment line's text -> the segment built from it.  Only a built
     # one is stored, so a hit, like its first build, follows a run line.
     reader, built = _Reader(events), {}
-    for lineno, line in _lines(text):
+    for lineno, line in records(text):
         segment = built.get(line)
         if segment is None:
             doc = reader.record(line, lineno, LINE, "line")
@@ -524,7 +516,7 @@ BURST = Record({"label": STRING, "pre": TFU, "trace": EVENTS, "post": TFU})
 
 def loads_bursts(text: str) -> tuple[list[Burst], dict]:
     """Read a burst file; errors name the physical line as the record."""
-    lines = _lines(text)
+    lines = records(text)
     if not lines:
         raise TraceSchemaError("empty burst document")
     header = _record(lines[0][1], lines[0][0], HEADER_LINE, "burst")["header"]

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .schema import LETTERS
+from .schema import LETTERS, records
 
 
 class MatrixError(ValueError):
@@ -224,10 +224,7 @@ def matrix_to_csv(m: EvalMatrix) -> str:
 
 
 def matrix_from_csv(text: str, af_hash: str = "") -> EvalMatrix:
-    # Records end at "\n" or "\r\n" only, and a blank line holds only spaces,
-    # tabs and "\r", as in the trace readers (``collect._lines``).
-    lines = [(no, ln.removesuffix("\r")) for no, ln in
-             enumerate(text.split("\n"), 1) if ln.strip(" \t\r")]
+    lines = records(text)
     if not lines:
         raise MatrixError("empty matrix document")
     header = lines[0][1].split(",")

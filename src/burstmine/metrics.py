@@ -14,7 +14,8 @@ the total sampled events for the fixed-length baseline.  Sampling baselines
 are never scored for precision (they record verbatim, so it is 1 by
 definition).
 
-Both metrics read the original runs as bursts, one per segment, from one
+``_score`` scores a model, for ``evaluate`` and every ``run_sweep`` cell,
+against the original runs read as bursts, one per segment, from one
 ``collect.collect`` call over all runs, so each distinct state object is
 abstracted once; ``evaluate`` shares them between precision and recall, and
 ``run_sweep`` between all of its grid cells.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import json
 import statistics
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import islice
 
 from .collect import (Burst, Run, SamplerConfig, collect,
                       collect_fixed_sampling, draw)
@@ -60,10 +61,9 @@ class PrecisionReport:
         }, indent=2)
 
     def to_csv(self) -> str:
-        lines = ["state,correct_sequences,total_sequences,precision"]
-        for n in self.per_node:
-            lines.append(f"{n.state},{n.correct},{n.total},{n.precision:.6f}")
-        return "\n".join(lines) + "\n"
+        return _csv("state,correct_sequences,total_sequences,precision",
+                    [(n.state, n.correct, n.total, f"{n.precision:.6f}")
+                     for n in self.per_node])
 
 
 @dataclass
@@ -79,10 +79,19 @@ class RecallReport:
         }, indent=2)
 
     def to_csv(self) -> str:
-        lines = ["run,captured_events,total_events,recall"]
-        for r, e, eo, rec in self.per_run:
-            lines.append(f"{r},{e},{eo},{rec:.6f}")
-        return "\n".join(lines) + "\n"
+        return _csv("run,captured_events,total_events,recall",
+                    [(r, e, eo, f"{rec:.6f}") for r, e, eo, rec in self.per_run])
+
+
+def _csv(header: str, rows) -> str:
+    """``header`` and one line per row.  A field holding ',', '"' or a line
+    break is double-quoted with each '"' doubled (RFC 4180); ``csv.writer``
+    leaves a lone carriage return unquoted."""
+    def quote(value) -> str:
+        text = str(value)
+        return '"%s"' % text.replace('"', '""') if set(text) & set(',"\n\r') else text
+    lines = [header] + [",".join(map(quote, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _abstract(fsm: AnnotatedFSM, runs: list[Run],
@@ -112,12 +121,10 @@ def _witnesses(abstracted: list[list[Burst]]) -> set[tuple[str, str, str]]:
 
 
 def _node_score(fsm: AnnotatedFSM, node: str, witnesses) -> tuple[int, int]:
-    incoming = {(k[0], k[1]) for k in fsm.incoming(node)}
-    outgoing = {(k[0], k[2]) for k in fsm.outgoing(node)}
-    correct = sum(
-        1 for (la, _), (lb, _) in product(sorted(incoming), sorted(outgoing))
-        if (la, lb, node) in witnesses)
-    return correct, len(incoming) * len(outgoing)
+    into = [label for label, _, to in fsm.transitions if to == node]
+    out = [label for label, frm, _ in fsm.transitions if frm == node]
+    correct = sum((a, b, node) in witnesses for a in into for b in out)
+    return correct, len(into) * len(out)
 
 
 def node_precision(fsm: AnnotatedFSM, node, originals: list[Run],
@@ -131,26 +138,6 @@ def node_precision(fsm: AnnotatedFSM, node, originals: list[Run],
     if node not in fsm.states:
         raise ModelError(f"unknown node {node!r}")
     return _node_score(fsm, node, _witnesses(_abstract(fsm, originals, afs)))
-
-
-def _precision(fsm: AnnotatedFSM, witnesses) -> PrecisionReport:
-    report = PrecisionReport()
-    for state in sorted(fsm.states):
-        correct, total = _node_score(fsm, state, witnesses)
-        if total == 0:
-            report.excluded += 1
-        else:
-            report.per_node.append(NodeScore(state, correct, total))
-    if report.per_node:
-        report.overall = statistics.mean(s.precision for s in report.per_node)
-    return report
-
-
-def overall_precision(fsm: AnnotatedFSM, originals: list[Run],
-                      afs: list[AbstractionFunction]) -> PrecisionReport:
-    """Mean node precision over nodes with both incoming and outgoing
-    transitions; an empty model yields an absent overall, not zero."""
-    return _precision(fsm, _witnesses(_abstract(fsm, originals, afs)))
 
 
 def trace_recall(captured_events: int, original: Run) -> float:
@@ -173,19 +160,31 @@ def _recall_report(runs: list[Run], captured_events: list[int]) -> RecallReport:
     return report
 
 
-def model_recall(fsm: AnnotatedFSM, runs: list[Run],
-                 afs: list[AbstractionFunction]) -> RecallReport:
-    return _recall_report(runs, [accepts_prefix(fsm, bursts)
-                                 for bursts in _abstract(fsm, runs, afs)])
+def _score(fsm: AnnotatedFSM, runs: list[Run], abstracted: list[list[Burst]],
+           witnesses) -> tuple[PrecisionReport, RecallReport]:
+    """The model's precision against ``witnesses`` and its recall over
+    ``runs``, given as their bursts in ``abstracted``."""
+    precision = PrecisionReport()
+    for state in sorted(fsm.states):
+        correct, total = _node_score(fsm, state, witnesses)
+        if total == 0:
+            precision.excluded += 1
+        else:
+            precision.per_node.append(NodeScore(state, correct, total))
+    if precision.per_node:
+        precision.overall = statistics.mean(s.precision for s in precision.per_node)
+    return precision, _recall_report(
+        runs, [accepts_prefix(fsm, bursts) for bursts in abstracted])
 
 
 def evaluate(fsm: AnnotatedFSM, runs: list[Run], afs: list[AbstractionFunction],
              ) -> tuple[PrecisionReport, RecallReport]:
-    """``overall_precision`` and ``model_recall`` against the same runs,
-    abstracting each run once for both."""
+    """Precision and recall against the same runs, abstracting each run once
+    for both.  Overall precision is the mean node precision over nodes with
+    both incoming and outgoing transitions; a model with no such node yields
+    an absent overall, not zero."""
     abstracted = _abstract(fsm, runs, afs)
-    return (_precision(fsm, _witnesses(abstracted)), _recall_report(
-        runs, [accepts_prefix(fsm, bursts) for bursts in abstracted]))
+    return _score(fsm, runs, abstracted, _witnesses(abstracted))
 
 
 def baseline_recall(runs: list[Run], cfg: SamplerConfig) -> RecallReport:
@@ -242,12 +241,10 @@ class SweepResult:
         return mean, std
 
     def to_csv(self) -> str:
-        lines = ["p,n_runs,seed,overall_precision,mean_recall"]
-        for c in self.cells:
-            prec = "" if c.overall_precision is None else f"{c.overall_precision:.6f}"
-            lines.append(f"{c.probability},{c.n_runs},{c.seed},{prec},"
-                         f"{c.mean_recall:.6f}")
-        return "\n".join(lines) + "\n"
+        return _csv("p,n_runs,seed,overall_precision,mean_recall", [(
+            c.probability, c.n_runs, c.seed,
+            "" if c.overall_precision is None else f"{c.overall_precision:.6f}",
+            f"{c.mean_recall:.6f}") for c in self.cells])
 
 
 def run_sweep(runs: list[Run], afs: list[AbstractionFunction],
@@ -274,8 +271,7 @@ def run_sweep(runs: list[Run], afs: list[AbstractionFunction],
             for seed in seeds:
                 cfg = SamplerConfig(probability=p, rng_seed=seed, mode="cbr")
                 fsm = synthesize(draw(collected, cfg))
-                precision = _precision(fsm, witnesses).overall
-                accepted = [accepts_prefix(fsm, b) for b in abstracted]
-                recall = _recall_report(runs, accepted).mean_recall or 0.0
-                result.cells.append(SweepCell(p, n, seed, precision, recall))
+                precision, recall = _score(fsm, runs, abstracted, witnesses)
+                result.cells.append(SweepCell(p, n, seed, precision.overall,
+                                              recall.mean_recall or 0.0))
     return result

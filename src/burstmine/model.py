@@ -6,7 +6,9 @@ transition is a (label, from, to) triple carrying the set of method call
 traces observed for it.  There are no initial or final states: the model is
 a join structure over whatever bursts were recorded, and reconstruction
 chains bursts through shared states.  A run is checked against the model as
-its bursts, one per segment (``collect.collect``).
+its bursts, one per segment (``collect.collect``).  A transition's traces
+are read as ``transitions[key]``; ``outgoing`` gives a state's transitions
+in the order ``simulate_traces`` walks them.
 
 A load shares one trace object per distinct event list, so ``synthesize``
 tells a transition's traces apart by identity before it merges equal ones by
@@ -45,16 +47,9 @@ class AnnotatedFSM:
     def n_transitions(self) -> int:
         return len(self.transitions)
 
-    def annotations(self, key: TransitionKey) -> tuple[Trace, ...]:
-        return self.transitions[key]
-
     def outgoing(self, state: str) -> list[TransitionKey]:
         keys = [k for k in self.transitions if k[1] == state]
         return sorted(keys, key=lambda k: (k[0], k[2]))
-
-    def incoming(self, state: str) -> list[TransitionKey]:
-        keys = [k for k in self.transitions if k[2] == state]
-        return sorted(keys, key=lambda k: (k[0], k[1]))
 
 
 def synthesize(bursts: list[Burst], af_hash: str | None = None) -> AnnotatedFSM:
@@ -136,7 +131,7 @@ def simulate_traces(fsm: AnnotatedFSM, start, max_hops: int,
             return
         for key in keys:
             label, _, target = key
-            for trace in fsm.annotations(key):
+            for trace in fsm.transitions[key]:
                 if len(out) >= combination_budget:
                     return
                 walk(target, hops_left - 1, acc + ((label, trace),))

@@ -3,6 +3,7 @@
 A shape is a leaf kind, a ``(description, predicate)`` pair, or a ``ListOf``,
 ``MapOf`` or ``Record`` of shapes.  Each reader checks a parsed record once
 against its format's shape table, then builds values with no type tests.
+``records`` splits every line-based file (trace, burst, matrix) into records.
 """
 
 from __future__ import annotations
@@ -82,3 +83,11 @@ def _record_mismatch(value: dict, shape):
     unknown = [k for k in value if k not in shape.required
                and k not in shape.optional] if shape.closed else ()
     return ([f"'{unknown[0]}'"], "is unknown") if unknown else None
+
+
+def records(text: str) -> list[tuple[int, str]]:
+    """The non-blank records with their line numbers.  Records end at "\\n"
+    or "\\r\\n" only: JSON strings may hold U+2028 and U+0085 raw.  A blank
+    line holds only JSON whitespace; any other goes to the reader."""
+    return [(lineno, line.removesuffix("\r")) for lineno, line in
+            enumerate(text.split("\n"), start=1) if line.strip(" \t\r")]

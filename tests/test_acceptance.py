@@ -21,8 +21,8 @@ from burstmine.filtering import (EvalMatrix, filter_functions,
 from burstmine.functions import Clause, dump_af_list, parse_term
 from burstmine.ir import (build_dependency_graph, detect_relevant_classes,
                           parse_program)
-from burstmine.metrics import (baseline_recall, model_recall, node_precision,
-                               overall_precision, run_sweep)
+from burstmine.metrics import (baseline_recall, evaluate, node_precision,
+                               run_sweep)
 from burstmine.model import synthesize, with_transition
 from burstmine.states import ConcreteObject, ConcreteState, \
     eval_clause, eval_function, abstract_state
@@ -126,7 +126,7 @@ def test_criterion_4_self_acceptance_at_certainty(editor_world):
         for afs, runs in [editor_world,
                           (checkout_abstraction_functions(), checkout_runs())]:
             fsm = synthesize(collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0)))
-            report = model_recall(fsm, runs, afs)
+            report = evaluate(fsm, runs, afs)[1]
             assert report.mean_recall == 1.0
             assert all(rec == 1.0 for *_, rec in report.per_run)
 
@@ -139,7 +139,7 @@ def test_criterion_5_three_state_example():
         runs = checkout_runs()
         fsm = synthesize(checkout_reference_bursts())
         assert fsm.n_states == 3
-        report = overall_precision(fsm, runs, afs)
+        report = evaluate(fsm, runs, afs)[0]
         assert report.overall == 1.0
         assert all(n.precision == 1.0 for n in report.per_node)
         spurious = with_transition(fsm, "clickOnAddItem", PS_PAID, PS_EMPTY)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -250,32 +251,40 @@ def test_profile_malformed_trace_exits_2(workdir, damage):
     assert "record 2" in json.loads(err)["message"]
 
 
-@pytest.mark.parametrize("kind", ["trace", "burst"])
+@pytest.mark.parametrize("kind", ["trace", "burst", "matrix"])
 @pytest.mark.parametrize("space", ["\x0c", "\x1c", "\u2028", "\u00a0"],
                          ids=["form-feed", "file-separator", "line-separator",
                               "no-break-space"])
 def test_a_line_of_other_than_json_whitespace_is_a_record(workdir, capsys,
                                                           kind, space):
+    traces, afs, out = (workdir / "checkout.jsonl", workdir / "checkout_afs.json",
+                        workdir / "out")
+    source = workdir / "source"
     if kind == "trace":
-        source, argv = workdir / "checkout.jsonl", ["profile", "--afs",
-                                                    workdir / "checkout_afs.json"]
-    else:
-        source, argv = workdir / "bursts.jsonl", ["synthesize"]
-        assert run_cli("collect", "--traces", workdir / "checkout.jsonl",
-                       "--afs", workdir / "checkout_afs.json",
+        source = traces
+    elif kind == "burst":
+        assert run_cli("collect", "--traces", traces, "--afs", afs,
                        "--probability", "1.0", "--out", source) == 0
+    else:
+        assert run_cli("profile", "--traces", traces, "--afs", afs,
+                       "--out", source) == 0
+    argv = {"trace": ["profile", "--afs", afs, "--out", out, "--traces"],
+            "burst": ["synthesize", "--out", out, "--bursts"],
+            "matrix": ["filter", "--afs", afs, "--out-kept", out,
+                       "--out-report", workdir / "report.json", "--matrix"]}[kind]
+    error, start = (("MatrixError", "line 2: ") if kind == "matrix" else
+                    ("TraceSchemaError", "record 2: invalid JSON"))
     lines = source.read_text().split("\n")
     lines.insert(1, space)
-    bad = workdir / "bad.jsonl"
+    bad = workdir / "bad"
     bad.write_text("\n".join(lines), encoding="utf-8")
-    flag = "--traces" if kind == "trace" else "--bursts"
-    rc = run_cli(*argv, flag, bad, "--out", workdir / "out")
+    rc = run_cli(*argv, bad)
     err = capsys.readouterr().err
-    assert_one_line_diagnostic(rc, err, "TraceSchemaError")
-    assert json.loads(err)["message"].startswith("record 2: invalid JSON")
-    assert not (workdir / "out").exists()
+    assert_one_line_diagnostic(rc, err, error)
+    assert json.loads(err)["message"].startswith(start)
+    assert not out.exists()
     bad.write_text("\n".join(lines).replace(space, " \t\r"), encoding="utf-8")
-    assert run_cli(*argv, flag, bad, "--out", workdir / "out") == 0
+    assert run_cli(*argv, bad) == 0
 
 
 @pytest.mark.parametrize("command,flag,document,error,missing", [
@@ -386,6 +395,24 @@ def test_collect_and_synthesize_and_evaluate(workdir):
     assert recall["mean_recall"] == 1.0
     precision = json.loads((workdir / "reports" / "precision.json").read_text())
     assert precision["overall"] == 1.0
+
+
+def test_evaluate_writes_a_recall_csv_that_reads_back_any_run_id(workdir):
+    ids = ["a,b", 'q"x', "l\nm", "c\rd"]
+    runs = [dataclasses.replace(r, run_id=run_id) for r, run_id in
+            zip(generate_editor_runs(len(ids), master_seed=4), ids)]
+    traces, afs = workdir / "renamed.jsonl", workdir / "editor_afs.json"
+    dump_runs(runs, traces)
+    assert run_cli("collect", "--traces", traces, "--afs", afs,
+                   "--probability", "1.0", "--out", workdir / "bursts.jsonl") == 0
+    assert run_cli("synthesize", "--bursts", workdir / "bursts.jsonl",
+                   "--out", workdir / "fsm.json") == 0
+    assert run_cli("evaluate", "--fsm", workdir / "fsm.json", "--traces", traces,
+                   "--afs", afs, "--out-dir", workdir / "reports") == 0
+    text = (workdir / "reports" / "recall.csv").read_bytes().decode("utf-8")
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert [len(row) for row in rows] == [4] * (1 + len(ids))
+    assert [row[0] for row in rows[1:]] == ids
 
 
 def test_evaluate_compares_the_model_and_the_runs_by_event_identity(
@@ -734,43 +761,73 @@ def test_any_config_value_exits_0_or_2(full_config, edit):
         assert "error" in json.loads(err[0])
 
 
+def _chain(workdir: Path, out_dir: Path) -> list[list[str]]:
+    """Every command in order, each writing into ``out_dir``."""
+    steps = [
+        ["extract", "--program", workdir / "cart.mir",
+         "--targets", "Cart", "--out", out_dir / "afs.json"],
+        ["profile", "--traces", workdir / "checkout.jsonl",
+         "--afs", workdir / "checkout_afs.json", "--out", out_dir / "matrix.csv"],
+        ["collect", "--traces", workdir / "editor.jsonl",
+         "--afs", workdir / "editor_afs.json", "--probability", "0.5",
+         "--seed", "9", "--out", out_dir / "bursts.jsonl"],
+        ["synthesize", "--bursts", out_dir / "bursts.jsonl",
+         "--out", out_dir / "fsm.json", "--dot", out_dir / "fsm.dot"],
+        ["simulate", "--fsm", out_dir / "fsm.json", "--start", "UUUUUU",
+         "--max-hops", "2", "--budget", "200", "--out", out_dir / "sim.json"],
+        ["evaluate", "--fsm", out_dir / "fsm.json",
+         "--traces", workdir / "editor.jsonl",
+         "--afs", workdir / "editor_afs.json", "--out-dir", out_dir],
+        ["sweep", "--traces", workdir / "editor.jsonl",
+         "--afs", workdir / "editor_afs.json", "--probabilities", "0.5,1.0",
+         "--run-counts", "2,6", "--sweep-seeds", "0",
+         "--out", out_dir / "sweep.csv"],
+    ]
+    return [[str(a) for a in argv] for argv in steps]
+
+
+def _digests(out_dir: Path) -> dict:
+    return {p.name: sha(p) for p in sorted(out_dir.iterdir())}
+
+
 def test_every_command_is_byte_reproducible(workdir):
     """Run the whole pipeline twice into separate directories and compare
     output hashes (acceptance criterion: bit-identical re-runs)."""
     def pipeline(out_dir: Path) -> dict:
         out_dir.mkdir()
-        steps = [
-            ("extract", ["extract", "--program", workdir / "cart.mir",
-                         "--targets", "Cart", "--out", out_dir / "afs.json"]),
-            ("profile", ["profile", "--traces", workdir / "checkout.jsonl",
-                         "--afs", workdir / "checkout_afs.json",
-                         "--out", out_dir / "matrix.csv"]),
-            ("collect", ["collect", "--traces", workdir / "editor.jsonl",
-                         "--afs", workdir / "editor_afs.json",
-                         "--probability", "0.5", "--seed", "9",
-                         "--out", out_dir / "bursts.jsonl"]),
-            ("synthesize", ["synthesize", "--bursts", out_dir / "bursts.jsonl",
-                            "--out", out_dir / "fsm.json",
-                            "--dot", out_dir / "fsm.dot"]),
-            ("simulate", ["simulate", "--fsm", out_dir / "fsm.json",
-                          "--start", "UUUUUU", "--max-hops", "2",
-                          "--budget", "200", "--out", out_dir / "sim.json"]),
-            ("evaluate", ["evaluate", "--fsm", out_dir / "fsm.json",
-                          "--traces", workdir / "editor.jsonl",
-                          "--afs", workdir / "editor_afs.json",
-                          "--out-dir", out_dir]),
-            ("sweep", ["sweep", "--traces", workdir / "editor.jsonl",
-                       "--afs", workdir / "editor_afs.json",
-                       "--probabilities", "0.5,1.0", "--run-counts", "2,6",
-                       "--sweep-seeds", "0", "--out", out_dir / "sweep.csv"]),
-        ]
-        for name, argv in steps:
-            assert run_cli(*argv) == 0, name
-        return {p.name: sha(p) for p in sorted(out_dir.iterdir())}
+        for argv in _chain(workdir, out_dir):
+            assert run_cli(*argv) == 0, argv[0]
+        return _digests(out_dir)
 
     first = pipeline(workdir / "run_a")
     second = pipeline(workdir / "run_b")
     assert first == second
+
+
+# Runs every command of a JSON list of argvs through one ``cli.main``.
+_RUN_CHAIN = """
+import json, sys
+from burstmine.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"{argv[0]} exited nonzero")
+"""
+
+
+def test_every_command_writes_the_same_bytes_under_any_hash_seed(workdir):
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = []
+    for seed in ("1", "2"):
+        out_dir = workdir / f"hash_seed_{seed}"
+        out_dir.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_CHAIN, json.dumps(_chain(workdir, out_dir))],
+            stdin=subprocess.DEVNULL, env=env, capture_output=True, text=True,
+            timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(_digests(out_dir))
+    assert len(digests[0]) == 11 and digests[0] == digests[1]
 
 
 def test_negative_sweep_run_count_exits_2(workdir, capsys):

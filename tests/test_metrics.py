@@ -4,9 +4,8 @@ from burstmine import collect
 from burstmine.collect import (MethodCall, OperationSegment, Run,
                                SamplerConfig, collect_cbr_bursts, dumps_runs,
                                loads_runs)
-from burstmine.metrics import (baseline_recall, evaluate, model_recall,
-                               node_precision, overall_precision, run_sweep,
-                               trace_recall)
+from burstmine.metrics import (baseline_recall, evaluate, node_precision,
+                               run_sweep, trace_recall)
 from burstmine.model import ModelError, synthesize, with_transition
 from burstmine.states import ConcreteObject, ConcreteState
 from burstmine.synthetic import (PS_EMPTY, PS_FILLING, PS_PAID,
@@ -33,7 +32,7 @@ def test_reference_model_nodes_all_precise(checkout):
 
 def test_reference_model_overall_one(checkout):
     afs, runs, fsm = checkout
-    report = overall_precision(fsm, runs, afs)
+    report = evaluate(fsm, runs, afs)[0]
     assert report.overall == 1.0
     assert report.excluded == 0
     assert [n.state for n in report.per_node] == sorted(fsm.states)
@@ -73,7 +72,7 @@ def test_terminal_nodes_excluded_not_scored(checkout):
     only = Burst("clickOnAddItem", PS_EMPTY,
                  (MethodCall("addItem", "Cart", (25,)),), PS_FILLING, h)
     fsm = synthesize([only])
-    report = overall_precision(fsm, runs, afs)
+    report = evaluate(fsm, runs, afs)[0]
     # both nodes lack an in or an out side
     assert report.per_node == [] and report.excluded == 2
     assert report.overall is None
@@ -85,7 +84,7 @@ def test_overall_precision_simple_mean():
     runs = checkout_runs()
     fsm = synthesize(checkout_reference_bursts())
     bad = with_transition(fsm, "clickOnAddItem", PS_PAID, PS_EMPTY)
-    report = overall_precision(bad, runs, afs)
+    report = evaluate(bad, runs, afs)[0]
     scores = {n.state: n.precision for n in report.per_node}
     assert scores[PS_PAID] == 0.5
     assert report.overall == pytest.approx(
@@ -124,7 +123,7 @@ def test_two_scorable_nodes_mean_is_three_quarters():
                          states[i], states[i + 1])
         for i, lbl in enumerate(labels))
     run = Run("orig", segs)
-    report = overall_precision(fsm, [run], afs)
+    report = evaluate(fsm, [run], afs)[0]
     scores = {n.state: n.precision for n in report.per_node}
     assert scores == {"TF": 1.0, "FF": 0.5}
     assert report.overall == 0.75
@@ -147,7 +146,7 @@ def test_linear_run_full_precision():
             label, (MethodCall("m", "Editor", (i,)),), states[i], states[i + 1]))
     run = Run("lin", tuple(segs))
     fsm = synthesize(collect_cbr_bursts([run], afs, SamplerConfig(1.0, 0)))
-    report = overall_precision(fsm, [run], afs)
+    report = evaluate(fsm, [run], afs)[0]
     assert report.overall == 1.0
 
 
@@ -156,7 +155,7 @@ def test_linear_run_full_precision():
 def test_full_acceptance_recall_one(checkout):
     afs, runs, _ = checkout
     fsm = synthesize(collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0)))
-    report = model_recall(fsm, runs, afs)
+    report = evaluate(fsm, runs, afs)[1]
     assert report.mean_recall == 1.0
 
 
@@ -213,7 +212,7 @@ def test_sweep_certainty_cell(small_sweep):
     cell = sweep.cell(1.0, len(runs), 0)
     assert cell.mean_recall == 1.0
     fsm = synthesize(collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0)))
-    assert cell.overall_precision == overall_precision(fsm, runs, afs).overall
+    assert cell.overall_precision == evaluate(fsm, runs, afs)[0].overall
 
 
 def test_sweep_p_zero_cells():
@@ -265,12 +264,23 @@ def test_sweep_and_evaluate_abstract_a_state_shared_by_runs_once(monkeypatch):
     sweep = run_sweep(runs, afs, [0.5, 1.0], [2, 6], [0, 1])
     assert sorted(calls) == sorted(distinct)
     calls.clear()
-    precision, recall = evaluate(fsm, runs, afs)
+    evaluate(fsm, runs, afs)
     assert sorted(calls) == sorted(distinct)
     monkeypatch.undo()
     assert sweep.cells == run_sweep(runs, afs, [0.5, 1.0], [2, 6], [0, 1]).cells
-    assert (precision, recall) == (overall_precision(fsm, runs, afs),
-                                   model_recall(fsm, runs, afs))
+
+
+def test_every_sweep_cell_scores_as_evaluate_does():
+    afs = editor_abstraction_functions()
+    runs = generate_editor_runs(6, master_seed=4)
+    sweep = run_sweep(runs, afs, [0.3, 1.0], [2, 6], [0, 1])
+    assert len(sweep.cells) == 8
+    for cell in sweep.cells:
+        p, n, seed = cell.probability, cell.n_runs, cell.seed
+        fsm = synthesize(collect_cbr_bursts(runs[:n], afs, SamplerConfig(p, seed)))
+        precision, recall = evaluate(fsm, runs, afs)
+        assert (cell.overall_precision, cell.mean_recall) == (
+            precision.overall, recall.mean_recall or 0.0), (p, n, seed)
 
 
 def test_sweep_csv_shape(small_sweep):
@@ -282,7 +292,7 @@ def test_sweep_csv_shape(small_sweep):
 
 def test_reports_serialize(checkout):
     afs, runs, fsm = checkout
-    prec = overall_precision(fsm, runs, afs)
-    rec = model_recall(fsm, runs, afs)
+    prec = evaluate(fsm, runs, afs)[0]
+    rec = evaluate(fsm, runs, afs)[1]
     assert "overall" in prec.to_json() and prec.to_csv().startswith("state,")
     assert "mean_recall" in rec.to_json() and rec.to_csv().startswith("run,")

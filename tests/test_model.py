@@ -63,7 +63,7 @@ def test_same_triple_different_traces_one_transition():
     fsm = synthesize(bursts)
     key = ("op", "TF", "FT")
     assert fsm.n_transitions == 1
-    assert fsm.annotations(key) == ((call("a"),), (call("b"),))
+    assert fsm.transitions[key] == ((call("a"),), (call("b"),))
 
 
 def test_synthesize_order_insensitive():
@@ -76,7 +76,7 @@ def test_synthesize_order_insensitive():
     assert a.states == b.states
     assert set(a.transitions) == set(b.transitions)
     for key in a.transitions:
-        assert set(a.annotations(key)) == set(b.annotations(key))
+        assert set(a.transitions[key]) == set(b.transitions[key])
 
 
 def test_synthesize_hash_mismatch():
@@ -332,7 +332,7 @@ def test_synthesize_keeps_traces_whose_params_print_differently():
     one, true = MethodCall("op", "C", (1,)), MethodCall("op", "C", (True,))
     fsm = synthesize([mk_burst("op", "T", "F", [one]),
                       mk_burst("op", "T", "F", [true])])
-    assert fsm.annotations(("op", "T", "F")) == ((one,), (true,))
+    assert fsm.transitions[("op", "T", "F")] == ((one,), (true,))
     assert '"params": [\n              true' in export_fsm(fsm, "json")
 
 
@@ -351,5 +351,5 @@ def test_import_accepts_traces_that_differ_only_in_param_type():
             [{"method": "m", "class": "C", "params": p}]
             for p in ([1], [True], [1.0], [-0.0], [0.0], ["1"])]}]}, indent=2)
     fsm = import_fsm(text)
-    assert len(fsm.annotations(("op", "T", "F"))) == 6
+    assert len(fsm.transitions[("op", "T", "F")]) == 6
     assert export_fsm(fsm, "json") == text
