@@ -73,11 +73,17 @@ CONFIG = Record({}, {
 })
 
 
+def _text(path) -> str:
+    """A file's text with its line ends as written: a raw CR inside a record
+    is not a record break."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 def _config(path) -> dict:
     if not path:
         return {}
-    return check(json.loads(Path(path).read_text(encoding="utf-8")), CONFIG,
-                 "config", CliError)
+    return check(json.loads(_text(path)), CONFIG, "config", CliError)
 
 
 def _setting(args, config: dict, key: str):
@@ -95,7 +101,7 @@ def _input(args, config: dict, key: str) -> str:
 
 
 def _read(args, config: dict, key: str) -> str:
-    return Path(_input(args, config, key)).read_text(encoding="utf-8")
+    return _text(_input(args, config, key))
 
 
 def _section(config: dict, name: str, flags: dict) -> dict:

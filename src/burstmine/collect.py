@@ -43,7 +43,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .functions import AbstractionFunction, af_list_hash
-from .schema import ANY, LIST, SCALAR, STRING, TFU, ListOf, Record, check, records
+from .schema import (ANY, LIST, SCALAR, STRING, TFU, ListOf, Record, TextTable,
+                     check, records)
 from .states import STATE, ConcreteState, StateError, abstract_state
 
 SRT_CATEGORIES = ("Instantaneous", "Immediate", "Continuous", "Captive")
@@ -122,18 +123,12 @@ class EventTable(dict):
 _SLOT = re.compile(r"^( *)(.*)null(,?)$", re.M)
 
 
-class TraceWriter(dict):
+class TraceWriter(TextTable):
     """One write's ``json.dumps`` text of each distinct event, encoded once,
     on one line or, ``indented``, as an item of a list at ``indent=2``."""
 
     def __init__(self, indented: bool = False) -> None:
-        super().__init__()
-        self.indent = 2 if indented else None
-
-    def __missing__(self, event: MethodCall) -> str:
-        text = self[event] = json.dumps(event.to_dict(), indent=self.indent
-                                        ).replace("\n", "\n  ")
-        return text
+        super().__init__(1 if indented else None)
 
     def trace(self, trace: Trace, pad: str = "\n") -> str:
         """The trace as ``json.dumps`` writes its event dicts; indented, as
@@ -386,8 +381,9 @@ def loads_runs(text: str, events: EventTable | None = None) -> list[Run]:
 
 
 def load_runs(path, events: EventTable | None = None) -> list[Run]:
-    """Read a trace file; schema violations carry the offending record index."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a trace file; schema violations carry the offending record index.
+    Line ends are read as written, so a raw CR stays inside its record."""
+    with open(path, encoding="utf-8", newline="") as fh:
         return loads_runs(fh.read(), events)
 
 

@@ -13,7 +13,11 @@ reads term text with the IR's own ``atom`` grammar.
 
 This module owns the wire format for abstraction-function lists (a JSON
 document with a header recording extraction bounds and truncation flags),
-which every downstream stage consumes.
+which every downstream stage consumes.  Extracted functions share their
+method's guards, so the list is read and written per distinct clause: a load
+builds one ``Clause`` per distinct clause document (its ``lhs``, ``op``,
+``rhs`` and ``negated``) and its functions share it, and a write encodes each
+distinct clause's text once.  A clause tests for parameters once per object.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 from dataclasses import InitVar, dataclass
 from typing import Union
 
-from .schema import ANY, BOOL, STRING, ListOf, MapOf, Record, check
+from .schema import ANY, BOOL, STRING, ListOf, MapOf, Record, TextTable, check
 
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -165,6 +169,10 @@ class Clause:
         return f"{self.lhs} {self.op} {self.rhs}"
 
     def mentions_parameter(self) -> bool:
+        return self._mentions_parameter
+
+    @functools.cached_property
+    def _mentions_parameter(self) -> bool:  # tested once per clause object
         if isinstance(self.lhs, ParamTerm) or isinstance(self.rhs, ParamTerm):
             return True
         return _index_mentions_param(self.lhs) or _index_mentions_param(self.rhs)
@@ -259,8 +267,8 @@ def _clause(d: dict) -> Clause:
                   d.get("negated", False))
 
 
-def _function(d: dict) -> AbstractionFunction:
-    return AbstractionFunction(d["id"], tuple(map(_clause, d["clauses"])),
+def _function(d: dict, clause=_clause) -> AbstractionFunction:
+    return AbstractionFunction(d["id"], tuple(map(clause, d["clauses"])),
                                (d["class"], d["method"], d.get("path", "")))
 
 
@@ -272,20 +280,36 @@ def af_list_hash(afs: "list[AbstractionFunction] | tuple[AbstractionFunction, ..
 
 
 def dump_af_list(afs: list[AbstractionFunction], header: dict | None = None) -> str:
-    doc = {
-        "header": dict(header or {}),
-        "af_hash": af_list_hash(afs),
-        "functions": [af.to_dict() for af in afs],
-    }
-    return json.dumps(doc, indent=2)
+    """``json.dumps`` at ``indent=2`` of the document ``{"header", "af_hash",
+    "functions"}``, laid out here so that each distinct clause is encoded
+    once per write."""
+    dumps, clauses = json.dumps, TextTable(depth=4)
+    records = [
+        f'{{\n      "id": {dumps(af.id)},\n      "class": {dumps(af.class_name)},\n'
+        f'      "method": {dumps(af.method_name)},\n      "clauses": [\n        '
+        + ",\n        ".join([clauses[c] for c in af.clauses]) + "\n      ]\n    }"
+        for af in afs]
+    functions = "[\n    " + ",\n    ".join(records) + "\n  ]" if afs else "[]"
+    header_text = dumps(dict(header or {}), indent=2).replace("\n", "\n  ")
+    return (f'{{\n  "header": {header_text},\n  "af_hash": '
+            f'{dumps(af_list_hash(afs))},\n  "functions": {functions}\n}}')
 
 
 def load_af_list(text: str) -> tuple[list[AbstractionFunction], dict]:
     doc = check(json.loads(text), AF_LIST, "abstraction-function list")
+    clauses: dict[tuple, Clause] = {}  # one Clause per distinct clause document
+
+    def clause(d: dict) -> Clause:
+        key = d["lhs"], d["op"], d["rhs"], d.get("negated", False)
+        found = clauses.get(key)
+        if found is None:
+            found = clauses[key] = _clause(d)
+        return found
+
     afs = []
     for i, d in enumerate(doc["functions"]):
         try:
-            afs.append(_function(d))
+            afs.append(_function(d, clause))
         except ValueError as exc:
             raise ValueError(f"abstraction function {i}: {exc}") from None
     if doc.get("af_hash") and doc["af_hash"] != af_list_hash(afs):

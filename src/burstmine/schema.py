@@ -3,11 +3,13 @@
 A shape is a leaf kind, a ``(description, predicate)`` pair, or a ``ListOf``,
 ``MapOf`` or ``Record`` of shapes.  Each reader checks a parsed record once
 against its format's shape table, then builds values with no type tests.
-``records`` splits every line-based file (trace, burst, matrix) into records.
+``records`` splits every line-based file (trace, burst, matrix) into records;
+``TextTable`` encodes each distinct value of one write once.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
 
@@ -91,3 +93,19 @@ def records(text: str) -> list[tuple[int, str]]:
     line holds only JSON whitespace; any other goes to the reader."""
     return [(lineno, line.removesuffix("\r")) for lineno, line in
             enumerate(text.split("\n"), start=1) if line.strip(" \t\r")]
+
+
+class TextTable(dict):
+    """One write's ``json.dumps`` text of each distinct value's ``to_dict()``,
+    encoded once: on one line or, given a ``depth``, at ``indent=2`` as an
+    item that many levels deep in a document written at ``indent=2``."""
+
+    def __init__(self, depth: int | None = None) -> None:
+        super().__init__()
+        self.indent = None if depth is None else 2
+        self.pad = "\n" + "  " * (depth or 0)
+
+    def __missing__(self, value) -> str:
+        text = self[value] = json.dumps(value.to_dict(), indent=self.indent
+                                        ).replace("\n", self.pad)
+        return text

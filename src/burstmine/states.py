@@ -12,12 +12,15 @@ only trustworthy when every probe it aggregates was actually observable.
 A value is the letter ``"T"``, ``"F"`` or ``"U"``, and an abstract state is
 the string of its functions' letters.  Inside, values are codes T=0, F=1,
 U=2 (``schema.LETTERS``), so a conjunction is the ``max`` of its clauses'
-codes: U dominates, then F, then T.  Extracted functions repeat
-the same guards, so an AF list is compiled once into a table of its
-distinct terms, its distinct clauses (term-index triples) and each
-function's clause indices.  Per state, each distinct term is resolved once
-and each distinct clause decided once, and the functions are folded from
-the clause codes; the folded string is memoised per distinct code vector.
+codes: U dominates, then F, then T.  Extracted functions repeat the same
+guards, so an AF list is compiled once into a table of its distinct terms and
+its distinct clauses (term-index triples), each clause with a function mask:
+one byte per function, 1 where the function holds the clause, the first
+function most significant.  Per state, each distinct term is resolved once
+and each distinct clause decided once; the state's string is the OR of the
+masks of its F clauses and of three times the masks of its U clauses, each
+byte 0, 1 or 3 read as T, F or U.  OR is ``max`` on 0, 1 and 3, so U still
+dominates.
 A table is found by the identity of its function objects, which it holds
 only weakly, so it lives no longer than they do.
 """
@@ -182,11 +185,15 @@ def eval_clause(clause: Clause, state: ConcreteState) -> str:
                            _resolve(clause.rhs, state))]
 
 
+# A row byte per function: T 0, F 1, U 3.  Bytes OR as their codes max.
+_ROW_LETTERS = bytes.maketrans(b"\0\1\3", b"TFU")
+
+
 class _Table:
-    """An AF list compiled once: its distinct terms, its distinct clauses as
-    ``(lhs term index, op, rhs term index)`` triples, and each function's
-    clause indices.  The functions themselves are held only weakly: the
-    first one to die drops the table from ``_TABLES``."""
+    """An AF list compiled once: its distinct terms, and its distinct clauses
+    as ``(lhs term index, op, rhs term index)`` triples with their function
+    masks.  The functions themselves are held only weakly: the first one to
+    die drops the table from ``_TABLES``."""
 
     def __init__(self, afs, key: tuple[int, ...]) -> None:
         tables = _TABLES  # bound now: module globals may be cleared at exit
@@ -196,29 +203,35 @@ class _Table:
 
         self._refs = [weakref.ref(af, drop) for af in afs]  # kept: callbacks fire
         terms: dict[Term, int] = {}
-        clauses: dict[tuple[int, str, int], int] = {}
-        functions = []
-        for af in afs:
-            indices = []
+        clauses: dict[tuple[int, str, int], bytearray] = {}  # -> function mask
+        by_object: dict[int, bytearray] = {}  # loaded functions share clauses
+        for i, af in enumerate(afs):
             for c in af.clauses:
-                lhs = terms.setdefault(c.lhs, len(terms))
-                rhs = terms.setdefault(c.rhs, len(terms))
-                indices.append(clauses.setdefault((lhs, c.op, rhs), len(clauses)))
-            functions.append(tuple(indices))
+                mask = by_object.get(id(c))
+                if mask is None:
+                    lhs = terms.setdefault(c.lhs, len(terms))
+                    rhs = terms.setdefault(c.rhs, len(terms))
+                    mask = clauses.get((lhs, c.op, rhs))
+                    if mask is None:
+                        mask = clauses[lhs, c.op, rhs] = bytearray(len(afs))
+                    by_object[id(c)] = mask
+                mask[i] = 1
         self.terms = tuple(terms)
-        self.clauses = tuple(clauses)
-        self.functions = tuple(functions)
-        self._rows: dict[bytes, str] = {}  # clause codes -> folded row
+        self.clauses = tuple((clause, int.from_bytes(mask, "big"))
+                             for clause, mask in clauses.items())
+        self.width = len(afs)
 
     def row(self, state: ConcreteState) -> str:
         values = [_resolve(term, state) for term in self.terms]
-        codes = bytes([_decide(values[lhs], op, values[rhs])
-                       for lhs, op, rhs in self.clauses])
-        row = self._rows.get(codes)
-        if row is None:
-            row = self._rows[codes] = "".join(
-                [LETTERS[max(map(codes.__getitem__, f))] for f in self.functions])
-        return row
+        false = unknown = 0
+        for (lhs, op, rhs), mask in self.clauses:
+            code = _decide(values[lhs], op, values[rhs])
+            if code == 1:
+                false |= mask
+            elif code == 2:
+                unknown |= mask
+        return (false | 3 * unknown).to_bytes(self.width, "big").translate(
+            _ROW_LETTERS).decode("ascii")
 
 
 # Compiled tables by the ids of their functions.  An entry lives only while

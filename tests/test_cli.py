@@ -287,6 +287,41 @@ def test_a_line_of_other_than_json_whitespace_is_a_record(workdir, capsys,
     assert run_cli(*argv, bad) == 0
 
 
+def _with_raw_cr(path: Path, record: int, old: str, new: str) -> Path:
+    """A copy of a line-based file with ``old`` replaced by ``new``, which
+    holds a raw CR, in record ``record`` (1-based)."""
+    lines = path.read_bytes().decode("utf-8").split("\n")
+    assert old in lines[record - 1]
+    lines[record - 1] = lines[record - 1].replace(old, new, 1)
+    bad = path.with_name("cr-" + path.name)
+    bad.write_bytes("\n".join(lines).encode("utf-8"))
+    return bad
+
+
+def test_a_raw_cr_inside_a_trace_record_is_not_a_record_break(workdir):
+    traces, afs = workdir / "checkout.jsonl", workdir / "checkout_afs.json"
+    bad = _with_raw_cr(traces, 1, '{"run": ', '{"run":\r')
+    assert load_runs(bad) == load_runs(traces)
+    assert run_cli("profile", "--traces", traces, "--afs", afs,
+                   "--out", workdir / "m.csv") == 0
+    assert run_cli("profile", "--traces", bad, "--afs", afs,
+                   "--out", workdir / "cr-m.csv") == 0
+    assert sha(workdir / "cr-m.csv") == sha(workdir / "m.csv")
+
+
+def test_a_raw_cr_inside_a_burst_record_is_not_a_record_break(workdir):
+    bursts = workdir / "bursts.jsonl"
+    assert run_cli("collect", "--traces", workdir / "checkout.jsonl",
+                   "--afs", workdir / "checkout_afs.json",
+                   "--probability", "1.0", "--out", bursts) == 0
+    bad = _with_raw_cr(bursts, 2, '"pre": ', '"pre":\r')
+    assert run_cli("synthesize", "--bursts", bursts,
+                   "--out", workdir / "fsm.json") == 0
+    assert run_cli("synthesize", "--bursts", bad,
+                   "--out", workdir / "cr-fsm.json") == 0
+    assert sha(workdir / "cr-fsm.json") == sha(workdir / "fsm.json")
+
+
 @pytest.mark.parametrize("command,flag,document,error,missing", [
     ("profile", "--afs", {}, "ValueError", "functions"),
     ("profile", "--afs", {"functions": [{}]}, "ValueError", "id"),

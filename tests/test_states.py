@@ -12,11 +12,15 @@ import burstmine
 from burstmine import cli, collect, states
 from burstmine.functions import (COMPARE_OPS, AbstractionFunction, BoolTerm, Clause,
                                  FieldTerm, IntTerm, NullTerm, ParamTerm,
-                                 af_list_hash, parse_term)
-from burstmine.ir import KEYWORDS
+                                 af_list_hash, dump_af_list, load_af_list,
+                                 parse_term)
+from burstmine.ir import (KEYWORDS, build_dependency_graph, detect_relevant_classes,
+                          parse_program)
 from burstmine.states import (_UNRESOLVED, ConcreteObject, ConcreteState,
                               StateError, _compare, _resolve,
                               abstract_state, eval_clause, eval_function)
+from burstmine.symex import SymexBounds, extract_abstraction_functions
+from perfbench.inputs import editor_corpus, editor_program
 
 
 def clause(text: str) -> Clause:
@@ -244,7 +248,8 @@ _FREE_TERMS = _TERMS.filter(lambda t: not Clause(t, "==", t).mentions_parameter(
 @st.composite
 def _af_lists(draw) -> list[AbstractionFunction]:
     """Functions drawn from a small pool of clauses over a small pool of
-    terms, so that they share clauses and terms, by value and by object."""
+    terms, so that they share clauses and terms, by value and by object;
+    up to 48 of them, so that a clause's function mask spans many bytes."""
     paths = draw(st.lists(st.sampled_from(_PATHS), min_size=1, max_size=4))
     paths += draw(st.lists(_FREE_TERMS, max_size=1))
     lhs = st.sampled_from(paths)
@@ -253,7 +258,7 @@ def _af_lists(draw) -> list[AbstractionFunction]:
                                       st.booleans()), min_size=1, max_size=8))
     return [AbstractionFunction(f"f{i}", tuple(draw(st.lists(
                 st.sampled_from(clauses), min_size=1, max_size=3))), ("A", "m", f"P{i}"))
-            for i in range(draw(st.integers(1, 8)))]
+            for i in range(draw(st.integers(1, 48)))]
 
 
 @st.composite
@@ -289,6 +294,24 @@ def test_compiled_table_agrees_with_the_reference_interpreter(afs, snapshots):
         assert [eval_function(f, state) for f in afs] == expected
         for c in {c for f in afs for c in f.clauses}:
             assert eval_clause(c, state) == _reference_clause(c, state)
+
+
+def test_compiled_table_agrees_with_the_reference_on_an_extracted_list():
+    """The ``probe-mining`` benchmark's seed-0 inputs: 360 probes over 98
+    distinct clauses, as extracted and as read back, on every snapshot."""
+    program = parse_program(editor_program(45, 0))
+    relevant = detect_relevant_classes(build_dependency_graph(program), ["Editor"])
+    extracted, _ = extract_abstraction_functions(program, relevant, SymexBounds())
+    loaded, _ = load_af_list(dump_af_list(extracted))
+    assert len(loaded) == 360
+    assert len({c for f in loaded for c in f.clauses}) == 98
+    runs = collect.loads_runs(editor_corpus(30, 0)[0])
+    snapshots = {id(s): s for run in runs for seg in run.segments
+                 for s in (seg.pre_state, seg.post_state)}
+    for afs in (extracted, loaded):
+        for state in snapshots.values():
+            expected = "".join([_reference_function(f, state) for f in afs])
+            assert abstract_state(afs, state) == expected
 
 
 def test_compiled_table_keeps_no_function_alive():
