@@ -13,11 +13,15 @@ the seed-0 ``pipeline`` benchmark corpus, 185 of 1,440 segment lines, 36 of
 1,440 event lists, 112 of 71,564 events and 84 of 2,880 state snapshots are
 distinct.  So a load of a trace or burst file keeps a table from each
 segment or burst line's text to the one ``OperationSegment`` or ``Burst``
-built from it, and a repeated line appends that object again.  A new line is
-walked with ``json.JSONDecoder().raw_decode`` (``_Reader``), through
-per-load tables from an event list's, an event's or a state's source text to
-the one trace, ``MethodCall`` or ``ConcreteState`` built from it, checked
-once; a command that loads a model and runs passes both loads one
+built from it, and a repeated line appends that object again.
+``load_runs`` reads a trace file as byte lines by the record rule of
+``schema.records`` and keys that table by each line's bytes, so a repeated
+line is never decoded and no load holds the file as text; a new line is
+decoded as strict UTF-8, and one that is not UTF-8 fails at its record.
+A new line is walked with ``json.JSONDecoder().raw_decode`` (``_Reader``),
+through per-load tables from an event list's, an event's or a state's source
+text to the one trace, ``MethodCall`` or ``ConcreteState`` built from it,
+checked once; a command that loads a model and runs passes both loads one
 ``EventTable``.  The walker splits an event list at each ``}``, ``,``, ``{``
 with only JSON whitespace between them, so it reads every layout a JSON
 writer may choose; a list whose pieces are not each one complete object goes
@@ -350,17 +354,21 @@ class _Reader:
         return call
 
 
-def loads_runs(text: str, events: EventTable | None = None) -> list[Run]:
-    """Read a trace file's text; ``events`` is the event table to share, if
-    another load of the same command reads the same events."""
+def _runs(lines, text_of, events: EventTable | None) -> list[Run]:
+    """The runs of a trace file's ``(lineno, line)`` pairs; ``text_of(line,
+    lineno)`` is a line's record text, ``""`` if blank."""
     runs: list[tuple[str, list[OperationSegment]]] = []
-    # Each segment line's text -> the segment built from it.  Only a built
-    # one is stored, so a hit, like its first build, follows a run line.
+    # Each segment line -> the segment built from it.  Only a built one is
+    # stored, so a hit, like its first build, follows a run line; a hit is
+    # not decoded again.
     reader, built = _Reader(events), {}
-    for lineno, line in records(text):
+    for lineno, line in lines:
         segment = built.get(line)
         if segment is None:
-            doc = reader.record(line, lineno, LINE, "line")
+            text = text_of(line, lineno)
+            if not text:
+                continue
+            doc = reader.record(text, lineno, LINE, "line")
             if "run" in doc:
                 runs.append((str(doc["run"]), []))
                 continue
@@ -380,11 +388,34 @@ def loads_runs(text: str, events: EventTable | None = None) -> list[Run]:
     return [Run(run_id, tuple(segments)) for run_id, segments in runs]
 
 
+def _record_text(line: bytes, lineno: int) -> str:
+    """A byte line as ``schema.records`` gives its text: strict UTF-8,
+    without its "\\n" and one "\\r" before it, and ``""`` if blank.  UTF-8
+    writes no byte 0x0A inside a character, so byte lines and text lines
+    split alike.  It stays in this module: ``perfbench`` traces each call
+    from one module into another, and a span per line costs more than it
+    measures."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TraceSchemaError(f"not UTF-8 at byte {exc.start} of the line: "
+                               f"{exc.reason}", lineno) from None
+    text = text.removesuffix("\n").removesuffix("\r")
+    return text if text.strip(" \t\r") else ""
+
+
+def loads_runs(text: str, events: EventTable | None = None) -> list[Run]:
+    """Read a trace file's text; ``events`` is the event table to share, if
+    another load of the same command reads the same events."""
+    return _runs(records(text), lambda line, lineno: line, events)
+
+
 def load_runs(path, events: EventTable | None = None) -> list[Run]:
-    """Read a trace file; schema violations carry the offending record index.
-    Line ends are read as written, so a raw CR stays inside its record."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return loads_runs(fh.read(), events)
+    """Read a trace file as ``loads_runs`` reads its text, a byte line at a
+    time: a segment line is keyed by its bytes, line end included, so only a
+    new line is decoded.  A line that is not UTF-8 fails at its record."""
+    with open(path, "rb") as fh:
+        return _runs(enumerate(fh, start=1), _record_text, events)
 
 
 def dumps_runs(runs: list[Run]) -> str:

@@ -105,12 +105,24 @@ class FilterReport:
         self.log.append({"rule": rule, "id": ident, "pass": pass_no})
 
     def to_json(self) -> str:
-        return json.dumps({
-            "initial_columns": self.initial_columns,
-            "kept": list(self.kept_column_ids),
-            "removed_counts": self.counts,
-            "log": self.log,
-        }, indent=2)
+        """``json.dumps`` at ``indent=2`` of the document ``{"initial_columns",
+        "kept", "removed_counts", "log"}``, laid out here: the library lays out
+        an indented document in Python, one call per value.  Counts are ints."""
+        dumps = json.dumps
+        counts = [f"{dumps(k)}: {v:d}" for k, v in self.counts.items()]
+        log = [f'{{\n      "rule": {dumps(e["rule"])},\n      "id": {dumps(e["id"])}'
+               f',\n      "pass": {e["pass"]:d}\n    }}' for e in self.log]
+        return (f'{{\n  "initial_columns": {self.initial_columns:d},\n'
+                f'  "kept": {_items(map(dumps, self.kept_column_ids), "[]")},\n'
+                f'  "removed_counts": {_items(counts, "{}")},\n'
+                f'  "log": {_items(log, "[]")}\n}}')
+
+
+def _items(texts, brackets: str) -> str:
+    """Item texts as ``json.dumps`` lays out a list or object one level deep
+    at ``indent=2``."""
+    body = ",\n    ".join(texts)
+    return f"{brackets[0]}\n    {body}\n  {brackets[1]}" if body else brackets
 
 
 def remove_duplicate_rows(m: EvalMatrix, report: FilterReport | None = None,

@@ -90,7 +90,8 @@ def _record_mismatch(value: dict, shape):
 def records(text: str) -> list[tuple[int, str]]:
     """The non-blank records with their line numbers.  Records end at "\\n"
     or "\\r\\n" only: JSON strings may hold U+2028 and U+0085 raw.  A blank
-    line holds only JSON whitespace; any other goes to the reader."""
+    line holds only JSON whitespace; any other goes to the reader.
+    ``collect.load_runs`` reads a trace file's byte lines by the same rule."""
     return [(lineno, line.removesuffix("\r")) for lineno, line in
             enumerate(text.split("\n"), start=1) if line.strip(" \t\r")]
 

@@ -1003,3 +1003,34 @@ def test_any_damaged_input_exits_0_or_2(full_config, data):
         assert rc in (0, 2), command
         if rc == 2:
             assert len(err) == 1 and "error" in json.loads(err[0]), (command, err)
+
+
+def test_a_byte_that_is_not_utf8_exits_2_with_one_line(full_config, tmp_path):
+    """A 0xff byte in one trace line fails at that record in every command
+    that reads traces; in any other input, or in the config, it exits 2 with
+    one JSON line too."""
+    _, config, start = full_config
+    lines = Path(config["traces"]).read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(b'"label": "', b'"label": "\xff', 1)
+    at = lines[2].index(b"\xff")
+    traces = tmp_path / "traces.jsonl"
+    traces.write_bytes(b"\n".join(lines))
+    for command in _READERS["traces"]:
+        rc, err = _run_on({**config, "traces": traces}, command, tmp_path / "out",
+                          start)
+        assert rc == 2 and len(err) == 1, (command, err)
+        assert json.loads(err[0]) == {
+            "error": "TraceSchemaError",
+            "message": f"record 3: not UTF-8 at byte {at} of the line: "
+                       "invalid start byte"}, command
+    for key, command in [("afs", "profile"), ("matrix", "filter"),
+                         ("bursts", "synthesize"), ("fsm", "simulate"),
+                         ("program", "extract"), ("config", "extract")]:
+        damaged = tmp_path / f"damaged-{key}"
+        source = Path(config["afs" if key == "config" else key]).read_bytes()
+        damaged.write_bytes(source[:20] + b"\xff" + source[20:])
+        rc, err = run_cli_process(command, f"--{key}", damaged, "--out-dir",
+                                  tmp_path / "out", *(["--start", start] if
+                                                      command == "simulate" else []))
+        assert_one_line_diagnostic(rc, err, "UnicodeDecodeError")
+        assert "0xff" in json.loads(err)["message"], key

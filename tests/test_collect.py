@@ -1,6 +1,8 @@
+import functools
 import json
 import math
 import statistics
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,14 +10,15 @@ from hypothesis import given, settings, strategies as st
 from burstmine.collect import (BURST, HEADER_LINE, LINE, Burst, EventTable,
                                MethodCall, OperationSegment, Run,
                                SamplerConfig, TraceSchemaError, _record,
-                               collect_cbr_bursts, collect_fixed_sampling,
-                               dumps_bursts, dumps_runs, loads_bursts,
-                               loads_runs)
+                               _record_text, collect_cbr_bursts,
+                               collect_fixed_sampling, dumps_bursts,
+                               dumps_runs, load_runs, loads_bursts, loads_runs)
 from burstmine.functions import af_list_hash
 from burstmine.states import ConcreteState, StateError, abstract_state
 from burstmine.synthetic import (checkout_abstraction_functions, checkout_runs,
                                  editor_abstraction_functions,
                                  generate_editor_runs)
+from perfbench.inputs import editor_corpus
 
 
 @pytest.fixture(scope="module")
@@ -484,13 +487,14 @@ def test_burst_state_outside_tfu_reports_record_index(editor):
 #
 # The readers as they were before the record walker: every line parsed by
 # ``json.loads`` and checked, every event through ``EventTable``.  Texts here
-# hold no raw line break but "\n" and "\r\n", where the two splits agree.
+# hold no raw line break but "\n" and "\r\n", where the two splits agree;
+# the trace reader's ``split`` is the record rule's for other texts.
 
 
-def _reference_loads_runs(text: str) -> list[Run]:
+def _reference_loads_runs(text: str, split=str.splitlines) -> list[Run]:
     runs: list[tuple[str, list[OperationSegment]]] = []
     events = EventTable()
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(split(text), start=1):
         if not line.strip(" \t\r"):
             continue
         doc = _record(line, lineno, LINE, "line")
@@ -732,3 +736,85 @@ def test_trace_reader_agrees_with_the_parsed_reader(text):
 @given(_documents(bursts=True))
 def test_burst_reader_agrees_with_the_parsed_reader(text):
     _agree_at_every_record(loads_bursts, _reference_loads_bursts, text)
+
+
+# --- a trace file read in binary against its text -------------------------------------
+#
+# ``load_runs`` reads a file a byte line at a time.  Against the text readers,
+# over texts that also hold what only the record rule tells apart: raw U+2028,
+# U+2029 and U+0085 inside strings, a lone CR between tokens and blank lines
+# of space, tab and CR.  The reference then splits as the rule does.
+
+
+def _newline_records(text: str) -> list[str]:
+    return [line.removesuffix("\r") for line in text.split("\n")]
+
+
+_MARKS = st.sampled_from(["\\u00e9", "é", "\u2028", "\u2029", "\x85"])
+
+
+@st.composite
+def _byte_documents(draw):
+    """A ``_documents`` text with some "é" (written ``\\u00e9``) written raw
+    or as a raw line break, a CR for the space of some ``": ``, a CR at the
+    end of some line, so that one is left after a CRLF line's own CR goes,
+    and blank lines of space, tab and CR."""
+    parts = draw(_documents()).split("\\u00e9")
+    text = parts[0] + "".join(draw(_MARKS) + part for part in parts[1:])
+    lines = text.replace('": ', '":\r', draw(st.integers(0, 2))).split("\n")
+    for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
+        lines[i] += "\r"
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from([" \t\r", "\r", "\t"])))
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("traces") / "runs.jsonl"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_byte_documents())
+def test_a_file_load_agrees_with_the_text_load(trace_path, text):
+    def from_file(t: str) -> list[Run]:
+        trace_path.write_bytes(t.encode("utf-8"))
+        return load_runs(trace_path)
+
+    reference = functools.partial(_reference_loads_runs, split=_newline_records)
+    for read in (from_file, loads_runs):
+        _agree_at_every_record(read, reference, text)
+
+
+def test_a_file_load_decodes_and_builds_each_repeated_line_once(
+        editor, tmp_path, monkeypatch):
+    _, runs = editor
+    text = dumps_runs(runs)
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    decoded = []
+    monkeypatch.setattr("burstmine.collect._record_text", lambda line, lineno: (
+        decoded.append(line) or _record_text(line, lineno)))
+    loaded = load_runs(path)
+    assert loaded == loads_runs(text)
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert sorted(decoded) == sorted(set(lines)) and len(decoded) < len(lines)
+    segments = [s for r in loaded for s in r.segments]
+    ids: dict[bytes, set[int]] = {}
+    for line, segment in zip([b for b in lines if b'"segment"' in b], segments):
+        ids.setdefault(line, set()).add(id(segment))
+    assert all(len(same) == 1 for same in ids.values())
+    assert len({id(s) for s in segments}) == len(ids)
+
+
+def test_a_file_load_peaks_below_half_the_file_size(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(editor_corpus(120, 0)[0], encoding="utf-8")
+    tracemalloc.start()
+    try:
+        runs = load_runs(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(runs) == 120 and peak < path.stat().st_size / 2

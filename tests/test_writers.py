@@ -1,9 +1,9 @@
-"""Every event writer against a reference writer.
+"""Every event writer, and the filter report, against a reference writer.
 
 The reference writers below encode each event with ``to_dict()`` and lay the
 whole document out with ``json.dumps``.  The writers under test encode each
 distinct event once per write and splice the texts in; for any document they
-must return the same string.
+must return the same string.  The filter report is laid out by hand.
 """
 
 import json
@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from burstmine.collect import (SRT_CATEGORIES, Burst, MethodCall,
                                OperationSegment, Run, SamplerConfig,
                                dumps_baseline, dumps_bursts, dumps_runs)
+from burstmine.filtering import FilterReport
 from burstmine.model import (AnnotatedFSM, ReconstructedTrace,
                              dumps_reconstructions, export_fsm)
 from burstmine.states import ConcreteObject, ConcreteState
@@ -85,6 +86,15 @@ def ref_dumps_reconstructions(traces):
                      for label, trace in t.segments],
     } for t in traces]
     return json.dumps(doc, indent=2)
+
+
+def ref_filter_report_json(report):
+    return json.dumps({
+        "initial_columns": report.initial_columns,
+        "kept": list(report.kept_column_ids),
+        "removed_counts": report.counts,
+        "log": report.log,
+    }, indent=2)
 
 
 # --- documents ------------------------------------------------------------------------
@@ -167,6 +177,23 @@ def reconstructions(traces):
                     max_size=3)
 
 
+# Ids with quotes, backslashes, non-ASCII text and U+2028, which ``json.dumps``
+# escapes.
+ids = st.one_of(names, st.sampled_from(['a"b', "\\u2028", "\u2028", "r:1"]))
+
+
+@st.composite
+def filter_reports(draw):
+    report = FilterReport(kept_column_ids=tuple(draw(st.lists(ids, max_size=4))),
+                          initial_columns=draw(st.integers(0, 10**6)))
+    for rule, ident, pass_no in draw(st.lists(st.tuples(
+            st.sampled_from(["duplicate-row", "non-discriminating",
+                             "equivalent", "redundant"]), ids,
+            st.integers(1, 10**6)), max_size=6)):
+        report.record(rule, ident, pass_no)
+    return report
+
+
 # --- properties -----------------------------------------------------------------------
 
 @settings(max_examples=150, deadline=None)
@@ -214,3 +241,15 @@ def test_writers_of_empty_documents_agree_with_the_reference():
     hopless = [ReconstructedTrace("T", (), "T")]
     assert dumps_reconstructions([]) == ref_dumps_reconstructions([]) == "[]"
     assert dumps_reconstructions(hopless) == ref_dumps_reconstructions(hopless)
+
+
+@settings(max_examples=150, deadline=None)
+@given(filter_reports())
+def test_filter_report_agrees_with_the_reference(report):
+    assert report.to_json() == ref_filter_report_json(report)
+
+
+def test_an_empty_filter_report_agrees_with_the_reference():
+    for report in (FilterReport(), FilterReport(kept_column_ids=("é\u2028",)),
+                   FilterReport(log=[{"rule": "redundant", "id": '"', "pass": 2}])):
+        assert report.to_json() == ref_filter_report_json(report)
