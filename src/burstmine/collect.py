@@ -26,12 +26,10 @@ checked once; a command that loads a model and runs passes both loads one
 with only JSON whitespace between them, so it reads every layout a JSON
 writer may choose; a list whose pieces are not each one complete object goes
 through the parsed reader (``_record``).
-Writing turns this round: every event writer, here (``dumps_runs``,
-``dumps_bursts``, ``dumps_baseline``) and in ``model`` (the model and the
-reconstructions), goes through one ``TraceWriter``, which encodes each
-distinct event once per write and joins the texts as ``json.dumps`` lays
-them out.  Nothing outlives one load, one write or one ``collect`` call, nor
-one command's loads.
+Writing turns this round: each event writer, here and in ``model``, writes
+through one ``schema.JsonText``, which encodes each distinct event once per
+write.  Nothing outlives one load, one write or one ``collect`` call, nor one
+command's loads.
 
 The uncontrolled baseline draws at operation starts only while idle and then
 records a fixed number of consecutive events regardless of operation
@@ -47,7 +45,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .functions import AbstractionFunction, af_list_hash
-from .schema import (ANY, LIST, SCALAR, STRING, TFU, ListOf, Record, TextTable,
+from .schema import (ANY, LIST, SCALAR, STRING, TFU, JsonText, ListOf, Record,
                      check, records)
 from .states import STATE, ConcreteState, StateError, abstract_state
 
@@ -120,34 +118,6 @@ class EventTable(dict):
     def trace(self, events: list, error) -> Trace:
         """The events as a trace; a malformed one raises ``error(message)``."""
         return tuple([self.event(e, error) for e in events])
-
-
-# In a document ``json.dumps`` indents, each list item and object member has
-# a line of its own, and only a null value ends a line in "null".
-_SLOT = re.compile(r"^( *)(.*)null(,?)$", re.M)
-
-
-class TraceWriter(TextTable):
-    """One write's ``json.dumps`` text of each distinct event, encoded once,
-    on one line or, ``indented``, as an item of a list at ``indent=2``."""
-
-    def __init__(self, indented: bool = False) -> None:
-        super().__init__(1 if indented else None)
-
-    def trace(self, trace: Trace, pad: str = "\n") -> str:
-        """The trace as ``json.dumps`` writes its event dicts; indented, as
-        if its ``[`` were on a line that starts with ``pad``."""
-        if self.indent is None:
-            return "[" + ", ".join([self[e] for e in trace]) + "]"
-        text = "[\n  " + ",\n  ".join([self[e] for e in trace]) + "\n]"
-        return text.replace("\n", pad) if trace else "[]"
-
-    def document(self, doc, traces) -> str:
-        """``json.dumps(doc, indent=2)``, each ``None`` in ``doc`` standing
-        for the next of ``traces``; ``doc`` holds no other ``None``."""
-        slots = iter(traces)
-        return _SLOT.sub(lambda m: m[1] + m[2] + self.trace(
-            next(slots), "\n" + m[1]) + m[3], json.dumps(doc, indent=2))
 
 
 @dataclass(frozen=True)
@@ -419,15 +389,15 @@ def load_runs(path, events: EventTable | None = None) -> list[Run]:
 
 
 def dumps_runs(runs: list[Run]) -> str:
-    dumps, events, lines = json.dumps, TraceWriter(), []
+    dumps, events, lines = json.dumps, JsonText(), []
     for run in runs:
         lines.append(dumps({"run": run.run_id}))
         for seg in run.segments:
             lines.append(
                 f'{{"segment": {{"label": {dumps(seg.label)}, "srt_category": '
                 f'{dumps(seg.srt_category)}, "pre_state": '
-                f'{dumps(seg.pre_state.to_dict())}, "events": '
-                f'{events.trace(seg.events)}, "post_state": '
+                f'{dumps(seg.pre_state.to_dict())}, "events": ['
+                f'{", ".join([events[e] for e in seg.events])}], "post_state": '
                 f'{dumps(seg.post_state.to_dict())}}}}}')
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -520,19 +490,21 @@ def dumps_bursts(bursts: list[Burst], cfg: SamplerConfig | None = None,
     header: dict = {"af_hash": af_hash}
     if cfg is not None:
         header["sampler"] = cfg.to_dict()
-    dumps, events = json.dumps, TraceWriter()
+    dumps, events = json.dumps, JsonText()
     lines = [dumps({"header": header})]
     lines += [f'{{"label": {dumps(b.label)}, "pre": {dumps(b.pre)}, "trace": '
-              f'{events.trace(b.trace)}, "post": {dumps(b.post)}}}' for b in bursts]
+              f'[{", ".join([events[e] for e in b.trace])}], "post": '
+              f'{dumps(b.post)}}}' for b in bursts]
     return "\n".join(lines) + "\n"
 
 
 def dumps_baseline(traces: list[tuple[str, Trace]], cfg: SamplerConfig) -> str:
     """The baseline file: a header line, then one line per (run id, trace)
     pair of ``collect_fixed_sampling``."""
-    dumps, events = json.dumps, TraceWriter()
+    dumps, events = json.dumps, JsonText()
     lines = [dumps({"header": {"sampler": cfg.to_dict()}})]
-    lines += [f'{{"run": {dumps(run_id)}, "trace": {events.trace(trace)}}}'
+    lines += [f'{{"run": {dumps(run_id)}, "trace": '
+              f'[{", ".join([events[e] for e in trace])}]}}'
               for run_id, trace in traces]
     return "\n".join(lines) + "\n"
 

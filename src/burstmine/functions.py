@@ -16,8 +16,9 @@ document with a header recording extraction bounds and truncation flags),
 which every downstream stage consumes.  Extracted functions share their
 method's guards, so the list is read and written per distinct clause: a load
 builds one ``Clause`` per distinct clause document (its ``lhs``, ``op``,
-``rhs`` and ``negated``) and its functions share it, and a write encodes each
-distinct clause's text once.  A clause tests for parameters once per object.
+``rhs`` and ``negated``) and its functions share it, and a write, one
+``schema.JsonText``, encodes each distinct clause once.  A clause tests for
+parameters once per object.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import json
 from dataclasses import InitVar, dataclass
 from typing import Union
 
-from .schema import ANY, BOOL, STRING, ListOf, MapOf, Record, TextTable, check
+from .schema import ANY, BOOL, STRING, JsonText, ListOf, MapOf, Record, check
 
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -281,18 +282,14 @@ def af_list_hash(afs: "list[AbstractionFunction] | tuple[AbstractionFunction, ..
 
 def dump_af_list(afs: list[AbstractionFunction], header: dict | None = None) -> str:
     """``json.dumps`` at ``indent=2`` of the document ``{"header", "af_hash",
-    "functions"}``, laid out here so that each distinct clause is encoded
-    once per write."""
-    dumps, clauses = json.dumps, TextTable(depth=4)
-    records = [
-        f'{{\n      "id": {dumps(af.id)},\n      "class": {dumps(af.class_name)},\n'
-        f'      "method": {dumps(af.method_name)},\n      "clauses": [\n        '
-        + ",\n        ".join([clauses[c] for c in af.clauses]) + "\n      ]\n    }"
-        for af in afs]
-    functions = "[\n    " + ",\n    ".join(records) + "\n  ]" if afs else "[]"
-    header_text = dumps(dict(header or {}), indent=2).replace("\n", "\n  ")
-    return (f'{{\n  "header": {header_text},\n  "af_hash": '
-            f'{dumps(af_list_hash(afs))},\n  "functions": {functions}\n}}')
+    "functions"}``; each distinct clause is encoded once per write."""
+    return JsonText().dumps({
+        "header": dict(header or {}),
+        "af_hash": af_list_hash(afs),
+        "functions": [{"id": af.id, "class": af.class_name,
+                       "method": af.method_name, "clauses": af.clauses}
+                      for af in afs],
+    }, "\n")
 
 
 def load_af_list(text: str) -> tuple[list[AbstractionFunction], dict]:

@@ -13,8 +13,8 @@ in the order ``simulate_traces`` walks them.
 A load shares one trace object per distinct event list, so ``synthesize``
 tells a transition's traces apart by identity before it merges equal ones by
 value.  The model JSON (``export_fsm``) and the reconstructions JSON
-(``dumps_reconstructions``) are written through ``collect.TraceWriter``, so
-one write encodes each distinct event once.
+(``dumps_reconstructions``) are each one document, with the traces in place,
+written by ``schema.JsonText``, so one write encodes each distinct event once.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .collect import Burst, EventTable, Trace, TraceWriter
-from .schema import LIST, STRING, TFU, ListOf, Record, check
+from .collect import Burst, EventTable, Trace
+from .schema import LIST, STRING, TFU, JsonText, ListOf, Record, check
 
 
 class ModelError(ValueError):
@@ -172,25 +172,24 @@ def export_fsm(fsm: AnnotatedFSM, fmt: str = "json") -> str:
 
 
 def _to_json(fsm: AnnotatedFSM) -> str:
-    keys = sorted(fsm.transitions)
-    return TraceWriter(indented=True).document({
+    return JsonText().dumps({
         "af_hash": fsm.af_hash,
         "states": sorted(fsm.states),
         "transitions": [{"label": label, "from": frm, "to": to,
-                         "traces": [None] * len(fsm.transitions[label, frm, to])}
-                        for label, frm, to in keys],
-    }, [trace for key in keys for trace in fsm.transitions[key]])
+                         "traces": fsm.transitions[label, frm, to]}
+                        for label, frm, to in sorted(fsm.transitions)],
+    }, "\n")
 
 
 def dumps_reconstructions(traces: list[ReconstructedTrace]) -> str:
     """The ``simulate`` output: the reconstructed traces as an indented JSON
     list, each with its start and end states, labels and per-hop events."""
-    return TraceWriter(indented=True).document([{
+    return JsonText().dumps([{
         "start": t.start,
         "end": t.end,
-        "labels": list(t.labels),
-        "segments": [{"label": label, "trace": None} for label, _ in t.segments],
-    } for t in traces], [trace for t in traces for _, trace in t.segments])
+        "labels": t.labels,
+        "segments": [{"label": label, "trace": trace} for label, trace in t.segments],
+    } for t in traces], "\n")
 
 
 MODEL = Record({"states": ListOf(TFU, "state"), "transitions": ListOf(Record(

@@ -3,8 +3,8 @@
 A shape is a leaf kind, a ``(description, predicate)`` pair, or a ``ListOf``,
 ``MapOf`` or ``Record`` of shapes.  Each reader checks a parsed record once
 against its format's shape table, then builds values with no type tests.
-``records`` splits every line-based file (trace, burst, matrix) into records;
-``TextTable`` encodes each distinct value of one write once.
+``records`` splits every line-based file (trace, burst, matrix) into records.
+``JsonText`` is the one writer of documents that repeat events or clauses.
 """
 
 from __future__ import annotations
@@ -96,17 +96,49 @@ def records(text: str) -> list[tuple[int, str]]:
             enumerate(text.split("\n"), start=1) if line.strip(" \t\r")]
 
 
-class TextTable(dict):
-    """One write's ``json.dumps`` text of each distinct value's ``to_dict()``,
-    encoded once: on one line or, given a ``depth``, at ``indent=2`` as an
-    item that many levels deep in a document written at ``indent=2``."""
+_string = json.encoder.encode_basestring_ascii
+# The types json.dumps writes; a list item of another type is looked up here.
+_JSON = {str, int, float, bool, type(None), list, tuple, dict}
 
-    def __init__(self, depth: int | None = None) -> None:
-        super().__init__()
-        self.indent = None if depth is None else 2
-        self.pad = "\n" + "  " * (depth or 0)
 
-    def __missing__(self, value) -> str:
-        text = self[value] = json.dumps(value.to_dict(), indent=self.indent
-                                        ).replace("\n", self.pad)
+class JsonText(dict):
+    """One write's JSON text.  ``dumps`` writes a value as ``json.dumps``
+    does; a value of another type, such as an event or a clause, is written as
+    its ``to_dict()``, encoded once per write and depth.  ``self[value]`` is
+    its one-line text, which the JSONL writers join."""
+
+    def dumps(self, value, pad: str | None = None) -> str:
+        """``json.dumps(value)``; given a ``pad``, ``json.dumps(value,
+        indent=2)`` as laid out where ``pad``, a newline and the indent of the
+        value's first line, starts each line: ``pad="\\n"`` writes a whole
+        document."""
+        kind = type(value)
+        if kind is str:
+            return _string(value)
+        if kind is dict or kind is list or kind is tuple:
+            inner, dumps = None if pad is None else pad + "  ", self.dumps
+            if kind is dict:
+                # json.dumps writes an int, float, bool or None key as a
+                # string and refuses any other.  Strings are written inline.
+                items, ends = [
+                    (_string(k) if type(k) is str else json.dumps({k: 0})[1:-4]) + ": "
+                    + (_string(v) if type(v) is str else dumps(v, inner))
+                    for k, v in value.items()], "{}"
+            else:
+                items, ends = [dumps(v, inner) if type(v) in _JSON
+                               else self[v, inner] for v in value], "[]"
+            if not items:
+                return ends
+            if pad is None:
+                return f"{ends[0]}{', '.join(items)}{ends[1]}"
+            return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}"
+        if kind is int:
+            return int.__repr__(value)
+        if kind is bool or value is None:
+            return "null" if value is None else "true" if value else "false"
+        return json.dumps(value) if kind is float else self[value, pad]
+
+    def __missing__(self, key) -> str:
+        value, pad = key if type(key) is tuple else (key, None)
+        text = self[key] = self.dumps(value.to_dict(), pad)
         return text

@@ -42,6 +42,7 @@ Exploration rules
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -58,7 +59,7 @@ class SymexError(Exception):
 
 @dataclass(frozen=True)
 class SymexBounds:
-    """Exploration budgets; all strictly positive."""
+    """Exploration budgets; all finite and strictly positive."""
 
     max_branches_per_path: int = 10
     max_states: int = 1000
@@ -66,9 +67,8 @@ class SymexBounds:
     max_loop_unrollings: int = 1
 
     def __post_init__(self) -> None:
-        if (self.max_branches_per_path <= 0 or self.max_states <= 0
-                or self.per_method_time_budget <= 0 or self.max_loop_unrollings <= 0):
-            raise ValueError("symbolic-execution bounds must be strictly positive")
+        if not all(0 < v < math.inf for v in asdict(self).values()):
+            raise ValueError("symbolic-execution bounds must be finite and positive")
 
 
 @dataclass

@@ -11,10 +11,10 @@ Two self-contained worlds back the experiments and the demo scripts:
   session) over a cart-count probe and a receipt-amount probe, used to walk
   through model synthesis and node precision by hand.
 
-Event sequences are a pure function of (operation label, abstract pre-state),
-so two occurrences of the same logical transition carry identical traces and
-model acceptance reduces to transition coverage.  Everything is seeded;
-identical seeds give identical corpora.
+Event sequences are a pure function of the operation label and, in the
+editor, the abstract pre-state, so two occurrences of the same logical
+transition carry identical traces and model acceptance reduces to transition
+coverage.  Everything is seeded; identical seeds give identical corpora.
 """
 
 from __future__ import annotations
@@ -180,7 +180,7 @@ def _checkout_state(n_products: "int | None", amount: "int | None",
     return ConcreteState(objects, roots)
 
 
-def _checkout_events(label: str, pre_vector: str) -> tuple[MethodCall, ...]:
+def _checkout_events(label: str) -> tuple[MethodCall, ...]:
     if label == "clickOnAddItem":
         return (MethodCall("addItem", "Cart", (25,)),
                 MethodCall("calculateTotal", "Cart", ()))
@@ -204,7 +204,6 @@ def checkout_runs(label_sequences: "list[list[str]] | None" = None) -> list[Run]
         ["clickOnAddItem", "clickOnPay", "clickOnStartNewSession",
          "clickOnAddItem", "clickOnPay", "clickOnStartNewSession"],
     ]
-    afs = checkout_abstraction_functions()
     runs = []
     for i, labels in enumerate(label_sequences):
         n_products: int | None = None
@@ -221,9 +220,8 @@ def checkout_runs(label_sequences: "list[list[str]] | None" = None) -> list[Run]
             else:
                 raise ValueError(f"unknown checkout operation {label!r}")
             post = _checkout_state(n_products, amount)
-            events = _checkout_events(label, abstract_state(afs, pre))
             segments.append(OperationSegment(
-                label, events, pre, post, _CHECKOUT_SRT[label]))
+                label, _checkout_events(label), pre, post, _CHECKOUT_SRT[label]))
         runs.append(Run(f"session{i + 1}", tuple(segments)))
     return runs
 
@@ -234,7 +232,7 @@ def checkout_reference_bursts() -> list[Burst]:
     h = af_list_hash(checkout_abstraction_functions())
 
     def burst(label: str, pre: str, post: str) -> Burst:
-        return Burst(label, pre, _checkout_events(label, pre), post, h)
+        return Burst(label, pre, _checkout_events(label), post, h)
 
     return [
         burst("clickOnAddItem", PS_EMPTY, PS_FILLING),

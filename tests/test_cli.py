@@ -138,6 +138,16 @@ def test_extract_unknown_target_exits_2(workdir, capsys):
     assert "Warehouse" in err["message"]
 
 
+@pytest.mark.parametrize("budget", ["nan", "inf"])
+def test_extract_with_a_non_finite_time_budget_exits_2(workdir, capsys, budget):
+    """Neither NaN nor Infinity is JSON, so no AF list may record one."""
+    out = workdir / "x.json"
+    rc = run_cli("extract", "--program", workdir / "cart.mir", "--targets", "Cart",
+                 "--time-budget", budget, "--out", out)
+    assert_one_line_diagnostic(rc, capsys.readouterr().err, "ValueError")
+    assert not out.exists()
+
+
 def test_extract_empty_program_warns(workdir, capsys):
     src = workdir / "empty.mir"
     src.write_text("")

@@ -315,6 +315,13 @@ def test_bounds_must_be_positive():
         SymexBounds(max_branches_per_path=0)
 
 
+@pytest.mark.parametrize("bound", ["max_states", "per_method_time_budget"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_bounds_must_be_finite(bound, value):
+    with pytest.raises(ValueError):
+        SymexBounds(**{bound: value})
+
+
 def test_inlined_call_depth_one():
     src = """
     class A { field x: int;

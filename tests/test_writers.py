@@ -1,12 +1,15 @@
-"""Every event writer, and the filter report, against a reference writer.
+"""Every event writer, the filter report and ``schema.JsonText`` against
+``json.dumps``.
 
 The reference writers below encode each event with ``to_dict()`` and lay the
-whole document out with ``json.dumps``.  The writers under test encode each
-distinct event once per write and splice the texts in; for any document they
-must return the same string.  The filter report is laid out by hand.
+whole document out with ``json.dumps``.  The writers under test write through
+one ``schema.JsonText``, which encodes each distinct event or clause once per
+write and depth; for any document they must return the same string.  The
+filter report is laid out by hand.
 """
 
 import json
+import math
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,8 +17,11 @@ from burstmine.collect import (SRT_CATEGORIES, Burst, MethodCall,
                                OperationSegment, Run, SamplerConfig,
                                dumps_baseline, dumps_bursts, dumps_runs)
 from burstmine.filtering import FilterReport
+from burstmine.functions import (COMPARE_OPS, AbstractionFunction, Clause,
+                                 dump_af_list, parse_term)
 from burstmine.model import (AnnotatedFSM, ReconstructedTrace,
                              dumps_reconstructions, export_fsm)
+from burstmine.schema import JsonText
 from burstmine.states import ConcreteObject, ConcreteState
 
 # --- the reference writers ----------------------------------------------------------
@@ -253,3 +259,99 @@ def test_an_empty_filter_report_agrees_with_the_reference():
     for report in (FilterReport(), FilterReport(kept_column_ids=("é\u2028",)),
                    FilterReport(log=[{"rule": "redundant", "id": '"', "pass": 2}])):
         assert report.to_json() == ref_filter_report_json(report)
+
+
+# --- JsonText -------------------------------------------------------------------------
+
+# Floats at the ends of their range and those json.dumps writes as words;
+# text over all of Unicode, lone surrogates included, and the characters that
+# JSON escapes or that end a line elsewhere.
+floats = st.floats() | st.sampled_from([-0.0, 1e300, 5e-324, math.nan, math.inf,
+                                        -math.inf])
+texts = st.text(st.characters(exclude_categories=()), max_size=5) | st.sampled_from(
+    ["\u2028", "\x85", "\ud800", "\udfff", '"', "\\", "é\U0001f600"])
+keys = st.one_of(texts, st.integers(), st.booleans(), st.none(), floats)
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**80),
+              floats, texts),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(keys, inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_text_writes_what_json_dumps_writes(value):
+    assert JsonText().dumps(value) == json.dumps(value)
+    assert JsonText().dumps(value, "\n") == json.dumps(value, indent=2)
+
+
+clauses = st.builds(lambda lhs, op, rhs: Clause(parse_term(lhs), op, parse_term(rhs)),
+                    st.sampled_from(["A.n", "A.xs.length", "A.xs.[0].v"]),
+                    st.sampled_from(COMPARE_OPS),
+                    st.sampled_from(["0", "1", "true", "null"]))
+
+
+@st.composite
+def shared_records(draw):
+    """A document holding a few events and clauses at several depths, each
+    by object and as a copy; events differ only as params ``1``, ``true``,
+    ``1.0``, ``-0.0`` and ``0.0`` do."""
+    pool = draw(st.lists(st.one_of(
+        st.builds(MethodCall, names, names, st.sampled_from(TWINS)), clauses),
+        min_size=1, max_size=3))
+
+    def record(i, copy):
+        r = pool[i % len(pool)]
+        if not copy:
+            return r
+        if type(r) is Clause:
+            return Clause(r.lhs, r.op, r.rhs)
+        return MethodCall(r.method, r.class_name, r.params)
+
+    leaves = st.builds(record, st.integers(0, 5), st.booleans()) | st.integers()
+    return draw(st.recursive(leaves, lambda inner: st.lists(inner, max_size=3)
+                             | st.dictionaries(names, inner, max_size=3),
+                             max_leaves=10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_records())
+def test_json_text_writes_each_record_as_its_dict_at_every_depth(doc):
+    """One ``JsonText`` writes the document on one line, then indented."""
+    text = JsonText()
+    assert text.dumps(doc) == json.dumps(doc, default=lambda o: o.to_dict())
+    assert text.dumps(doc, "\n") == json.dumps(doc, indent=2,
+                                               default=lambda o: o.to_dict())
+
+
+def _counting(monkeypatch, cls) -> list:
+    """The values whose ``to_dict`` is called, in call order."""
+    calls, to_dict = [], cls.to_dict
+    monkeypatch.setattr(cls, "to_dict",
+                        lambda self: calls.append(self) or to_dict(self))
+    return calls
+
+
+def test_one_write_encodes_each_distinct_event_and_clause_once(monkeypatch):
+    events = [MethodCall(m, "C", p) for m in ("a", "b") for p in TWINS]
+    traces = tuple(tuple(MethodCall(e.method, e.class_name, e.params)
+                         for e in events[i:] + events[:i]) for i in range(5))
+    fsm = AnnotatedFSM("h", frozenset({"T", "F"}), {
+        ("op", "T", "F"): traces, ("op", "F", "T"): traces[::-1]})
+    expected = ref_export_fsm(fsm)
+    calls = _counting(monkeypatch, MethodCall)
+    assert export_fsm(fsm, "json") == expected
+    assert len(calls) == len(set(calls)) == len(events)
+
+    def clause(text: str) -> Clause:
+        lhs, op, rhs = text.split()
+        return Clause(parse_term(lhs), op, parse_term(rhs))
+
+    pool = ["A.n > 0", "A.n == 1", "A.xs.length > 0", "A.n > 0"]
+    afs = [AbstractionFunction(f"f{i}", tuple(map(clause, pool[i % 2:])),
+                               ("A", "m", "")) for i in range(6)]
+    calls = _counting(monkeypatch, Clause)
+    dump_af_list(afs)
+    assert len(calls) == len(set(calls)) == 3
