@@ -54,7 +54,10 @@ def _out_path(args, name: str) -> Path:
 
 
 def _write(args, name: str, content: str) -> None:
-    _out_path(args, name).write_text(content, encoding="utf-8")
+    """Encoded before the file is opened: text that UTF-8 cannot hold (a lone
+    surrogate) fails the write and leaves the file as it was."""
+    data = content.encode("utf-8")
+    _out_path(args, name).write_bytes(data)
 
 
 # --- settings: a flag, else its --config value, checked by the config shape ------
@@ -246,78 +249,71 @@ def cmd_sweep(args, config: dict) -> int:
 # --- argument parsing --------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _inputs(*keys: str) -> dict:
+    return {f"--{k}": dict(help=f"input file (default: config {k!r})") for k in keys}
+
+
+# Each command: its function, its help, and its options in the order its help
+# lists them after those that every command takes.
+_COMMON = {"--out-dir": dict(help="directory that relative output paths resolve into"),
+           "--config": dict(help="JSON pipeline config supplying defaults")}
+_COMMANDS = (
+    (cmd_extract, "derive abstraction functions from a program", {
+        **_inputs("program"), "--out": dict(default="afs.json"),
+        "--targets": dict(help="comma-separated target classes (default: every class)"),
+        "--max-branches": dict(type=int), "--max-states": dict(type=int),
+        "--time-budget": dict(type=float), "--max-unroll": dict(type=int)}),
+    (cmd_profile, "evaluate abstraction functions over training traces", {
+        **_inputs("traces", "afs"), "--out": dict(default="matrix.csv")}),
+    (cmd_filter, "reduce the evaluation matrix to a minimal AF set", {
+        **_inputs("matrix", "afs"), "--out-kept": dict(default="kept.json"),
+        "--out-report": dict(default="filter_report.json")}),
+    (cmd_collect, "sample bursts (or baseline traces) from runs", {
+        **_inputs("traces", "afs"), "--out": dict(default="bursts.jsonl"),
+        "--probability": dict(type=float),
+        "--mode": dict(choices=["cbr", "fixed_length"]),
+        "--fixed-length": dict(type=int),
+        "--seed": dict(type=int, help="sampler random seed")}),
+    (cmd_synthesize, "build the annotated state model from bursts", {
+        **_inputs("bursts"), "--out": dict(default="fsm.json"),
+        "--dot": dict(help="also write a DOT rendering")}),
+    (cmd_simulate, "reconstruct traces by chaining model transitions", {
+        **_inputs("fsm"), "--out": dict(default="reconstructions.json"),
+        "--start": dict(required=True, help="start state, e.g. UF"),
+        "--max-hops": dict(type=int, default=3),
+        "--budget": dict(type=int, default=10_000)}),
+    (cmd_evaluate, "score a model against original runs",
+     _inputs("fsm", "traces", "afs")),
+    (cmd_sweep, "probability x run-count grid experiment", {
+        **_inputs("traces", "afs"), "--out": dict(default="sweep.csv"),
+        "--probabilities": dict(help="comma-separated, increasing"),
+        "--run-counts": dict(help="comma-separated, increasing"),
+        "--sweep-seeds": dict(help="comma-separated")}),
+)
+
+
+def _build_parser(names) -> argparse.ArgumentParser:
+    """Every command, with its name and help; only the commands in ``names``
+    get their options, as ``main`` parses one command per call."""
     parser = argparse.ArgumentParser(
         prog="burstmine",
         description="State-annotated burst tracing and model mining pipeline.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out-dir", default=None,
-                        help="directory that relative output paths resolve into")
-    common.add_argument("--config", default=None,
-                        help="JSON pipeline config supplying defaults")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(func, help_text: str, *inputs: str, out: str = ""):
-        p = sub.add_parser(func.__name__[len("cmd_"):], parents=[common],
-                           help=help_text)
+    for func, help_text, options in _COMMANDS:
+        name = func.__name__[len("cmd_"):]
+        if name not in names:  # never parsed: no -h of its own
+            sub.add_parser(name, help=help_text, add_help=False)
+            continue
+        p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        for key in inputs:
-            p.add_argument(f"--{key}", help=f"input file (default: config {key!r})")
-        if out:
-            p.add_argument("--out", default=out)
-        return p
-
-    p = command(cmd_extract, "derive abstraction functions from a program",
-                "program", out="afs.json")
-    p.add_argument("--targets", help="comma-separated target classes "
-                                     "(default: every class)")
-    p.add_argument("--max-branches", type=int, dest="max_branches")
-    p.add_argument("--max-states", type=int, dest="max_states")
-    p.add_argument("--time-budget", type=float, dest="time_budget")
-    p.add_argument("--max-unroll", type=int, dest="max_unroll")
-
-    command(cmd_profile, "evaluate abstraction functions over training traces",
-            "traces", "afs", out="matrix.csv")
-
-    p = command(cmd_filter, "reduce the evaluation matrix to a minimal AF set",
-                "matrix", "afs")
-    p.add_argument("--out-kept", default="kept.json", dest="out_kept")
-    p.add_argument("--out-report", default="filter_report.json", dest="out_report")
-
-    p = command(cmd_collect, "sample bursts (or baseline traces) from runs",
-                "traces", "afs", out="bursts.jsonl")
-    p.add_argument("--probability", type=float)
-    p.add_argument("--mode", choices=["cbr", "fixed_length"])
-    p.add_argument("--fixed-length", type=int, dest="fixed_length")
-    p.add_argument("--seed", type=int, help="sampler random seed")
-
-    p = command(cmd_synthesize, "build the annotated state model from bursts",
-                "bursts", out="fsm.json")
-    p.add_argument("--dot", default=None, help="also write a DOT rendering")
-
-    p = command(cmd_simulate, "reconstruct traces by chaining model transitions",
-                "fsm", out="reconstructions.json")
-    p.add_argument("--start", required=True, help="start state, e.g. UF")
-    p.add_argument("--max-hops", type=int, default=3, dest="max_hops")
-    p.add_argument("--budget", type=int, default=10_000)
-
-    command(cmd_evaluate, "score a model against original runs",
-            "fsm", "traces", "afs")
-
-    p = command(cmd_sweep, "probability x run-count grid experiment",
-                "traces", "afs", out="sweep.csv")
-    p.add_argument("--probabilities", help="comma-separated, increasing")
-    p.add_argument("--run-counts", dest="run_counts",
-                   help="comma-separated, increasing")
-    p.add_argument("--sweep-seeds", dest="sweep_seeds", help="comma-separated")
-
+        for flag, kwargs in {**_COMMON, **options}.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv[:1]).parse_args(argv)
     try:
         return args.func(args, _config(args.config))
     except (CliError, ValueError, OSError, IrError, SymexError,

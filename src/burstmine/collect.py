@@ -27,9 +27,9 @@ with only JSON whitespace between them, so it reads every layout a JSON
 writer may choose; a list whose pieces are not each one complete object goes
 through the parsed reader (``_record``).
 Writing turns this round: each event writer, here and in ``model``, writes
-through one ``schema.JsonText``, which encodes each distinct event once per
-write.  Nothing outlives one load, one write or one ``collect`` call, nor one
-command's loads.
+through one ``schema.JsonText``, which encodes each distinct event, and
+joins each trace object's events, once per write.  Nothing outlives one
+load, one write or one ``collect`` call, nor one command's loads.
 
 The uncontrolled baseline draws at operation starts only while idle and then
 records a fixed number of consecutive events regardless of operation
@@ -396,8 +396,8 @@ def dumps_runs(runs: list[Run]) -> str:
             lines.append(
                 f'{{"segment": {{"label": {dumps(seg.label)}, "srt_category": '
                 f'{dumps(seg.srt_category)}, "pre_state": '
-                f'{dumps(seg.pre_state.to_dict())}, "events": ['
-                f'{", ".join([events[e] for e in seg.events])}], "post_state": '
+                f'{dumps(seg.pre_state.to_dict())}, "events": '
+                f'{events.dumps(seg.events)}, "post_state": '
                 f'{dumps(seg.post_state.to_dict())}}}}}')
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -493,8 +493,7 @@ def dumps_bursts(bursts: list[Burst], cfg: SamplerConfig | None = None,
     dumps, events = json.dumps, JsonText()
     lines = [dumps({"header": header})]
     lines += [f'{{"label": {dumps(b.label)}, "pre": {dumps(b.pre)}, "trace": '
-              f'[{", ".join([events[e] for e in b.trace])}], "post": '
-              f'{dumps(b.post)}}}' for b in bursts]
+              f'{events.dumps(b.trace)}, "post": {dumps(b.post)}}}' for b in bursts]
     return "\n".join(lines) + "\n"
 
 
@@ -503,8 +502,7 @@ def dumps_baseline(traces: list[tuple[str, Trace]], cfg: SamplerConfig) -> str:
     pair of ``collect_fixed_sampling``."""
     dumps, events = json.dumps, JsonText()
     lines = [dumps({"header": {"sampler": cfg.to_dict()}})]
-    lines += [f'{{"run": {dumps(run_id)}, "trace": '
-              f'[{", ".join([events[e] for e in trace])}]}}'
+    lines += [f'{{"run": {dumps(run_id)}, "trace": {events.dumps(trace)}}}'
               for run_id, trace in traces]
     return "\n".join(lines) + "\n"
 

@@ -7,8 +7,10 @@ functions).  Four rules shrink it, in this fixed order:
 1. duplicate rows dropped (first occurrence kept),
 2. non-discriminating (constant) columns dropped,
 3. equivalent (identical) columns collapsed to the leftmost,
-4. redundant columns dropped greedily left-to-right, repeated to fixpoint,
-   as long as the surviving projection still distinguishes all rows.
+4. redundant columns dropped greedily left-to-right in one pass, as long as
+   the surviving projection still distinguishes all rows.  The kept set only
+   shrinks, and a column that cannot leave a set cannot leave a subset of it,
+   so a second pass would drop nothing.
 
 The rules never lose distinguishability: the number of distinct rows of the
 kept projection equals the number of distinct rows after deduplication.
@@ -17,8 +19,8 @@ Greedy removal yields a locally minimal set, not a global minimum cover.
 An ``EvalMatrix`` holds its cells as one T/F/U string per row, as
 ``states.abstract_state`` returns them.  The rules work on those strings: a
 dict of first occurrences for rows, stride slices of the joined row text
-(``text[j::n_cols]``) for columns, and a set of trial rows for each greedy
-removal.
+(``text[j::n_cols]``) for columns, and for each greedy trial one strided
+``del`` over the rows' joined bytes and a set of the rows left.
 """
 
 from __future__ import annotations
@@ -96,13 +98,13 @@ class FilterReport:
     log: list = field(default_factory=list)  # {"rule", "id", "pass"}
     initial_columns: int = 0
 
-    def record(self, rule: str, ident: str, pass_no: int = 1) -> None:
+    def record(self, rule: str, ident: str) -> None:
         key = {"duplicate-row": "duplicated_rows",
                "non-discriminating": "non_discriminating",
                "equivalent": "equivalent",
                "redundant": "redundant"}[rule]
         self.counts[key] += 1
-        self.log.append({"rule": rule, "id": ident, "pass": pass_no})
+        self.log.append({"rule": rule, "id": ident, "pass": 1})
 
     def to_json(self) -> str:
         """``json.dumps`` at ``indent=2`` of the document ``{"initial_columns",
@@ -172,24 +174,22 @@ def remove_redundant_columns(m: EvalMatrix, report: FilterReport | None = None,
     if m.distinct_row_count() != m.n_rows:
         raise MatrixError("redundancy removal requires pairwise-distinct rows "
                           "(run duplicate-row removal first)")
-    rows, keep = list(m.cells), list(m.column_ids)
-    pass_no = 0
-    while True:
-        pass_no += 1
-        committed = False
-        p = 0  # position of the tried column in the current rows
-        for ident in list(keep):
-            trial = [r[:p] + r[p + 1:] for r in rows]
-            if len(set(trial)) == m.n_rows:
-                rows = trial
-                del keep[p]
-                committed = True
-                if report is not None:
-                    report.record("redundant", ident, pass_no)
-            else:
-                p += 1
-        if not committed:
-            break
+    # The rows as one ASCII buffer; a trial drops the column at ``p`` from
+    # every row with one strided ``del`` (rows are ``len(keep) + 1`` apart).
+    text, keep, p = "\n".join(m.cells).encode("ascii"), list(m.column_ids), 0
+    for ident in m.column_ids:
+        buf = bytearray(text)
+        del buf[p::len(keep) + 1]
+        trial = bytes(buf)
+        # With no rows every column goes: b"".split(b"\n") is one empty row.
+        if not m.n_rows or len(set(trial.split(b"\n"))) == m.n_rows:
+            text = trial
+            del keep[p]
+            if report is not None:
+                report.record("redundant", ident)
+        else:
+            p += 1
+    rows = text.decode("ascii").split("\n") if m.n_rows else ()
     return EvalMatrix(tuple(keep), tuple(rows), m.provenance, m.af_hash)
 
 
@@ -212,8 +212,8 @@ def _columns(m: EvalMatrix) -> list[str]:
 def _project(m: EvalMatrix, columns: list[str], keep: list[int]) -> EvalMatrix:
     """The matrix of the kept columns; its rows are stride slices of the
     joined column text, as the columns are of the joined row text."""
-    text = "".join(columns[j] for j in keep)
-    rows = tuple(text[i::m.n_rows] for i in range(m.n_rows))
+    text, n_rows = "".join(columns[j] for j in keep), m.n_rows
+    rows = tuple(text[i::n_rows] for i in range(n_rows))
     return EvalMatrix(tuple(m.column_ids[j] for j in keep), rows,
                       m.provenance, m.af_hash)
 

@@ -97,15 +97,19 @@ def records(text: str) -> list[tuple[int, str]]:
 
 
 _string = json.encoder.encode_basestring_ascii
-# The types json.dumps writes; a list item of another type is looked up here.
-_JSON = {str, int, float, bool, type(None), list, tuple, dict}
 
 
-class JsonText(dict):
+class JsonText:
     """One write's JSON text.  ``dumps`` writes a value as ``json.dumps``
     does; a value of another type, such as an event or a clause, is written as
-    its ``to_dict()``, encoded once per write and depth.  ``self[value]`` is
-    its one-line text, which the JSONL writers join."""
+    its ``to_dict()``.  A tuple or a record is looked up by identity first,
+    so each object is written once per write and depth; a record is then
+    looked up by value, so equal copies share one encoding."""
+
+    def __init__(self) -> None:
+        self._by_id: dict = {}  # (id, pad) -> text
+        self._held: list = []  # the values of those ids: each id stays its own
+        self._by_value: dict = {}  # (record, pad) -> text
 
     def dumps(self, value, pad: str | None = None) -> str:
         """``json.dumps(value)``; given a ``pad``, ``json.dumps(value,
@@ -115,7 +119,7 @@ class JsonText(dict):
         kind = type(value)
         if kind is str:
             return _string(value)
-        if kind is dict or kind is list or kind is tuple:
+        if kind is dict or kind is list:
             inner, dumps = None if pad is None else pad + "  ", self.dumps
             if kind is dict:
                 # json.dumps writes an int, float, bool or None key as a
@@ -125,8 +129,10 @@ class JsonText(dict):
                     + (_string(v) if type(v) is str else dumps(v, inner))
                     for k, v in value.items()], "{}"
             else:
-                items, ends = [dumps(v, inner) if type(v) in _JSON
-                               else self[v, inner] for v in value], "[]"
+                # A held value's id is its own: no live object shares it.
+                get = self._by_id.get
+                items, ends = [get((id(v), inner)) or dumps(v, inner)
+                               for v in value], "[]"
             if not items:
                 return ends
             if pad is None:
@@ -136,9 +142,16 @@ class JsonText(dict):
             return int.__repr__(value)
         if kind is bool or value is None:
             return "null" if value is None else "true" if value else "false"
-        return json.dumps(value) if kind is float else self[value, pad]
-
-    def __missing__(self, key) -> str:
-        value, pad = key if type(key) is tuple else (key, None)
-        text = self[key] = self.dumps(value.to_dict(), pad)
+        if kind is float:
+            return json.dumps(value)
+        text = self._by_id.get((id(value), pad))
+        if text is None:
+            if kind is tuple:
+                text = self.dumps(list(value), pad)
+            else:
+                text = self._by_value.get((value, pad))
+                if text is None:
+                    text = self._by_value[value, pad] = self.dumps(value.to_dict(), pad)
+            self._by_id[id(value), pad] = text
+            self._held.append(value)
         return text

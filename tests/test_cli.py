@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from burstmine import collect, filtering
-from burstmine.cli import main
+from burstmine.cli import _build_parser, main
 from burstmine.collect import dump_runs, load_runs, loads_bursts
 from burstmine.functions import af_list_hash, load_af_list
 from burstmine.metrics import run_sweep
@@ -79,6 +79,54 @@ def test_importing_the_cli_loads_no_third_party_module():
     assert "burstmine.cli" in loaded
     assert [m for m in loaded if m.partition(".")[0] not in
             {*sys.stdlib_module_names, "burstmine"}] == []
+
+
+# Every option of every command, each set.
+EVERY_OPTION = {
+    "extract": ["--program", "p", "--out", "o", "--targets", "A,B",
+                "--max-branches", "3", "--max-states", "9", "--time-budget", "1.5",
+                "--max-unroll", "2"],
+    "profile": ["--traces", "t", "--afs", "a", "--out", "o"],
+    "filter": ["--matrix", "m", "--afs", "a", "--out-kept", "k",
+               "--out-report", "r"],
+    "collect": ["--traces", "t", "--afs", "a", "--out", "o", "--probability", "0.5",
+                "--mode", "cbr", "--fixed-length", "4", "--seed", "7"],
+    "synthesize": ["--bursts", "b", "--out", "o", "--dot", "d"],
+    "simulate": ["--fsm", "f", "--out", "o", "--start", "UF", "--max-hops", "2",
+                 "--budget", "5"],
+    "evaluate": ["--fsm", "f", "--traces", "t", "--afs", "a"],
+    "sweep": ["--traces", "t", "--afs", "a", "--out", "o", "--probabilities", "0.5",
+              "--run-counts", "1", "--sweep-seeds", "0"],
+}
+
+
+def _outcome(parse, argv) -> tuple:
+    """What ``parse(argv)`` returns, or the code it exits with, and what it
+    prints on stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    *([c, "-h"] for c in EVERY_OPTION),
+    *([c, *args, "--out-dir", "d", "--config", "c"] for c, args in EVERY_OPTION.items()),
+    *([c] for c in EVERY_OPTION),
+    ["-h"], [], ["bogus"], ["--out-dir", "d", "profile"], ["collect", "--mode", "x"],
+    ["simulate", "--fsm", "f", "--unknown"]],
+    ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_main_parses_as_a_parser_with_every_commands_arguments(argv):
+    """``main`` adds only the named command's arguments; its help, errors
+    and parsed values are those of a parser that has every command's."""
+    full = _build_parser(EVERY_OPTION)
+    expected = _outcome(full.parse_args, argv)
+    assert _outcome(_build_parser(argv[:1]).parse_args, argv) == expected
+    if type(expected[0]) is tuple:  # main exits before it runs a command
+        assert _outcome(main, argv) == expected
 
 
 def test_extract_cart(workdir):
@@ -224,6 +272,38 @@ def test_profile_writes_only_a_matrix_that_filter_reads(workdir, capsys, run_id,
     read = filtering.matrix_from_csv(matrix.read_text())
     assert read.provenance == tuple((r.run_id, i) for r in runs
                                     for i in range(len(r.segments)))
+
+
+def test_a_write_that_cannot_be_encoded_leaves_the_old_file(workdir, capsys):
+    """A lone surrogate, which no UTF-8 writer can encode, fails the write
+    before its file is opened: the matrix or DOT file already there keeps
+    its bytes."""
+    afs, matrix = workdir / "checkout_afs.json", workdir / "m.csv"
+    assert run_cli("profile", "--traces", workdir / "checkout.jsonl",
+                   "--afs", afs, "--out", matrix) == 0
+    dump_runs([dataclasses.replace(r, run_id="\ud800") for r in checkout_runs()],
+              workdir / "surrogate.jsonl")
+    before = matrix.read_bytes()
+    assert before
+    rc = run_cli("profile", "--traces", workdir / "surrogate.jsonl",
+                 "--afs", afs, "--out", matrix)
+    assert_one_line_diagnostic(rc, capsys.readouterr().err, "UnicodeEncodeError")
+    assert matrix.read_bytes() == before
+
+    bursts, dot = workdir / "bursts.jsonl", workdir / "fsm.dot"
+    assert run_cli("collect", "--traces", workdir / "checkout.jsonl", "--afs", afs,
+                   "--probability", "1.0", "--out", bursts) == 0
+    assert run_cli("synthesize", "--bursts", bursts, "--out", workdir / "fsm.json",
+                   "--dot", dot) == 0
+    read, header = loads_bursts(bursts.read_text())
+    (workdir / "surrogate.jsonl").write_text(collect.dumps_bursts(
+        [dataclasses.replace(b, label=b.label + "\ud800") for b in read],
+        af_hash=header["af_hash"]))
+    before = dot.read_bytes()
+    rc = run_cli("synthesize", "--bursts", workdir / "surrogate.jsonl",
+                 "--out", workdir / "fsm.json", "--dot", dot)
+    assert_one_line_diagnostic(rc, capsys.readouterr().err, "UnicodeEncodeError")
+    assert dot.read_bytes() == before
 
 
 def test_profile_rejects_an_af_id_with_a_comma(workdir, capsys):

@@ -7,7 +7,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burstmine.filtering import (EvalMatrix, MatrixError,
+from burstmine.filtering import (EvalMatrix, FilterReport, MatrixError,
                                  filter_functions,
                                  matrix_from_csv, matrix_to_csv,
                                  remove_duplicate_rows,
@@ -344,6 +344,37 @@ def test_packed_filter_matches_string_oracle(shape, data):
     assert [(e["rule"], e["id"], e["pass"]) for e in report.log] == log
     assert report.counts == {key: Counter(e[0] for e in log)[rule]
                              for rule, key in FILTER_RULE_KEYS.items()}
+
+
+@st.composite
+def redundancy_inputs(draw, shape):
+    """Pairwise-distinct rows, constant and repeated columns left in."""
+    if shape == "wide":
+        n = draw(st.integers(10, 60))
+        letters = draw(st.sampled_from(["TF", "TFU"]))
+        rows = draw(st.lists(st.text(letters, min_size=n, max_size=n),
+                             min_size=2, max_size=40))
+    elif shape == "two-rows":
+        n = draw(st.integers(1, 7))
+        rows = draw(st.lists(st.text("TFU", min_size=n, max_size=n),
+                             min_size=2, max_size=2, unique=True))
+    else:
+        n, rows = draw(shaped_rows(shape))
+    return remove_duplicate_rows(matrix(rows, ids=tuple(f"AF{i + 1}" for i in range(n))))
+
+
+@pytest.mark.parametrize("shape", ["no-rows", "one-row", "two-rows",
+                                   "identical-rows", "wide"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_one_greedy_pass_is_a_fixpoint(shape, data):
+    """A second pass over the greedy output removes nothing: the kept set only
+    shrinks, so a column kept against it stays needed."""
+    once = remove_redundant_columns(data.draw(redundancy_inputs(shape)))
+    report = FilterReport()
+    twice = remove_redundant_columns(once, report)
+    assert report.log == []
+    assert (twice.column_ids, twice.rows()) == (once.column_ids, once.rows())
 
 
 # --- CSV round trip -------------------------------------------------------------

@@ -1,5 +1,10 @@
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
+from burstmine import symex
+from burstmine.cli import main
 from burstmine.functions import (Clause, IntTerm, ParamTerm, dump_af_list,
                                  load_af_list, parse_term)
 from burstmine.ir import parse_program
@@ -313,6 +318,36 @@ def test_states_budget_truncates():
 def test_bounds_must_be_positive():
     with pytest.raises(ValueError):
         SymexBounds(max_branches_per_path=0)
+
+
+def test_the_time_budget_truncates_a_method_mid_way(monkeypatch, tmp_path):
+    """The clock passes ``A.m``'s deadline at its eleventh read, the tenth
+    state's: exploration stops there, well inside the states budget, and
+    ``extract`` lists the method as truncated.  ``A.n`` starts after, with a
+    deadline of its own."""
+    guards = " ".join(f"if (A.x > {i}) {{ A.x = {i}; }}" for i in range(8))
+    source = (f"class A {{ field x: int; method m() {{ {guards} }} "
+              "method n() { if (A.x > 0) { A.x = 0; } } }")
+    (tmp_path / "a.mir").write_text(source)
+    p = parse_program(source)
+    bounds = SymexBounds(max_branches_per_path=20, max_states=100_000)
+    paths, report = symbolic_execute(p.classes[0].methods[0], p, bounds)
+    assert not report.truncated and len(paths) == 2 ** 8  # the real clock
+
+    def clock():
+        reads = itertools.count()
+        return SimpleNamespace(monotonic=lambda: 0.0 if next(reads) < 10 else 1e9)
+
+    monkeypatch.setattr(symex, "time", clock())
+    paths, report = symbolic_execute(p.classes[0].methods[0], p, bounds)
+    assert report.truncated and report.states_visited == 10
+    assert len(paths) < 2 ** 8
+
+    monkeypatch.setattr(symex, "time", clock())
+    assert main(["extract", "--program", str(tmp_path / "a.mir"),
+                 "--max-states", "100000", "--out", str(tmp_path / "afs.json")]) == 0
+    _, header = load_af_list((tmp_path / "afs.json").read_text())
+    assert header["truncated"] == ["A.m"]
 
 
 @pytest.mark.parametrize("bound", ["max_states", "per_method_time_budget"])

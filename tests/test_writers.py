@@ -192,11 +192,10 @@ ids = st.one_of(names, st.sampled_from(['a"b', "\\u2028", "\u2028", "r:1"]))
 def filter_reports(draw):
     report = FilterReport(kept_column_ids=tuple(draw(st.lists(ids, max_size=4))),
                           initial_columns=draw(st.integers(0, 10**6)))
-    for rule, ident, pass_no in draw(st.lists(st.tuples(
+    for rule, ident in draw(st.lists(st.tuples(
             st.sampled_from(["duplicate-row", "non-discriminating",
-                             "equivalent", "redundant"]), ids,
-            st.integers(1, 10**6)), max_size=6)):
-        report.record(rule, ident, pass_no)
+                             "equivalent", "redundant"]), ids), max_size=6)):
+        report.record(rule, ident)
     return report
 
 
