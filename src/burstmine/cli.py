@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -50,14 +52,19 @@ def _out_path(args, name: str) -> Path:
     if not path.is_absolute() and args.out_dir:
         path = Path(args.out_dir) / path
     path.parent.mkdir(parents=True, exist_ok=True)
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     return path
 
 
-def _write(args, name: str, content: str) -> None:
-    """Encoded before the file is opened: text that UTF-8 cannot hold (a lone
-    surrogate) fails the write and leaves the file as it was."""
-    data = content.encode("utf-8")
-    _out_path(args, name).write_bytes(data)
+def _write(args, *outputs: tuple[str, str]) -> None:
+    """A command's ``(name, text)`` outputs, each path made and each text
+    encoded before any file is opened: a path under a file or naming a
+    directory, or text that UTF-8 cannot hold (a lone surrogate), fails the
+    command and leaves every file as it was."""
+    data = [(_out_path(args, name), text.encode("utf-8")) for name, text in outputs]
+    for path, content in data:
+        path.write_bytes(content)
 
 
 # --- settings: a flag, else its --config value, checked by the config shape ------
@@ -134,7 +141,7 @@ def cmd_extract(args, config: dict) -> int:
         _warn("no abstraction functions extracted (empty or branch-free program)")
     header = report.to_header()
     header["relevant_classes"] = list(relevant)
-    _write(args, args.out, dump_af_list(afs, header))
+    _write(args, (args.out, dump_af_list(afs, header)))
     return 0
 
 
@@ -149,7 +156,7 @@ def cmd_profile(args, config: dict) -> int:
         _warn("no snapshots in the training traces; emitting a header-only matrix")
     m = filtering.EvalMatrix.from_rows(tuple(af.id for af in afs), rows,
                                        provenance, af_hash)
-    _write(args, args.out, filtering.matrix_to_csv(m))
+    _write(args, (args.out, filtering.matrix_to_csv(m)))
     return 0
 
 
@@ -165,8 +172,8 @@ def cmd_filter(args, config: dict) -> int:
               "will be dropped")
     kept_matrix, report = filtering.filter_functions(m)
     kept = [by_id[c] for c in kept_matrix.column_ids]
-    _write(args, args.out_kept, dump_af_list(kept, {"filtered_from": len(afs)}))
-    _write(args, args.out_report, report.to_json())
+    _write(args, (args.out_kept, dump_af_list(kept, {"filtered_from": len(afs)})),
+           (args.out_report, report.to_json()))
     return 0
 
 
@@ -182,12 +189,12 @@ def cmd_collect(args, config: dict) -> int:
         bursts = collect_cbr_bursts(runs, afs, cfg)
         if not bursts:
             _warn("no bursts collected (probability too low or no segments)")
-        _write(args, args.out, dumps_bursts(bursts, cfg, af_list_hash(afs)))
+        _write(args, (args.out, dumps_bursts(bursts, cfg, af_list_hash(afs))))
         return 0
     traces = collect_fixed_sampling(runs, cfg)
     if not traces:
         _warn("no baseline traces recorded")
-    _write(args, args.out, dumps_baseline(traces, cfg))
+    _write(args, (args.out, dumps_baseline(traces, cfg)))
     return 0
 
 
@@ -196,16 +203,17 @@ def cmd_synthesize(args, config: dict) -> int:
     if not bursts:
         _warn("no bursts to synthesize from; the model will be empty")
     fsm = model.synthesize(bursts, header.get("af_hash", ""))
-    _write(args, args.out, model.export_fsm(fsm, "json"))
+    outputs = [(args.out, model.export_fsm(fsm, "json"))]
     if args.dot:
-        _write(args, args.dot, model.export_fsm(fsm, "dot"))
+        outputs.append((args.dot, model.export_fsm(fsm, "dot")))
+    _write(args, *outputs)
     return 0
 
 
 def cmd_simulate(args, config: dict) -> int:
     fsm = model.import_fsm(_read(args, config, "fsm"))
     traces = model.simulate_traces(fsm, args.start, args.max_hops, args.budget)
-    _write(args, args.out, model.dumps_reconstructions(traces))
+    _write(args, (args.out, model.dumps_reconstructions(traces)))
     return 0
 
 
@@ -217,10 +225,9 @@ def cmd_evaluate(args, config: dict) -> int:
     precision, recall = metrics.evaluate(fsm, runs, afs)
     if fsm.n_states == 0:
         _warn("evaluating an empty model; recall is 0 and precision is absent")
-    _write(args, "precision.json", precision.to_json())
-    _write(args, "precision.csv", precision.to_csv())
-    _write(args, "recall.json", recall.to_json())
-    _write(args, "recall.csv", recall.to_csv())
+    _write(args, ("precision.json", precision.to_json()),
+           ("precision.csv", precision.to_csv()),
+           ("recall.json", recall.to_json()), ("recall.csv", recall.to_csv()))
     return 0
 
 
@@ -242,7 +249,7 @@ def cmd_sweep(args, config: dict) -> int:
                                axis("probabilities", "probabilities", float),
                                axis("n_runs", "run-counts", int),
                                axis("seeds", "sweep-seeds", int))
-    _write(args, args.out, result.to_csv())
+    _write(args, (args.out, result.to_csv()))
     return 0
 
 

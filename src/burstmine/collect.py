@@ -3,10 +3,12 @@
 "The field" here is a trace file of complete runs, each split into user
 operations with concrete pre/post states.  ``collect`` turns segments into
 bursts: the operation's events bracketed by the T/F/U strings of its
-recorded concrete states, each distinct state object abstracted once per
-call, and the AF list's ``af_hash``.  The controlled collector draws one
-uniform sample per operation (run order, then segment order, one shared
-seeded stream, see ``draw``) and collects the segments whose draw succeeds.
+recorded concrete states, and the AF list's ``af_hash``.  Per call, it
+builds one burst per distinct segment object and abstracts each distinct
+state object once, so a load's shared segments cost their distinct count.
+The controlled collector draws one uniform sample per operation (run order,
+then segment order, one shared seeded stream, see ``draw``) and collects the
+segments whose draw succeeds.
 
 Field runs keep repeating the same few operations from the same states: in
 the seed-0 ``pipeline`` benchmark corpus, 185 of 1,440 segment lines, 36 of
@@ -18,6 +20,8 @@ built from it, and a repeated line appends that object again.
 ``schema.records`` and keys that table by each line's bytes, so a repeated
 line is never decoded and no load holds the file as text; a new line is
 decoded as strict UTF-8, and one that is not UTF-8 fails at its record.
+It reads through a 64 KiB buffer (``LINE_BUFFER``), which holds many lines
+of a few KB, so that few lines straddle a refill.
 A new line is walked with ``json.JSONDecoder().raw_decode`` (``_Reader``),
 through per-load tables from an event list's, an event's or a state's source
 text to the one trace, ``MethodCall`` or ``ConcreteState`` built from it,
@@ -25,10 +29,13 @@ checked once; a command that loads a model and runs passes both loads one
 ``EventTable``.  The walker splits an event list at each ``}``, ``,``, ``{``
 with only JSON whitespace between them, so it reads every layout a JSON
 writer may choose; a list whose pieces are not each one complete object goes
-through the parsed reader (``_record``).
+through the parsed reader (``_record``).  A record's key and its colon,
+and what ends each member, are one regex match each; a string member is
+decoded and type-tested in place.
 Writing turns this round: each event writer, here and in ``model``, writes
 through one ``schema.JsonText``, which encodes each distinct event, and
-joins each trace object's events, once per write.  Nothing outlives one
+joins each trace object's events, once per write; ``dumps_bursts`` also
+writes each distinct burst object's line once.  Nothing outlives one
 load, one write or one ``collect`` call, nor one command's loads.
 
 The uncontrolled baseline draws at operation starts only while idle and then
@@ -200,6 +207,12 @@ def _record(line: str, lineno: int, shape, what: str) -> dict:
 
 _decode = json.JSONDecoder().raw_decode
 _space = re.compile(r"[ \t\n\r]*").match  # JSON whitespace
+# A record's key without escapes and its colon, then a key's colon alone,
+# and what ends a member: a "," or the closing "}" (group 1), each with the
+# JSON whitespace around it.  A string holds no raw control character.
+_key = re.compile(r'"([^"\\\x00-\x1f]*)"[ \t\n\r]*:[ \t\n\r]*').match
+_colon = re.compile(r"[ \t\n\r]*:[ \t\n\r]*").match
+_next = re.compile(r"[ \t\n\r]*(?:,[ \t\n\r]*|(\}))").match
 # An event list's opening, its first close and its item separators, with
 # any JSON whitespace between the tokens.
 _open = re.compile(r"\[[ \t\n\r]*([{\]])").match
@@ -261,26 +274,42 @@ class _Reader:
         if text[pos:pos + 1] != "{" or shape.closed:
             raise _Reject
         doc: dict = {}
+        required, optional = shape.required, shape.optional
         pos = _space(text, pos + 1).end()
-        if text[pos:pos + 1] != "}":
+        if text[pos:pos + 1] == "}":
+            pos += 1
+        else:
             while True:
-                if text[pos:pos + 1] != '"':
+                match = _key(text, pos)
+                if match is None:  # a key holding an escape, or no key
+                    if text[pos:pos + 1] != '"':
+                        raise _Reject
+                    key, pos = _decode(text, pos)
+                    match = _colon(text, pos)
+                    if match is None:
+                        raise _Reject
+                else:
+                    key = match[1]
+                pos = match.end()
+                sub = required.get(key) or optional.get(key, ANY)
+                if sub is STRING:
+                    value, pos = _decode(text, pos)
+                    if type(value) is not str:
+                        raise _Reject
+                elif sub is ANY:
+                    value, pos = _decode(text, pos)
+                else:
+                    value, pos = self._value(text, pos, sub)
+                doc[key] = value
+                match = _next(text, pos)
+                if match is None:
                     raise _Reject
-                key, pos = _decode(text, pos)
-                pos = _space(text, pos).end()
-                if text[pos:pos + 1] != ":":
-                    raise _Reject
-                sub = shape.required.get(key) or shape.optional.get(key, ANY)
-                doc[key], pos = self._value(text, _space(text, pos + 1).end(), sub)
-                pos = _space(text, pos).end()
-                if text[pos:pos + 1] != ",":
+                pos = match.end()
+                if match.lastindex:  # the closing "}"
                     break
-                pos = _space(text, pos + 1).end()
-            if text[pos:pos + 1] != "}":
-                raise _Reject
-        if not shape.required.keys() <= doc.keys():
+        if not required.keys() <= doc.keys():
             raise _Reject
-        return doc, pos + 1
+        return doc, pos
 
     def _state(self, text: str, pos: int) -> tuple[ConcreteState, int]:
         doc, end = _decode(text, pos)
@@ -380,11 +409,16 @@ def loads_runs(text: str, events: EventTable | None = None) -> list[Run]:
     return _runs(records(text), lambda line, lineno: line, events)
 
 
+# The read buffer of ``load_runs``: a trace line runs to a few KB, and a line
+# that straddles a refill takes ``readline``'s slow path.
+LINE_BUFFER = 1 << 16
+
+
 def load_runs(path, events: EventTable | None = None) -> list[Run]:
     """Read a trace file as ``loads_runs`` reads its text, a byte line at a
     time: a segment line is keyed by its bytes, line end included, so only a
     new line is decoded.  A line that is not UTF-8 fails at its record."""
-    with open(path, "rb") as fh:
+    with open(path, "rb", buffering=LINE_BUFFER) as fh:
         return _runs(enumerate(fh, start=1), _record_text, events)
 
 
@@ -415,8 +449,11 @@ def dump_runs(runs: list[Run], path) -> None:
 def collect(segments, afs: list[AbstractionFunction], af_hash: str,
             ) -> list[Burst]:
     """One burst per segment, in order; ``af_hash`` is ``af_list_hash(afs)``.
-    Each distinct state object is abstracted once per call."""
-    rows: dict[int, tuple[ConcreteState, str]] = {}  # holds the states: ids stay theirs
+    Each distinct segment object gives one burst object, and each distinct
+    state object is abstracted once, per call."""
+    # Each table holds its keys' objects, so that their ids stay theirs.
+    rows: dict[int, tuple[ConcreteState, str]] = {}
+    built: dict[int, tuple[OperationSegment, Burst]] = {}
 
     def row(state: ConcreteState) -> str:
         hit = rows.get(id(state))
@@ -424,8 +461,15 @@ def collect(segments, afs: list[AbstractionFunction], af_hash: str,
             hit = rows[id(state)] = (state, abstract_state(afs, state))
         return hit[1]
 
-    return [Burst(seg.label, row(seg.pre_state), seg.events,
-                  row(seg.post_state), af_hash) for seg in segments]
+    bursts = []
+    for seg in segments:
+        hit = built.get(id(seg))
+        if hit is None:
+            hit = built[id(seg)] = (seg, Burst(
+                seg.label, row(seg.pre_state), seg.events, row(seg.post_state),
+                af_hash))
+        bursts.append(hit[1])
+    return bursts
 
 
 def draw(items, cfg: SamplerConfig) -> list:
@@ -490,19 +534,25 @@ def dumps_bursts(bursts: list[Burst], cfg: SamplerConfig | None = None,
     header: dict = {"af_hash": af_hash}
     if cfg is not None:
         header["sampler"] = cfg.to_dict()
-    dumps, events = json.dumps, JsonText()
+    dumps = JsonText().dumps
     lines = [dumps({"header": header})]
-    lines += [f'{{"label": {dumps(b.label)}, "pre": {dumps(b.pre)}, "trace": '
-              f'{events.dumps(b.trace)}, "post": {dumps(b.post)}}}' for b in bursts]
+    written: dict[int, str] = {}  # id(burst) -> its line; ``bursts`` holds them
+    for b in bursts:
+        line = written.get(id(b))
+        if line is None:
+            line = written[id(b)] = (
+                f'{{"label": {dumps(b.label)}, "pre": {dumps(b.pre)}, "trace": '
+                f'{dumps(b.trace)}, "post": {dumps(b.post)}}}')
+        lines.append(line)
     return "\n".join(lines) + "\n"
 
 
 def dumps_baseline(traces: list[tuple[str, Trace]], cfg: SamplerConfig) -> str:
     """The baseline file: a header line, then one line per (run id, trace)
     pair of ``collect_fixed_sampling``."""
-    dumps, events = json.dumps, JsonText()
+    dumps = JsonText().dumps
     lines = [dumps({"header": {"sampler": cfg.to_dict()}})]
-    lines += [f'{{"run": {dumps(run_id)}, "trace": {events.dumps(trace)}}}'
+    lines += [f'{{"run": {dumps(run_id)}, "trace": {dumps(trace)}}}'
               for run_id, trace in traces]
     return "\n".join(lines) + "\n"
 

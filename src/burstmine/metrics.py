@@ -149,6 +149,16 @@ def trace_recall(captured_events: int, original: Run) -> float:
     return captured_events / total
 
 
+def _mean(values) -> float:
+    """``statistics.mean`` of finite floats: their exact mean, correctly
+    rounded.  Each float is a numerator over a power of two, so the sum is
+    one integer over the largest of those, divided once."""
+    ratios = [x.as_integer_ratio() for x in values]
+    denominator = max(d for _, d in ratios)
+    total = sum(n * (denominator // d) for n, d in ratios)
+    return total / (denominator * len(ratios))
+
+
 def _recall_report(runs: list[Run], captured_events: list[int]) -> RecallReport:
     """Per-run recall, with ``captured_events[i]`` captured from ``runs[i]``."""
     report = RecallReport()
@@ -156,7 +166,7 @@ def _recall_report(runs: list[Run], captured_events: list[int]) -> RecallReport:
         report.per_run.append(
             (run.run_id, captured, run.total_events, trace_recall(captured, run)))
     if report.per_run:
-        report.mean_recall = statistics.mean(r for *_, r in report.per_run)
+        report.mean_recall = _mean(r for *_, r in report.per_run)
     return report
 
 
@@ -172,7 +182,7 @@ def _score(fsm: AnnotatedFSM, runs: list[Run], abstracted: list[list[Burst]],
         else:
             precision.per_node.append(NodeScore(state, correct, total))
     if precision.per_node:
-        precision.overall = statistics.mean(s.precision for s in precision.per_node)
+        precision.overall = _mean(s.precision for s in precision.per_node)
     return precision, _recall_report(
         runs, [accepts_prefix(fsm, bursts) for bursts in abstracted])
 
@@ -236,7 +246,7 @@ class SweepResult:
     def aggregate(self, p: float, n: int) -> tuple[float, float]:
         """(mean, sample stddev) of mean recall across seeds."""
         values = self.recalls(p, n)
-        mean = statistics.mean(values)
+        mean = _mean(values)
         std = statistics.stdev(values) if len(values) > 1 else 0.0
         return mean, std
 

@@ -142,7 +142,7 @@ class JsonText:
             return int.__repr__(value)
         if kind is bool or value is None:
             return "null" if value is None else "true" if value else "false"
-        if kind is float:
+        if isinstance(value, (str, int, float)):  # a float, or an enum's value
             return json.dumps(value)
         text = self._by_id.get((id(value), pad))
         if text is None:

@@ -306,6 +306,69 @@ def test_a_write_that_cannot_be_encoded_leaves_the_old_file(workdir, capsys):
     assert dot.read_bytes() == before
 
 
+def _old_outputs(*paths: Path) -> dict[Path, bytes]:
+    """Each path, written with bytes that no command writes."""
+    for path in paths:
+        path.write_bytes(b"old " + path.name.encode())
+    return {path: path.read_bytes() for path in paths}
+
+
+def _unchanged(old: dict[Path, bytes]) -> bool:
+    return all(path.read_bytes() == data for path, data in old.items())
+
+
+@pytest.mark.parametrize("report, error", [
+    ("file/report.json", "FileExistsError"), ("dir", "IsADirectoryError")])
+def test_a_filter_that_cannot_write_its_report_writes_no_kept_list(
+        workdir, capsys, report, error):
+    """The report's path lies under a file, or names a directory."""
+    afs, matrix = workdir / "checkout_afs.json", workdir / "m.csv"
+    assert run_cli("profile", "--traces", workdir / "checkout.jsonl",
+                   "--afs", afs, "--out", matrix) == 0
+    (workdir / "dir").mkdir()
+    old = _old_outputs(workdir / "kept.json", workdir / "file")
+    rc = run_cli("filter", "--matrix", matrix, "--afs", afs,
+                 "--out-kept", workdir / "kept.json",
+                 "--out-report", workdir / report)
+    assert_one_line_diagnostic(rc, capsys.readouterr().err, error)
+    assert _unchanged(old)
+
+
+def test_a_synthesize_whose_dot_cannot_be_encoded_writes_no_model(workdir, capsys):
+    bursts = workdir / "bursts.jsonl"
+    afs = load_af_list((workdir / "checkout_afs.json").read_text())[0]
+    bursts.write_text(collect.dumps_bursts(
+        [dataclasses.replace(b, label=b.label + "\ud800") for b in
+         collect.collect_cbr_bursts(checkout_runs(), afs,
+                                    collect.SamplerConfig(1.0))],
+        af_hash=af_list_hash(afs)))
+    old = _old_outputs(workdir / "fsm.json", workdir / "fsm.dot")
+    rc = run_cli("synthesize", "--bursts", bursts, "--out", workdir / "fsm.json",
+                 "--dot", workdir / "fsm.dot")
+    assert_one_line_diagnostic(rc, capsys.readouterr().err, "UnicodeEncodeError")
+    assert _unchanged(old)
+
+
+def test_an_evaluate_whose_report_cannot_be_encoded_writes_no_report(workdir, capsys):
+    afs = workdir / "checkout_afs.json"
+    assert run_cli("collect", "--traces", workdir / "checkout.jsonl", "--afs", afs,
+                   "--probability", "1.0", "--out", workdir / "bursts.jsonl") == 0
+    assert run_cli("synthesize", "--bursts", workdir / "bursts.jsonl",
+                   "--out", workdir / "fsm.json") == 0
+    runs = checkout_runs()
+    dump_runs([dataclasses.replace(runs[0], run_id="\ud800"), *runs[1:]],
+              workdir / "surrogate.jsonl")
+    out = workdir / "reports"
+    out.mkdir()
+    old = _old_outputs(*(out / name for name in (
+        "precision.json", "precision.csv", "recall.json", "recall.csv")))
+    rc = run_cli("evaluate", "--fsm", workdir / "fsm.json",
+                 "--traces", workdir / "surrogate.jsonl", "--afs", afs,
+                 "--out-dir", out)
+    assert_one_line_diagnostic(rc, capsys.readouterr().err, "UnicodeEncodeError")
+    assert _unchanged(old)
+
+
 def test_profile_rejects_an_af_id_with_a_comma(workdir, capsys):
     afs, matrix = workdir / "renamed_afs.json", workdir / "matrix.csv"
     for af_id in ("a,b", "c\nd", "e\rf"):

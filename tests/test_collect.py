@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import math
@@ -7,10 +8,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from burstmine.collect import (BURST, HEADER_LINE, LINE, Burst, EventTable,
-                               MethodCall, OperationSegment, Run,
+from burstmine.collect import (BURST, HEADER_LINE, LINE, LINE_BUFFER, Burst,
+                               EventTable, MethodCall, OperationSegment, Run,
                                SamplerConfig, TraceSchemaError, _record,
-                               _record_text, collect_cbr_bursts,
+                               _record_text, collect, collect_cbr_bursts,
                                collect_fixed_sampling, dumps_bursts,
                                dumps_runs, load_runs, loads_bursts, loads_runs)
 from burstmine.functions import af_list_hash
@@ -294,6 +295,26 @@ def test_collect_abstracts_each_distinct_state_object_once(editor, monkeypatch):
     assert len(distinct) < 2 * len(bursts)
     monkeypatch.undo()
     assert bursts == collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0))
+
+
+def test_collect_builds_one_burst_per_distinct_segment_object(editor):
+    afs, runs = editor
+    af_hash = af_list_hash(afs)
+    loaded = loads_runs(dumps_runs(runs))
+    for source, shared in ((loaded, True), (runs, False)):
+        segments = [s for r in source for s in r.segments]
+        bursts = collect(segments, afs, af_hash)
+        assert bursts == [Burst(s.label, abstract_state(afs, s.pre_state), s.events,
+                                abstract_state(afs, s.post_state), af_hash)
+                          for s in segments]
+        ids: dict[int, set[int]] = {}
+        for segment, burst in zip(segments, bursts):
+            ids.setdefault(id(segment), set()).add(id(burst))
+        assert all(len(same) == 1 for same in ids.values())
+        assert len({id(b) for b in bursts}) == len(ids)
+        assert (len(ids) < len(segments)) == shared
+        copies = [dataclasses.replace(b) for b in bursts]
+        assert dumps_bursts(bursts) == dumps_bursts(copies)
 
 
 def test_segment_before_run_rejected():
@@ -632,9 +653,16 @@ def _trace_lines(draw, bursts: bool):
     return docs, _JUNK + states + [events]
 
 
+# Keys no record knows, as JSON text: plain, holding escapes, and holding a
+# raw tab, which JSON does not allow in a string.
+_UNKNOWN_KEYS = ['"x"', '"a\\"b"', '"a\\\\b"', '"\\"label\\""', '"label\\\\"',
+                 '"a\tb"']
+
+
 def _write(draw, value, junk, varied: bool) -> str:
     """``value`` as JSON as ``json.dumps`` writes it, or if ``varied``, with
-    some keys reordered, repeated or ``\\u``-escaped, and other whitespace."""
+    some keys reordered, repeated or ``\\u``-escaped, an unknown key added,
+    and other whitespace."""
     if isinstance(value, _Raw):
         return value
     if not isinstance(value, (dict, list)):
@@ -649,8 +677,12 @@ def _write(draw, value, junk, varied: bool) -> str:
     if not plain and items:
         items = draw(st.permutations(items))
         k = draw(st.integers(0, len(items) - 1))
-        if draw(st.booleans()):  # a repeated key: the last one counts
+        change = draw(st.integers(0, 2))
+        if change == 0:  # a repeated key: the last one counts
             items.insert(0, (items[k][0], draw(st.sampled_from(junk))))
+        elif change == 1:  # a key no record knows
+            items.insert(k, (draw(st.sampled_from(_UNKNOWN_KEYS)),
+                             draw(st.sampled_from(junk))))
         else:
             items[k] = ('"' + "".join(f"\\u{ord(c):04x}" for c in
                                       json.loads(items[k][0])) + '"', items[k][1])
@@ -818,3 +850,22 @@ def test_a_file_load_peaks_below_half_the_file_size(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(runs) == 120 and peak < path.stat().st_size / 2
+
+
+@pytest.mark.parametrize("shift", [-2, -1, 0, 1])
+def test_lines_across_buffer_refills_load_as_their_text(editor, tmp_path, shift):
+    """A CRLF line end whose "\\r" or "\\n" is the last byte before the first
+    refill, lines of a few KB across later refills, and a line longer than
+    the whole buffer."""
+    _, runs = editor
+    long = dataclasses.replace(runs[0].segments[0], label="x" * (LINE_BUFFER + 5))
+    body = dumps_runs([*runs, Run("long", (long,)), *runs])
+    pad = "p" * (LINE_BUFFER - 1 + shift - len('{"run": ""}'))
+    text = (json.dumps({"run": pad}) + "\n" + body).replace("\n", "\r\n")
+    assert text.index("\r") == LINE_BUFFER - 1 + shift
+    assert len(text) > 3 * LINE_BUFFER
+    path = tmp_path / "runs.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    loaded = load_runs(path)
+    assert loaded == loads_runs(text)
+    assert loaded[len(runs) + 1].segments[0].label == long.label

@@ -1,11 +1,14 @@
+import statistics
+
 import pytest
+from hypothesis import given, strategies as st
 
 from burstmine import collect
 from burstmine.collect import (MethodCall, OperationSegment, Run,
                                SamplerConfig, collect_cbr_bursts, dumps_runs,
                                loads_runs)
-from burstmine.metrics import (baseline_recall, evaluate, node_precision,
-                               run_sweep, trace_recall)
+from burstmine.metrics import (_mean, baseline_recall, evaluate,
+                               node_precision, run_sweep, trace_recall)
 from burstmine.model import ModelError, synthesize, with_transition
 from burstmine.states import ConcreteObject, ConcreteState
 from burstmine.synthetic import (PS_EMPTY, PS_FILLING, PS_PAID,
@@ -19,6 +22,15 @@ from burstmine.synthetic import (PS_EMPTY, PS_FILLING, PS_PAID,
 def checkout():
     afs = checkout_abstraction_functions()
     return afs, checkout_runs(), synthesize(checkout_reference_bursts())
+
+
+# --- the mean ------------------------------------------------------------------
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1)
+       | st.lists(st.floats(0, 1), min_size=1))
+def test_the_mean_is_statistics_mean(values):
+    assert repr(_mean(values)) == repr(statistics.mean(values))
 
 
 # --- node precision -----------------------------------------------------------

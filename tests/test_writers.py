@@ -286,6 +286,27 @@ def test_json_text_writes_what_json_dumps_writes(value):
     assert JsonText().dumps(value, "\n") == json.dumps(value, indent=2)
 
 
+class _Label(str):
+    """A subclass of ``str``, as a ``StrEnum`` member is."""
+
+
+class _Count(int):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+def test_json_text_writes_subclasses_of_str_int_and_float_as_json_dumps_does():
+    value = {"a": [_Label("x\u00e9"), _Count(3), _Ratio(0.5)], _Label("k"): _Label("y")}
+    assert JsonText().dumps(value) == json.dumps(value)
+    assert JsonText().dumps(value, "\n") == json.dumps(value, indent=2)
+    burst = Burst("op", "T", (), "F", "h")
+    assert dumps_bursts([Burst(_Label("op"), _Label("T"), (), "F", "h")]) == \
+        dumps_bursts([burst])
+
+
 clauses = st.builds(lambda lhs, op, rhs: Clause(parse_term(lhs), op, parse_term(rhs)),
                     st.sampled_from(["A.n", "A.xs.length", "A.xs.[0].v"]),
                     st.sampled_from(COMPARE_OPS),
