@@ -35,7 +35,8 @@ from .collect import (EventTable, SamplerConfig, collect, collect_cbr_bursts,
 from .functions import af_list_hash, dump_af_list, load_af_list
 from .ir import (IrError, build_dependency_graph, detect_relevant_classes,
                  parse_program)
-from .schema import INTEGER, NUMBER, STRING, TARGETS, ListOf, Record, check
+from .schema import (INTEGER, LINE_BUFFER, NUMBER, STRING, TARGETS, ListOf,
+                     Record, check)
 from .symex import SymexBounds, SymexError, extract_abstraction_functions
 
 
@@ -84,8 +85,7 @@ CONFIG = Record({}, {
 
 
 def _text(path) -> str:
-    """A file's text with its line ends as written: a raw CR inside a record
-    is not a record break."""
+    """A JSON document's or a program's text, its line ends as written."""
     with open(path, encoding="utf-8", newline="") as fh:
         return fh.read()
 
@@ -161,7 +161,8 @@ def cmd_profile(args, config: dict) -> int:
 
 
 def cmd_filter(args, config: dict) -> int:
-    m = filtering.matrix_from_csv(_read(args, config, "matrix"))
+    with open(_input(args, config, "matrix"), "rb", buffering=LINE_BUFFER) as fh:
+        m = filtering.matrix_from_csv(fh)
     afs, _ = load_af_list(_read(args, config, "afs"))
     by_id = {af.id: af for af in afs}
     unknown = [c for c in m.column_ids if c not in by_id]
@@ -199,7 +200,8 @@ def cmd_collect(args, config: dict) -> int:
 
 
 def cmd_synthesize(args, config: dict) -> int:
-    bursts, header = loads_bursts(_read(args, config, "bursts"))
+    with open(_input(args, config, "bursts"), "rb", buffering=LINE_BUFFER) as fh:
+        bursts, header = loads_bursts(fh)
     if not bursts:
         _warn("no bursts to synthesize from; the model will be empty")
     fsm = model.synthesize(bursts, header.get("af_hash", ""))

@@ -13,15 +13,10 @@ segments whose draw succeeds.
 Field runs keep repeating the same few operations from the same states: in
 the seed-0 ``pipeline`` benchmark corpus, 185 of 1,440 segment lines, 36 of
 1,440 event lists, 112 of 71,564 events and 84 of 2,880 state snapshots are
-distinct.  So a load of a trace or burst file keeps a table from each
-segment or burst line's text to the one ``OperationSegment`` or ``Burst``
-built from it, and a repeated line appends that object again.
-``load_runs`` reads a trace file as byte lines by the record rule of
-``schema.records`` and keys that table by each line's bytes, so a repeated
-line is never decoded and no load holds the file as text; a new line is
-decoded as strict UTF-8, and one that is not UTF-8 fails at its record.
-It reads through a 64 KiB buffer (``LINE_BUFFER``), which holds many lines
-of a few KB, so that few lines straddle a refill.
+distinct.  So a load of a trace or burst file reads its byte lines through
+``schema.Lines`` and keeps a table from each segment or burst line's bytes
+to the one ``OperationSegment`` or ``Burst`` built from it: a repeated line
+appends that object again and is never decoded.
 A new line is walked with ``json.JSONDecoder().raw_decode`` (``_Reader``),
 through per-load tables from an event list's, an event's or a state's source
 text to the one trace, ``MethodCall`` or ``ConcreteState`` built from it,
@@ -52,8 +47,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .functions import AbstractionFunction, af_list_hash
-from .schema import (ANY, LIST, SCALAR, STRING, TFU, JsonText, ListOf, Record,
-                     check, records)
+from .schema import (ANY, LINE_BUFFER, LIST, SCALAR, STRING, TFU, JsonText,
+                     Lines, ListOf, Record, check)
 from .states import STATE, ConcreteState, StateError, abstract_state
 
 SRT_CATEGORIES = ("Instantaneous", "Immediate", "Continuous", "Captive")
@@ -353,14 +348,16 @@ class _Reader:
         return call
 
 
-def _runs(lines, text_of, events: EventTable | None) -> list[Run]:
-    """The runs of a trace file's ``(lineno, line)`` pairs; ``text_of(line,
-    lineno)`` is a line's record text, ``""`` if blank."""
+def loads_runs(source, events: EventTable | None = None) -> list[Run]:
+    """Read a trace file from the file open in binary, or from its text;
+    ``events`` is the event table to share, if another load of the same
+    command reads the same events."""
+    lines = Lines(source, TraceSchemaError)
     runs: list[tuple[str, list[OperationSegment]]] = []
-    # Each segment line -> the segment built from it.  Only a built one is
-    # stored, so a hit, like its first build, follows a run line; a hit is
-    # not decoded again.
-    reader, built = _Reader(events), {}
+    # Each segment line's bytes -> the segment built from it.  Only a built
+    # one is stored, so a hit, like its first build, follows a run line; a
+    # hit is not decoded again.
+    reader, built, text_of = _Reader(events), {}, lines.text
     for lineno, line in lines:
         segment = built.get(line)
         if segment is None:
@@ -387,39 +384,10 @@ def _runs(lines, text_of, events: EventTable | None) -> list[Run]:
     return [Run(run_id, tuple(segments)) for run_id, segments in runs]
 
 
-def _record_text(line: bytes, lineno: int) -> str:
-    """A byte line as ``schema.records`` gives its text: strict UTF-8,
-    without its "\\n" and one "\\r" before it, and ``""`` if blank.  UTF-8
-    writes no byte 0x0A inside a character, so byte lines and text lines
-    split alike.  It stays in this module: ``perfbench`` traces each call
-    from one module into another, and a span per line costs more than it
-    measures."""
-    try:
-        text = line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise TraceSchemaError(f"not UTF-8 at byte {exc.start} of the line: "
-                               f"{exc.reason}", lineno) from None
-    text = text.removesuffix("\n").removesuffix("\r")
-    return text if text.strip(" \t\r") else ""
-
-
-def loads_runs(text: str, events: EventTable | None = None) -> list[Run]:
-    """Read a trace file's text; ``events`` is the event table to share, if
-    another load of the same command reads the same events."""
-    return _runs(records(text), lambda line, lineno: line, events)
-
-
-# The read buffer of ``load_runs``: a trace line runs to a few KB, and a line
-# that straddles a refill takes ``readline``'s slow path.
-LINE_BUFFER = 1 << 16
-
-
 def load_runs(path, events: EventTable | None = None) -> list[Run]:
-    """Read a trace file as ``loads_runs`` reads its text, a byte line at a
-    time: a segment line is keyed by its bytes, line end included, so only a
-    new line is decoded.  A line that is not UTF-8 fails at its record."""
+    """Read the trace file at ``path`` through a ``LINE_BUFFER``."""
     with open(path, "rb", buffering=LINE_BUFFER) as fh:
-        return _runs(enumerate(fh, start=1), _record_text, events)
+        return loads_runs(fh, events)
 
 
 def dumps_runs(runs: list[Run]) -> str:
@@ -561,20 +529,34 @@ HEADER_LINE = Record({"header": Record({}, {"af_hash": STRING}, name="header")})
 BURST = Record({"label": STRING, "pre": TFU, "trace": EVENTS, "post": TFU})
 
 
-def loads_bursts(text: str) -> tuple[list[Burst], dict]:
-    """Read a burst file; errors name the physical line as the record."""
-    lines = records(text)
-    if not lines:
+def loads_bursts(source) -> tuple[list[Burst], dict]:
+    """Read a burst file from the file open in binary, or from its text, as
+    ``load_runs`` reads a trace file; errors name the physical line as the
+    record.  Every state is as wide as the first burst's ``pre``."""
+    lines = Lines(source, TraceSchemaError)
+    first = lines.first()
+    if first is None:
         raise TraceSchemaError("empty burst document")
-    header = _record(lines[0][1], lines[0][0], HEADER_LINE, "burst")["header"]
-    af_hash, reader = header.get("af_hash", ""), _Reader()
-    built: dict[str, Burst] = {}  # each burst line's text -> its burst
+    header = _record(first[1], first[0], HEADER_LINE, "burst")["header"]
+    af_hash, reader, text_of = header.get("af_hash", ""), _Reader(), lines.text
+    built: dict[bytes, Burst] = {}  # each burst line's bytes -> its burst
     bursts: list[Burst] = []
-    for lineno, line in lines[1:]:
+    for lineno, line in lines:
         burst = built.get(line)
         if burst is None:
-            d = reader.record(line, lineno, BURST, "burst")
+            text = text_of(line, lineno)
+            if not text:
+                continue
+            d = reader.record(text, lineno, BURST, "burst")
             trace = reader.trace(d["trace"], lambda m: TraceSchemaError(m, lineno))
+            width = len(bursts[0].pre) if bursts else len(d["pre"])
+            for key in ("pre", "post"):
+                if not d[key]:
+                    raise TraceSchemaError(f"burst {key!r} is empty", lineno)
+                if len(d[key]) != width:
+                    raise TraceSchemaError(
+                        f"burst {key!r} has width {len(d[key])}, but the first "
+                        f"burst's 'pre' has width {width}", lineno)
             burst = built[line] = Burst(d["label"], d["pre"], trace, d["post"],
                                         af_hash)
         bursts.append(burst)

@@ -21,6 +21,7 @@ An ``EvalMatrix`` holds its cells as one T/F/U string per row, as
 dict of first occurrences for rows, stride slices of the joined row text
 (``text[j::n_cols]``) for columns, and for each greedy trial one strided
 ``del`` over the rows' joined bytes and a set of the rows left.
+The CSV is read by byte line through ``schema.Lines``, as traces are.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .schema import LETTERS, records
+from .schema import LETTERS, Lines
 
 
 class MatrixError(ValueError):
@@ -236,18 +237,26 @@ def matrix_to_csv(m: EvalMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_from_csv(text: str, af_hash: str = "") -> EvalMatrix:
-    lines = records(text)
-    if not lines:
+def matrix_from_csv(source) -> EvalMatrix:
+    """Read a matrix CSV from the file open in binary, or from its text, by
+    the record rule of ``schema.Lines``; errors name the line."""
+    lines = Lines(source, lambda message, no: MatrixError(f"line {no}: {message}"))
+    first = lines.first()
+    if first is None:
         raise MatrixError("empty matrix document")
-    header = lines[0][1].split(",")
+    header = first[1].split(",")
     if header[:2] != ["#run", "#snapshot"]:
         raise MatrixError("matrix CSV must start with #run,#snapshot columns")
     ids = tuple(header[2:])
     width = len(ids)
     rows: list[str] = []
+    written: list[tuple[int, str]] = []  # each row's line and cells, as written
     prov: list[tuple[str, int]] = []
-    for no, ln in lines[1:]:
+    text_of = lines.text
+    for no, line in lines:
+        ln = text_of(line, no)
+        if not ln:
+            continue
         fields = ln.count(",") + 1
         if fields != width + 2:
             raise MatrixError(f"line {no}: expected {width + 2} fields, "
@@ -263,14 +272,15 @@ def matrix_from_csv(text: str, af_hash: str = "") -> EvalMatrix:
         # other layout has the wrong length or puts a comma there, which
         # _bad_row finds.
         if len(cells) != max(2 * width - 1, 0):
-            raise _bad_cell(no, ln)
+            raise _bad_cell(no, cells)
         rows.append(cells[::2])
+        written.append((no, cells))
     bad = _bad_row(rows, width)
     if bad is not None:
-        raise _bad_cell(*lines[1 + bad])
-    return EvalMatrix(ids, tuple(rows), tuple(prov), af_hash)
+        raise _bad_cell(*written[bad])
+    return EvalMatrix(ids, tuple(rows), tuple(prov))
 
 
-def _bad_cell(no: int, line: str) -> MatrixError:
-    bad = next(c for c in line.split(",")[2:] if c not in LETTERS)
+def _bad_cell(no: int, cells: str) -> MatrixError:
+    bad = next(c for c in cells.split(",") if c not in LETTERS)
     return MatrixError(f"line {no}: invalid cell value {bad!r}")

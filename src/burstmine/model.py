@@ -121,22 +121,28 @@ def simulate_traces(fsm: AnnotatedFSM, start, max_hops: int,
     if start not in fsm.states:
         raise ModelError(f"unknown start state {start!r}")
     out: list[ReconstructedTrace] = []
+    path: list[tuple[str, Trace]] = []  # the walk's hops, (label, trace) each
 
-    def walk(state: str, hops_left: int, acc: tuple) -> None:
-        if len(out) >= combination_budget:
-            return
-        keys = fsm.outgoing(state) if hops_left > 0 else []
+    def hops(state: str):
+        """The hops on from ``state``, the end of ``path``; none at the
+        walk's end, which is written out."""
+        keys = fsm.outgoing(state) if len(path) < max_hops else []
         if not keys:
-            out.append(ReconstructedTrace(start, acc, state))
-            return
-        for key in keys:
-            label, _, target = key
-            for trace in fsm.transitions[key]:
-                if len(out) >= combination_budget:
-                    return
-                walk(target, hops_left - 1, acc + ((label, trace),))
+            out.append(ReconstructedTrace(start, tuple(path), state))
+        return ((key, trace) for key in keys for trace in fsm.transitions[key])
 
-    walk(start, max_hops, ())
+    # One iterator per state on the walk, so a walk of any length takes no
+    # recursion; the hop from stack[d] is path[d].
+    stack = [hops(start)]
+    while stack and len(out) < combination_budget:
+        hop = next(stack[-1], None)
+        if hop is None:
+            stack.pop()
+            continue
+        (label, _, target), trace = hop
+        del path[len(stack) - 1:]
+        path.append((label, trace))
+        stack.append(hops(target))
     return out
 
 
@@ -199,8 +205,15 @@ MODEL = Record({"states": ListOf(TFU, "state"), "transitions": ListOf(Record(
 
 def import_fsm(text: str, events: EventTable | None = None) -> AnnotatedFSM:
     """Read a model; ``events`` is the event table to share, if another load
-    of the same command reads the same events."""
+    of the same command reads the same events.  Every state is as wide as
+    the first."""
     doc = check(json.loads(text), MODEL, "model", ModelError)
+    for i, state in enumerate(doc["states"]):
+        if not state:
+            raise ModelError(f"model state {i} is empty")
+        if len(state) != len(doc["states"][0]):
+            raise ModelError(f"model state {i} has width {len(state)}, but "
+                             f"model state 0 has width {len(doc['states'][0])}")
     states = frozenset(doc["states"])
     events = EventTable() if events is None else events
     transitions: dict[TransitionKey, tuple[Trace, ...]] = {}

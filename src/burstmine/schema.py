@@ -3,12 +3,13 @@
 A shape is a leaf kind, a ``(description, predicate)`` pair, or a ``ListOf``,
 ``MapOf`` or ``Record`` of shapes.  Each reader checks a parsed record once
 against its format's shape table, then builds values with no type tests.
-``records`` splits every line-based file (trace, burst, matrix) into records.
+``Lines`` reads every line file (trace, burst, matrix CSV) by one record rule.
 ``JsonText`` is the one writer of documents that repeat events or clauses.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections import namedtuple
@@ -87,13 +88,47 @@ def _record_mismatch(value: dict, shape):
     return ([f"'{unknown[0]}'"], "is unknown") if unknown else None
 
 
-def records(text: str) -> list[tuple[int, str]]:
-    """The non-blank records with their line numbers.  Records end at "\\n"
-    or "\\r\\n" only: JSON strings may hold U+2028 and U+0085 raw.  A blank
-    line holds only JSON whitespace; any other goes to the reader.
-    ``collect.load_runs`` reads a trace file's byte lines by the same rule."""
-    return [(lineno, line.removesuffix("\r")) for lineno, line in
-            enumerate(text.split("\n"), start=1) if line.strip(" \t\r")]
+# The read buffer of a line file: a trace line runs to a few KB, and a line
+# that straddles a refill takes ``readline``'s slow path.
+LINE_BUFFER = 1 << 16
+
+
+class Lines:
+    """The numbered byte lines of a line file (trace, burst or matrix CSV),
+    from the file open in binary or from its text, and the one record rule.
+    A reader keys what it builds by a line's bytes and decodes only a new
+    line; ``text`` is a method, so that ``perfbench``, which traces each
+    function one module calls in another, spans no line."""
+
+    def __init__(self, source, error) -> None:
+        """``error(message, lineno)`` fails a line that is not UTF-8."""
+        if isinstance(source, str):  # a lone surrogate is not UTF-8
+            source = io.BytesIO(source.encode("utf-8", "surrogatepass"))
+        self._numbered = enumerate(source, start=1)
+        self._error = error
+
+    def __iter__(self):
+        return self._numbered
+
+    def text(self, line: bytes, lineno: int) -> str:
+        """The line's record text: strict UTF-8, without its "\\n" and one
+        "\\r" before it, and ``""`` if blank, holding only space, tab or CR.
+        Records end at "\\n" only: a string may hold U+2028 or U+0085 raw,
+        and UTF-8 writes no byte 0x0A inside a character."""
+        try:
+            text = line.decode()  # UTF-8, strict
+        except UnicodeDecodeError as exc:
+            raise self._error(f"not UTF-8 at byte {exc.start} of the line: "
+                              f"{exc.reason}", lineno) from None
+        text = text.removesuffix("\n").removesuffix("\r")
+        return text if text.strip(" \t\r") else ""
+
+    def first(self) -> tuple[int, str] | None:
+        """The first record's line number and text, read off, or ``None``."""
+        for lineno, line in self._numbered:
+            if text := self.text(line, lineno):
+                return lineno, text
+        return None
 
 
 _string = json.encoder.encode_basestring_ascii
@@ -101,8 +136,9 @@ _string = json.encoder.encode_basestring_ascii
 
 class JsonText:
     """One write's JSON text.  ``dumps`` writes a value as ``json.dumps``
-    does; a value of another type, such as an event or a clause, is written as
-    its ``to_dict()``.  A tuple or a record is looked up by identity first,
+    does, a subclass of ``dict``, ``list`` or ``tuple`` included; a value of
+    another type, such as an event or a clause, is written as its
+    ``to_dict()``.  A tuple or a record is looked up by identity first,
     so each object is written once per write and depth; a record is then
     looked up by value, so equal copies share one encoding."""
 
@@ -144,9 +180,13 @@ class JsonText:
             return "null" if value is None else "true" if value else "false"
         if isinstance(value, (str, int, float)):  # a float, or an enum's value
             return json.dumps(value)
+        if isinstance(value, dict):  # a subclass, such as OrderedDict
+            return self.dumps(dict(value.items()), pad)
+        if isinstance(value, list):
+            return self.dumps(list(value), pad)
         text = self._by_id.get((id(value), pad))
         if text is None:
-            if kind is tuple:
+            if isinstance(value, tuple):  # a namedtuple too
                 text = self.dumps(list(value), pad)
             else:
                 text = self._by_value.get((value, pad))

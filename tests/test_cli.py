@@ -1043,25 +1043,33 @@ def _deep_inputs(directory: Path) -> dict:
 
 
 @pytest.mark.parametrize("case", ["sequential-assignments", "nested-guard",
-                                  "nested-trace-line", "long-walk"])
+                                  "nested-trace-line"])
 def test_deep_recursion_exits_2(workdir, case):
     deep = _deep_inputs(workdir)
-    if case == "long-walk":
-        assert run_cli("collect", "--traces", workdir / "checkout.jsonl",
-                       "--afs", workdir / "checkout_afs.json",
-                       "--out", workdir / "b.jsonl") == 0
-        assert run_cli("synthesize", "--bursts", workdir / "b.jsonl",
-                       "--out", workdir / "fsm.json") == 0
     argv = {
         "sequential-assignments": ["extract", "--program", deep["sequential.mir"]],
         "nested-guard": ["extract", "--program", deep["parenthesised.mir"]],
         "nested-trace-line": ["profile", "--traces", deep["nested.jsonl"],
                               "--afs", workdir / "checkout_afs.json"],
-        "long-walk": ["simulate", "--fsm", workdir / "fsm.json", "--start", "FF",
-                      "--max-hops", "3000"],
     }[case]
     rc, err = run_cli_process(*argv, "--out-dir", workdir / "out")
     assert_one_line_diagnostic(rc, err, "RecursionError")
+
+
+def test_a_walk_of_3000_hops_simulates(workdir):
+    """The checkout model has a cycle from FF; a walk three times as long as
+    the recursion limit is walked, within a budget of one walk."""
+    assert run_cli("collect", "--traces", workdir / "checkout.jsonl",
+                   "--afs", workdir / "checkout_afs.json",
+                   "--out", workdir / "b.jsonl") == 0
+    assert run_cli("synthesize", "--bursts", workdir / "b.jsonl",
+                   "--out", workdir / "fsm.json") == 0
+    rc, err = run_cli_process("simulate", "--fsm", workdir / "fsm.json",
+                              "--start", "FF", "--max-hops", "3000", "--budget", "1",
+                              "--out", workdir / "walk.json")
+    assert (rc, err) == (0, "")
+    (walk,) = json.loads((workdir / "walk.json").read_text())
+    assert len(walk["segments"]) == 3000
 
 
 # --- every file the pipeline reads, damaged ------------------------------------------
@@ -1132,6 +1140,37 @@ def test_newly_rejected_input_exits_2(full_config, tmp_path, kind, change, names
         assert names in json.loads(err[0])["message"]
 
 
+def _burst(pre: str, post: str) -> dict:
+    return {"label": "op", "pre": pre, "trace": [], "post": post}
+
+
+@pytest.mark.parametrize("kind,document,message", [
+    ("bursts", [_burst("T", "TF")],
+     "record 2: burst 'post' has width 2, but the first burst's 'pre' has width 1"),
+    ("bursts", [_burst("", "")], "record 2: burst 'pre' is empty"),
+    ("bursts", [_burst("TF", "FT"), _burst("TF", "F")],
+     "record 3: burst 'post' has width 1, but the first burst's 'pre' has width 2"),
+    ("fsm", {"states": ["T", "TF"], "transitions": []},
+     "model state 1 has width 2, but model state 0 has width 1"),
+    ("fsm", {"states": ["", "T"], "transitions": []}, "model state 0 is empty"),
+], ids=["burst-wider-post", "burst-empty-states", "burst-narrower-later",
+        "model-wider-state", "model-empty-state"])
+def test_states_of_two_widths_exit_2(tmp_path, capsys, kind, document, message):
+    """No AF list gives an empty state, or states of two widths."""
+    path = tmp_path / kind
+    if kind == "bursts":
+        path.write_text("\n".join(map(json.dumps, [{"header": {}}, *document])))
+        argv = ["synthesize", "--bursts", path]
+    else:
+        path.write_text(json.dumps(document))
+        argv = ["simulate", "--fsm", path, "--start", "T"]
+    rc = run_cli(*argv, "--out-dir", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert_one_line_diagnostic(rc, err, "TraceSchemaError" if kind == "bursts"
+                               else "ModelError")
+    assert json.loads(err)["message"] == message
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_any_damaged_input_exits_0_or_2(full_config, data):
@@ -1158,26 +1197,36 @@ def test_any_damaged_input_exits_0_or_2(full_config, data):
             assert len(err) == 1 and "error" in json.loads(err[0]), (command, err)
 
 
-def test_a_byte_that_is_not_utf8_exits_2_with_one_line(full_config, tmp_path):
-    """A 0xff byte in one trace line fails at that record in every command
-    that reads traces; in any other input, or in the config, it exits 2 with
-    one JSON line too."""
+@pytest.mark.parametrize("kind,old,error,record", [
+    ("traces", b'"label": "', "TraceSchemaError", "record 3"),
+    ("bursts", b'"label": "', "TraceSchemaError", "record 3"),
+    ("matrix", b",", "MatrixError", "line 3"),
+], ids=["traces", "bursts", "matrix"])
+def test_a_byte_that_is_not_utf8_fails_at_its_line(full_config, tmp_path, kind,
+                                                   old, error, record):
+    """A 0xff byte in one line of a line file fails at that line in every
+    command that reads the file."""
     _, config, start = full_config
-    lines = Path(config["traces"]).read_bytes().split(b"\n")
-    lines[2] = lines[2].replace(b'"label": "', b'"label": "\xff', 1)
+    lines = Path(config[kind]).read_bytes().split(b"\n")
+    lines[2] = lines[2].replace(old, old + b"\xff", 1)
     at = lines[2].index(b"\xff")
-    traces = tmp_path / "traces.jsonl"
-    traces.write_bytes(b"\n".join(lines))
-    for command in _READERS["traces"]:
-        rc, err = _run_on({**config, "traces": traces}, command, tmp_path / "out",
+    damaged = tmp_path / f"damaged-{kind}"
+    damaged.write_bytes(b"\n".join(lines))
+    for command in {**_READERS, "matrix": ["filter"]}[kind]:
+        rc, err = _run_on({**config, kind: damaged}, command, tmp_path / "out",
                           start)
         assert rc == 2 and len(err) == 1, (command, err)
         assert json.loads(err[0]) == {
-            "error": "TraceSchemaError",
-            "message": f"record 3: not UTF-8 at byte {at} of the line: "
+            "error": error,
+            "message": f"{record}: not UTF-8 at byte {at} of the line: "
                        "invalid start byte"}, command
-    for key, command in [("afs", "profile"), ("matrix", "filter"),
-                         ("bursts", "synthesize"), ("fsm", "simulate"),
+
+
+def test_a_byte_that_is_not_utf8_exits_2_with_one_line(full_config, tmp_path):
+    """A 0xff byte in an input that is not a line file, or in the config,
+    exits 2 with one JSON line."""
+    _, config, start = full_config
+    for key, command in [("afs", "profile"), ("fsm", "simulate"),
                          ("program", "extract"), ("config", "extract")]:
         damaged = tmp_path / f"damaged-{key}"
         source = Path(config["afs" if key == "config" else key]).read_bytes()

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import statistics
 import tracemalloc
 
@@ -11,10 +12,13 @@ from hypothesis import given, settings, strategies as st
 from burstmine.collect import (BURST, HEADER_LINE, LINE, LINE_BUFFER, Burst,
                                EventTable, MethodCall, OperationSegment, Run,
                                SamplerConfig, TraceSchemaError, _record,
-                               _record_text, collect, collect_cbr_bursts,
+                               collect, collect_cbr_bursts,
                                collect_fixed_sampling, dumps_bursts,
                                dumps_runs, load_runs, loads_bursts, loads_runs)
+from burstmine.filtering import (EvalMatrix, MatrixError, matrix_from_csv,
+                                 matrix_to_csv)
 from burstmine.functions import af_list_hash
+from burstmine.schema import Lines
 from burstmine.states import ConcreteState, StateError, abstract_state
 from burstmine.synthetic import (checkout_abstraction_functions, checkout_runs,
                                  editor_abstraction_functions,
@@ -538,9 +542,10 @@ def _reference_loads_runs(text: str, split=str.splitlines) -> list[Run]:
     return [Run(run_id, tuple(segments)) for run_id, segments in runs]
 
 
-def _reference_loads_bursts(text: str) -> tuple[list[Burst], dict]:
+def _reference_loads_bursts(text: str, split=str.splitlines,
+                            ) -> tuple[list[Burst], dict]:
     lines = [(lineno, line) for lineno, line in
-             enumerate(text.splitlines(), start=1) if line.strip(" \t\r")]
+             enumerate(split(text), start=1) if line.strip(" \t\r")]
     if not lines:
         raise TraceSchemaError("empty burst document")
     header = _record(lines[0][1], lines[0][0], HEADER_LINE, "burst")["header"]
@@ -549,6 +554,14 @@ def _reference_loads_bursts(text: str) -> tuple[list[Burst], dict]:
     for lineno, line in lines[1:]:
         d = _record(line, lineno, BURST, "burst")
         trace = events.trace(d["trace"], lambda m: TraceSchemaError(m, lineno))
+        first = bursts[0].pre if bursts else d["pre"]
+        for key in ("pre", "post"):
+            if d[key] == "":
+                raise TraceSchemaError(f"burst {key!r} is empty", lineno)
+            if len(d[key]) != len(first):
+                raise TraceSchemaError(
+                    f"burst {key!r} has width {len(d[key])}, but the first "
+                    f"burst's 'pre' has width {len(first)}", lineno)
         bursts.append(Burst(d["label"], d["pre"], trace, d["post"], af_hash))
     return bursts, header
 
@@ -586,7 +599,8 @@ _BAD_STATES = st.sampled_from([
     {"objects": [1]}, {"objects": {"o1": {"fields": {}}}},
     {"objects": {"o1": {"class": "C", "fields": {"f": {"a": 1}}}}}, 5])
 _SRT = ["Instantaneous", "Captive", "Zippy", 5]
-_TFU = ["TFU", "UU", "", "TX", 5]
+# Good states are three letters wide; "UU" is a state of another width.
+_TFU = ["TFU", "UUF", "UU", "", "TX", 5]
 _JUNK = [5, "x", {}, [1]]  # values of a repeated key that the last one overrides
 
 
@@ -770,12 +784,13 @@ def test_burst_reader_agrees_with_the_parsed_reader(text):
     _agree_at_every_record(loads_bursts, _reference_loads_bursts, text)
 
 
-# --- a trace file read in binary against its text -------------------------------------
+# --- line files read in binary against their text -------------------------------------
 #
-# ``load_runs`` reads a file a byte line at a time.  Against the text readers,
-# over texts that also hold what only the record rule tells apart: raw U+2028,
-# U+2029 and U+0085 inside strings, a lone CR between tokens and blank lines
-# of space, tab and CR.  The reference then splits as the rule does.
+# A trace, burst or matrix file is read a byte line at a time.  Against the
+# text readers, over texts that also hold what only the record rule tells
+# apart: raw U+2028, U+2029 and U+0085 inside strings, a lone CR between
+# tokens and blank lines of space, tab and CR.  The reference then splits as
+# the rule does.
 
 
 def _newline_records(text: str) -> list[str]:
@@ -786,25 +801,43 @@ _MARKS = st.sampled_from(["\\u00e9", "é", "\u2028", "\u2029", "\x85"])
 
 
 @st.composite
-def _byte_documents(draw):
+def _byte_documents(draw, bursts: bool = False):
     """A ``_documents`` text with some "é" (written ``\\u00e9``) written raw
     or as a raw line break, a CR for the space of some ``": ``, a CR at the
     end of some line, so that one is left after a CRLF line's own CR goes,
     and blank lines of space, tab and CR."""
-    parts = draw(_documents()).split("\\u00e9")
+    parts = draw(_documents(bursts)).split("\\u00e9")
     text = parts[0] + "".join(draw(_MARKS) + part for part in parts[1:])
     lines = text.replace('": ', '":\r', draw(st.integers(0, 2))).split("\n")
+    _end_some_lines_with_cr(draw, lines)
+    return "\n".join(lines)
+
+
+def _end_some_lines_with_cr(draw, lines: list[str]) -> None:
     for i in draw(st.lists(st.integers(0, len(lines) - 1), max_size=2)):
         lines[i] += "\r"
     for _ in range(draw(st.integers(0, 2))):
         lines.insert(draw(st.integers(0, len(lines))),
                      draw(st.sampled_from([" \t\r", "\r", "\t"])))
-    return "\n".join(lines)
 
 
 @pytest.fixture(scope="module")
 def trace_path(tmp_path_factory):
     return tmp_path_factory.mktemp("traces") / "runs.jsonl"
+
+
+def _open_and_read(path, read):
+    """``read`` of the file at ``path``, open in binary as the CLI opens it."""
+    with open(path, "rb", buffering=LINE_BUFFER) as fh:
+        return read(fh)
+
+
+def _from_file(path, read):
+    """A reader of a text through a file at ``path``."""
+    def load(text: str):
+        path.write_bytes(text.encode("utf-8"))
+        return _open_and_read(path, read)
+    return load
 
 
 @settings(max_examples=200, deadline=None)
@@ -819,53 +852,157 @@ def test_a_file_load_agrees_with_the_text_load(trace_path, text):
         _agree_at_every_record(read, reference, text)
 
 
+@settings(max_examples=150, deadline=None)
+@given(text=_byte_documents(bursts=True))
+def test_a_burst_file_load_agrees_with_the_text_load(trace_path, text):
+    reference = functools.partial(_reference_loads_bursts, split=_newline_records)
+    for read in (_from_file(trace_path, loads_bursts), loads_bursts):
+        _agree_at_every_record(read, reference, text)
+
+
+def _reference_matrix_from_csv(text: str) -> EvalMatrix:
+    """The matrix reader's rules, field by field: a row of the wrong field
+    count or snapshot fails at once, a bad cell when one field's length
+    makes the row's length wrong, and otherwise at the first such row once
+    every row has been read."""
+    lines = [(no, line) for no, line in enumerate(_newline_records(text), start=1)
+             if line.strip(" \t\r")]
+    if not lines:
+        raise MatrixError("empty matrix document")
+    header = lines[0][1].split(",")
+    if header[:2] != ["#run", "#snapshot"]:
+        raise MatrixError("matrix CSV must start with #run,#snapshot columns")
+    ids, rows, prov, bad = tuple(header[2:]), [], [], None
+    for no, line in lines[1:]:
+        fields = line.split(",")
+        if len(fields) != len(ids) + 2:
+            raise MatrixError(f"line {no}: expected {len(ids) + 2} fields, "
+                              f"found {len(fields)}")
+        run, snap, *cells = fields
+        if not re.fullmatch("[0-9]+", snap):
+            raise MatrixError(f"line {no}: #snapshot {snap!r} is not an integer")
+        prov.append((run, int(snap)))
+        odd = [c for c in cells if c not in ("T", "F", "U")]
+        if sum(map(len, cells)) != len(cells):
+            raise MatrixError(f"line {no}: invalid cell value {odd[0]!r}")
+        if odd and bad is None:
+            bad = MatrixError(f"line {no}: invalid cell value {odd[0]!r}")
+        rows.append("".join(cells))
+    if bad is not None:
+        raise bad
+    return EvalMatrix(ids, tuple(rows), tuple(prov))
+
+
+@st.composite
+def _matrix_texts(draw):
+    """A matrix CSV of up to three columns, some rows damaged: a bad cell,
+    snapshot or field count, a run id holding a raw CR or line break, a
+    header that is not one; with CRLF or LF line ends, a CR at the end of
+    some line and blank lines."""
+    ids = [f"A{j}" for j in range(draw(st.integers(0, 3)))]
+    header = ",".join(["#run", "#snapshot", *ids])
+    lines = [draw(st.sampled_from(["#run", "run,#snapshot", "A0,A0"]))
+             if _one_in(draw, 15) else header]
+    for i in range(draw(st.integers(0, 6))):
+        run = draw(st.sampled_from(["r", "é", "r\u2028x", "r\x85", "", "r\rx"]))
+        snap = draw(st.sampled_from(["x", " 1", "\u0663", ""])) \
+            if _one_in(draw, 8) else str(i)
+        cells = [draw(st.sampled_from(["X", "", "TF", "\u00a0"])) if _one_in(draw, 8)
+                 else draw(st.sampled_from("TFU")) for _ in ids]
+        if _one_in(draw, 12):
+            cells = cells[1:] if cells else ["T"]
+        lines.append(",".join([run, snap, *cells]))
+    _end_some_lines_with_cr(draw, lines)
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(
+        st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_matrix_texts())
+def test_a_matrix_file_load_agrees_with_the_text_load(trace_path, text):
+    for read in (_from_file(trace_path, matrix_from_csv), matrix_from_csv):
+        _agree_at_every_record(read, _reference_matrix_from_csv, text)
+
+
 def test_a_file_load_decodes_and_builds_each_repeated_line_once(
         editor, tmp_path, monkeypatch):
-    _, runs = editor
-    text = dumps_runs(runs)
-    path = tmp_path / "runs.jsonl"
-    path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
-    decoded = []
-    monkeypatch.setattr("burstmine.collect._record_text", lambda line, lineno: (
-        decoded.append(line) or _record_text(line, lineno)))
-    loaded = load_runs(path)
-    assert loaded == loads_runs(text)
-    lines = path.read_bytes().splitlines(keepends=True)
-    assert sorted(decoded) == sorted(set(lines)) and len(decoded) < len(lines)
-    segments = [s for r in loaded for s in r.segments]
-    ids: dict[bytes, set[int]] = {}
-    for line, segment in zip([b for b in lines if b'"segment"' in b], segments):
-        ids.setdefault(line, set()).add(id(segment))
-    assert all(len(same) == 1 for same in ids.values())
-    assert len({id(s) for s in segments}) == len(ids)
+    afs, runs = editor
+    bursts = collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0))
+    decoded, text_of = [], Lines.text
+    monkeypatch.setattr(Lines, "text", lambda self, line, lineno: (
+        decoded.append(line) or text_of(self, line, lineno)))
+    path = tmp_path / "lines.jsonl"
+    for text, load, loads, records, marker in [
+            (dumps_runs(runs), load_runs, loads_runs,
+             lambda loaded: [s for r in loaded for s in r.segments], b'"segment"'),
+            (dumps_bursts(bursts), functools.partial(_open_and_read, read=loads_bursts),
+             loads_bursts, lambda loaded: loaded[0], b'"label"')]:
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        decoded.clear()
+        loaded = load(path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert sorted(decoded) == sorted(set(lines)) and len(decoded) < len(lines)
+        assert loaded == loads(text)
+        built = records(loaded)
+        ids: dict[bytes, set[int]] = {}
+        for line, record in zip([b for b in lines if marker in b], built):
+            ids.setdefault(line, set()).add(id(record))
+        assert all(len(same) == 1 for same in ids.values())
+        assert len({id(r) for r in built}) == len(ids)
 
 
 def test_a_file_load_peaks_below_half_the_file_size(tmp_path):
-    path = tmp_path / "corpus.jsonl"
-    path.write_text(editor_corpus(120, 0)[0], encoding="utf-8")
-    tracemalloc.start()
-    try:
-        runs = load_runs(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(runs) == 120 and peak < path.stat().st_size / 2
+    corpus = editor_corpus(120, 0)[0]
+    collected = collect_cbr_bursts(loads_runs(corpus), editor_abstraction_functions(),
+                                   SamplerConfig(0.3, 0))
+    traces, bursts = tmp_path / "corpus.jsonl", tmp_path / "bursts.jsonl"
+    traces.write_text(corpus, encoding="utf-8")
+    bursts.write_text(dumps_bursts(collected), encoding="utf-8")
+    for path, load, count in [
+            (traces, load_runs, 120),
+            (bursts, lambda p: _open_and_read(p, loads_bursts)[0], len(collected))]:
+        tracemalloc.start()
+        try:
+            loaded = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == count and peak < path.stat().st_size / 2, path.name
 
 
 @pytest.mark.parametrize("shift", [-2, -1, 0, 1])
 def test_lines_across_buffer_refills_load_as_their_text(editor, tmp_path, shift):
     """A CRLF line end whose "\\r" or "\\n" is the last byte before the first
     refill, lines of a few KB across later refills, and a line longer than
-    the whole buffer."""
-    _, runs = editor
+    the whole buffer, in a trace, a burst and a matrix file.  ``pad``
+    lengthens the first line."""
+    afs, runs = editor
     long = dataclasses.replace(runs[0].segments[0], label="x" * (LINE_BUFFER + 5))
-    body = dumps_runs([*runs, Run("long", (long,)), *runs])
-    pad = "p" * (LINE_BUFFER - 1 + shift - len('{"run": ""}'))
-    text = (json.dumps({"run": pad}) + "\n" + body).replace("\n", "\r\n")
-    assert text.index("\r") == LINE_BUFFER - 1 + shift
-    assert len(text) > 3 * LINE_BUFFER
-    path = tmp_path / "runs.jsonl"
-    path.write_bytes(text.encode("utf-8"))
-    loaded = load_runs(path)
-    assert loaded == loads_runs(text)
-    assert loaded[len(runs) + 1].segments[0].label == long.label
+    runs = [*runs, Run("long", (long,)), *runs]
+    bursts = collect_cbr_bursts(runs, afs, SamplerConfig(1.0, 0))
+    cells = [format(i, "030b").replace("0", "T").replace("1", "F") for i in range(3000)]
+    prov = [("x" * (LINE_BUFFER + 5) if i == 1500 else "r", i) for i in range(3000)]
+    for make, read, loads, expected in [
+            (lambda pad: dumps_runs([Run(pad, ()), *runs]), load_runs, loads_runs,
+             lambda pad: [Run(pad, ()), *runs]),
+            (lambda pad: dumps_bursts(bursts, af_hash=pad),
+             functools.partial(_open_and_read, read=loads_bursts), loads_bursts,
+             lambda pad: ([dataclasses.replace(b, af_hash=pad) for b in bursts],
+                          {"af_hash": pad})),
+            (lambda pad: matrix_to_csv(_wide(pad, cells, prov)),
+             functools.partial(_open_and_read, read=matrix_from_csv), matrix_from_csv,
+             lambda pad: _wide(pad, cells, prov))]:
+        first_cr = make("").replace("\n", "\r\n").index("\r")
+        pad = "p" * (LINE_BUFFER - 1 + shift - first_cr)
+        text = make(pad).replace("\n", "\r\n")
+        assert text.index("\r") == LINE_BUFFER - 1 + shift
+        assert len(text) > 3 * LINE_BUFFER
+        path = tmp_path / "lines"
+        path.write_bytes(text.encode("utf-8"))
+        loaded = read(path)
+        assert loaded == loads(text) == expected(pad)
+
+
+def _wide(pad: str, cells: list[str], prov: list) -> EvalMatrix:
+    return EvalMatrix.from_rows([pad + "A0", *(f"A{j}" for j in range(1, 30))],
+                                cells, prov)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 from burstmine.collect import (Burst, MethodCall, SamplerConfig, collect,
                                collect_cbr_bursts)
 from burstmine.functions import af_list_hash
-from burstmine.model import (AnnotatedFSM, ModelError, accepts_prefix,
+from burstmine.model import (AnnotatedFSM, ModelError, ReconstructedTrace,
+                             accepts_prefix,
                              export_fsm, import_fsm, simulate_traces,
                              synthesize, with_transition)
 from burstmine.synthetic import (PS_EMPTY, PS_FILLING, PS_PAID,
@@ -204,6 +206,53 @@ def test_simulate_connectivity_and_budget():
     capped = simulate_traces(fsm, PS_EMPTY, max_hops=12, combination_budget=5)
     assert len(capped) == 5
     assert capped == simulate_traces(fsm, PS_EMPTY, max_hops=12, combination_budget=5)
+
+
+def _reference_simulate(fsm, start, max_hops, budget):
+    """The walk as a recursion, one call per hop."""
+    out = []
+
+    def walk(state, hops_left, acc):
+        keys = fsm.outgoing(state) if hops_left > 0 else []
+        if not keys:
+            out.append(ReconstructedTrace(start, acc, state))
+            return
+        for key in keys:
+            for trace in fsm.transitions[key]:
+                if len(out) >= budget:
+                    return
+                walk(key[2], hops_left - 1, acc + ((key[0], trace),))
+
+    walk(start, max_hops, ())
+    return out
+
+
+@st.composite
+def small_models(draw):
+    """A model over three states with cycles, self-loops, several labels per
+    state pair, and transitions with no trace, as a model file may hold."""
+    states = ["T", "F", "U"]
+    traces = st.lists(st.sampled_from([(), (call("a"),), (call("b"), call("a"))]),
+                      max_size=2, unique=True).map(tuple)
+    keys = st.tuples(st.sampled_from(["x", "y"]), st.sampled_from(states),
+                     st.sampled_from(states))
+    return AnnotatedFSM("h", frozenset(states),
+                        draw(st.dictionaries(keys, traces, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_models(), st.sampled_from("TFU"), st.integers(0, 5),
+       st.integers(1, 30))
+def test_simulate_walks_as_the_recursion_does(fsm, start, max_hops, budget):
+    assert simulate_traces(fsm, start, max_hops, budget) == \
+        _reference_simulate(fsm, start, max_hops, budget)
+
+
+def test_a_walk_longer_than_the_recursion_limit_simulates():
+    fsm = synthesize([mk_burst("loop", "T", "T", [call("a")])])
+    hops = 3 * sys.getrecursionlimit()
+    (walk,) = simulate_traces(fsm, "T", hops, combination_budget=1)
+    assert walk.labels == ("loop",) * hops and walk.end == "T"
 
 
 # --- accepts_prefix --------------------------------------------------------------

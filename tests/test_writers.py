@@ -10,6 +10,7 @@ filter report is laid out by hand.
 
 import json
 import math
+from collections import OrderedDict, namedtuple
 
 from hypothesis import given, settings, strategies as st
 
@@ -270,12 +271,24 @@ floats = st.floats() | st.sampled_from([-0.0, 1e300, 5e-324, math.nan, math.inf,
 texts = st.text(st.characters(exclude_categories=()), max_size=5) | st.sampled_from(
     ["\u2028", "\x85", "\ud800", "\udfff", '"', "\\", "é\U0001f600"])
 keys = st.one_of(texts, st.integers(), st.booleans(), st.none(), floats)
+
+
+class _Items(list):
+    """A subclass of ``list``."""
+
+
+_Pair = namedtuple("_Pair", "first second")
+# Lists, tuples and objects, and subclasses of each, which json.dumps writes
+# as what they subclass.
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.integers(2**64, 2**80),
               floats, texts),
     lambda inner: st.one_of(st.lists(inner, max_size=3),
                             st.lists(inner, max_size=3).map(tuple),
-                            st.dictionaries(keys, inner, max_size=3)),
+                            st.dictionaries(keys, inner, max_size=3),
+                            st.lists(inner, max_size=3).map(_Items),
+                            st.builds(_Pair, inner, inner),
+                            st.dictionaries(keys, inner, max_size=3).map(OrderedDict)),
     max_leaves=12)
 
 
