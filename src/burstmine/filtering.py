@@ -270,15 +270,19 @@ def matrix_from_csv(source) -> EvalMatrix:
         prov.append((run, int(snap)))
         # With one letter per cell the letters sit at the even offsets; any
         # other layout has the wrong length or puts a comma there, which
-        # _bad_row finds.
+        # the constructor's check finds.
         if len(cells) != max(2 * width - 1, 0):
             raise _bad_cell(no, cells)
         rows.append(cells[::2])
         written.append((no, cells))
-    bad = _bad_row(rows, width)
-    if bad is not None:
-        raise _bad_cell(*written[bad])
-    return EvalMatrix(ids, tuple(rows), tuple(prov))
+    try:
+        return EvalMatrix(ids, tuple(rows), tuple(prov))
+    except MatrixError:
+        # Only a failed check looks for the line to name.
+        bad = _bad_row(rows, width)
+        if bad is None:
+            raise
+        raise _bad_cell(*written[bad]) from None
 
 
 def _bad_cell(no: int, cells: str) -> MatrixError:

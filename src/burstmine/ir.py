@@ -7,13 +7,19 @@ It is just expressive enough to encode the kind of state-dependent branching
 logic that drives abstraction-function extraction.
 
 The normative grammar ships with the package as ``data/grammar.ebnf``.
+A token carries its offset in the source; an ``IrSyntaxError`` computes its
+line and column from that offset when it is raised.  One walk answers which
+paths a method mentions: ``_statements`` yields each statement with the loop
+variables in scope, and ``statement_paths`` the paths it mentions outside its
+nested blocks; the validator and the dependency graph use both, and symbolic
+execution the latter.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .functions import BoolTerm, IntTerm, NullTerm, path_str
 
@@ -229,46 +235,40 @@ class Program:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
+    (?P<skip>\s+|\#[^\n]*)
   | (?P<int>\d+)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>\.\.|==|!=|<=|>=|&&|\|\||\[\]|[{}()\[\];:,.=<>!+\-*/])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 
 KEYWORDS = {"class", "const", "field", "method", "if", "else", "for", "in",
             "return", "call", "true", "false", "null", "length"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "int" | "ident" | "op" | "eof"
     text: str
-    line: int
-    col: int
+    pos: int  # offset in the source
+
+
+def _syntax_error(source: str, pos: int, message: str) -> IrSyntaxError:
+    """The error at offset ``pos``, its line and column counted from 1."""
+    return IrSyntaxError(message, source.count("\n", 0, pos) + 1,
+                         pos - source.rfind("\n", 0, pos))
 
 
 def _tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col, pos = 1, 1, 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise IrSyntaxError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        kind = m.lastgroup or "op"
-        if kind not in ("ws", "comment"):
-            tokens.append(Token(kind, text, line, col))
-        newlines = text.count("\n")
-        if newlines:
-            line += newlines
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    for m in _TOKEN_RE.finditer(source):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise _syntax_error(source, m.start(), f"unexpected character {m[0]!r}")
+        if kind != "skip":
+            tokens.append(Token(kind, m[0], m.start()))
+    tokens.append(Token("eof", "", len(source)))
     return tokens
 
 
@@ -278,8 +278,9 @@ def _tokenize(source: str) -> list[Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.tokens = _tokenize(source)
         self.pos = 0
 
     def peek(self) -> Token:
@@ -292,7 +293,7 @@ class _Parser:
 
     def error(self, message: str) -> IrSyntaxError:
         tok = self.peek()
-        return IrSyntaxError(message + f" (got {tok.text!r})", tok.line, tok.col)
+        return _syntax_error(self.source, tok.pos, f"{message} (got {tok.text!r})")
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
@@ -440,9 +441,6 @@ class _Parser:
         root = self.expect_ident()
         segments: list[tuple[str, object]] = []
         while self.at("."):
-            # Do not swallow the ".." of a for-loop header.
-            if self.tokens[self.pos].text == "..":
-                break
             self.next()
             tok = self.peek()
             if tok.text == "length":
@@ -550,35 +548,34 @@ def iter_exprs(e: Expr) -> Iterator[Expr]:
         yield from iter_exprs(e.operand)
 
 
-def _iter_stmts(body: tuple[Stmt, ...]) -> Iterator[Stmt]:
+def statement_paths(stmt: Stmt) -> list[Path]:
+    """The paths ``stmt`` mentions outside its nested blocks, in source order:
+    an assignment's target and value, a guard, a loop bound, call arguments."""
+    if isinstance(stmt, Assign):
+        exprs: tuple[Expr, ...] = (stmt.target, stmt.value)
+    elif isinstance(stmt, If):
+        exprs = (stmt.cond,)
+    elif isinstance(stmt, For):
+        exprs = (stmt.bound,)
+    elif isinstance(stmt, Call):
+        exprs = stmt.args
+    else:
+        exprs = ()
+    return [e for x in exprs for e in iter_exprs(x) if isinstance(e, Path)]
+
+
+def _statements(body: tuple[Stmt, ...], loop_vars: tuple[str, ...] = (),
+                ) -> Iterator[tuple[Stmt, tuple[str, ...]]]:
+    """Each statement of ``body``, nested ones included, pre-order, with the
+    loop variables in scope (a loop's own variable is in scope in its body,
+    not in its bound)."""
     for s in body:
-        yield s
+        yield s, loop_vars
         if isinstance(s, If):
-            yield from _iter_stmts(s.then)
-            yield from _iter_stmts(s.orelse)
+            yield from _statements(s.then, loop_vars)
+            yield from _statements(s.orelse, loop_vars)
         elif isinstance(s, For):
-            yield from _iter_stmts(s.body)
-
-
-def iter_method_paths(m: MethodDef) -> Iterator[Path]:
-    """All paths appearing in a method body (targets, bounds, expressions)."""
-    for s in _iter_stmts(m.body):
-        if isinstance(s, Assign):
-            yield s.target
-            for e in iter_exprs(s.value):
-                if isinstance(e, Path):
-                    yield e
-        elif isinstance(s, If):
-            for e in iter_exprs(s.cond):
-                if isinstance(e, Path):
-                    yield e
-        elif isinstance(s, For):
-            yield s.bound
-        elif isinstance(s, Call):
-            for a in s.args:
-                for e in iter_exprs(a):
-                    if isinstance(e, Path):
-                        yield e
+            yield from _statements(s.body, loop_vars + (s.var,))
 
 
 def _path_roots(path: Path) -> Iterator[str]:
@@ -639,23 +636,9 @@ class _Validator:
                     f"duplicate parameter {p.name!r} in {cls.name}.{m.name}")
             self._check_type(p.type, f"parameter {p.name} of {cls.name}.{m.name}")
             params[p.name] = p.type
-        self._check_body(cls, m, m.body, params, loop_vars=())
-
-    def _check_body(self, cls: ClassDef, m: MethodDef, body: tuple[Stmt, ...],
-                    params: dict[str, FieldType], loop_vars: tuple[str, ...]) -> None:
         where = f"{cls.name}.{m.name}"
-        for s in body:
-            if isinstance(s, Assign):
-                self._check_path(s.target, params, loop_vars, where)
-                self._check_expr(s.value, params, loop_vars, where)
-            elif isinstance(s, If):
-                self._check_expr(s.cond, params, loop_vars, where)
-                self._check_body(cls, m, s.then, params, loop_vars)
-                self._check_body(cls, m, s.orelse, params, loop_vars)
-            elif isinstance(s, For):
-                self._check_path(s.bound, params, loop_vars, where)
-                self._check_body(cls, m, s.body, params, loop_vars + (s.var,))
-            elif isinstance(s, Call):
+        for s, loop_vars in _statements(m.body):
+            if isinstance(s, Call):
                 callee = next((mm for mm in cls.methods if mm.name == s.name), None)
                 if callee is None:
                     raise UndeclaredTypeError(
@@ -664,14 +647,8 @@ class _Validator:
                     raise ArityError(
                         f"{where}: call to {s.name!r} passes {len(s.args)} "
                         f"argument(s); it takes {len(callee.params)}")
-                for a in s.args:
-                    self._check_expr(a, params, loop_vars, where)
-
-    def _check_expr(self, e: Expr, params: dict[str, FieldType],
-                    loop_vars: tuple[str, ...], where: str) -> None:
-        for sub in iter_exprs(e):
-            if isinstance(sub, Path):
-                self._check_path(sub, params, loop_vars, where)
+            for path in statement_paths(s):
+                self._check_path(path, params, loop_vars, where)
 
     def _check_path(self, path: Path, params: dict[str, FieldType],
                     loop_vars: tuple[str, ...], where: str) -> None:
@@ -722,7 +699,7 @@ def parse_program(source: str) -> Program:
     Raises :class:`IrSyntaxError` (with line/column), :class:`DuplicateNameError`,
     or :class:`UndeclaredTypeError`.
     """
-    program = _Parser(_tokenize(source)).program()
+    program = _Parser(source).program()
     _Validator(program).run()
     return program
 
@@ -730,7 +707,7 @@ def parse_program(source: str) -> Program:
 def parse_atom(text: str) -> "IntTerm | BoolTerm | NullTerm | Path":
     """One literal or path filling ``text``, read by the grammar's ``atom``;
     raises :class:`IrSyntaxError` on anything else."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     if parser.at("("):
         raise parser.error("expected literal or path")
     atom = parser.atom()
@@ -807,9 +784,10 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
         for m in cls.methods:
             for p in m.params:
                 add(cls.name, p.type.name)
-            for path in iter_method_paths(m):
-                for root in _path_roots(path):
-                    add(cls.name, root)
+            for s, _ in _statements(m.body):
+                for path in statement_paths(s):
+                    for root in _path_roots(path):
+                        add(cls.name, root)
     return DependencyGraph(program.class_names, tuple(edges))
 
 

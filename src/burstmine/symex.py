@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, field, replace
 from . import ir
 from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
                         IntTerm, NullTerm, ParamTerm, PathCondition, Term)
-from .ir import iter_exprs
+from .ir import statement_paths
 from .states import ConcreteState, eval_clause
 
 
@@ -263,15 +263,6 @@ class _Executor:
                 path = replace(path, spawned=path.spawned | {tag})
         return path
 
-    def _stmt_terms(self, stmt: ir.Stmt, env: dict) -> list[Term]:
-        terms: list[Term] = []
-        if isinstance(stmt, ir.Assign):
-            terms.append(self._path_term(stmt.target, env))
-            for e in iter_exprs(stmt.value):
-                if isinstance(e, ir.Path):
-                    terms.append(self._path_term(e, env))
-        return terms
-
     # -- exploration ------------------------------------------------------------
 
     def run(self) -> None:
@@ -296,7 +287,8 @@ class _Executor:
         stmt = top.stmts[top.idx]
         rest = frames[:-1] + (replace(top, idx=top.idx + 1),)
         if isinstance(stmt, ir.Assign):
-            cont = self._process_accesses(self._stmt_terms(stmt, top.env), path)
+            terms = [self._path_term(p, top.env) for p in statement_paths(stmt)]
+            cont = self._process_accesses(terms, path)
             if cont is not None:
                 self._go(rest, cont)
         elif isinstance(stmt, ir.Return):

@@ -28,6 +28,7 @@ from burstmine.synthetic import (checkout_abstraction_functions, checkout_runs,
 from burstmine.functions import dump_af_list
 
 from conftest import cart_source
+from perfbench.inputs import editor_program
 
 
 def sha(path: Path) -> str:
@@ -146,6 +147,32 @@ def test_extract_cart_matches_golden_file(workdir):
     assert rc == 0
     golden = Path(__file__).parent / "data" / "cart_afs.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+# The benchmark's programs: cart.mir, and the 45-method Editor program that
+# ``perfbench.inputs.editor_program`` generates for the ``probe-mining``
+# workload at each seed.
+@pytest.mark.parametrize("seed,target,digest", [
+    pytest.param(None, "Cart",
+                 "ca81ed9d837b2bf40e949dc12955e5df5c02f8736f764783412e694c8c42a9b0",
+                 id="cart"),
+    pytest.param(0, "Editor",
+                 "433679c5c54006ab3fc354e95dc6a7f3c9389959cdd207b4b8d9a7d1e1a30707",
+                 id="editor-0"),
+    pytest.param(1, "Editor",
+                 "5cb5c3ebc8a588bf25065afb67bc67affbbac156ea2522d4df5255b0ea14a254",
+                 id="editor-1"),
+    pytest.param(9001, "Editor",
+                 "3e2500872d5b2e2bd2ffd9f7713535d18bf2047d493c2c8a0c2807809448ebf6",
+                 id="editor-9001"),
+])
+def test_extract_writes_the_same_bytes(tmp_path, seed, target, digest):
+    program = tmp_path / "p.mir"
+    program.write_text(cart_source() if seed is None else editor_program(45, seed))
+    out = tmp_path / "afs.json"
+    assert run_cli("extract", "--program", program, "--targets", target,
+                   "--out", out) == 0
+    assert sha(out) == digest
 
 
 def test_extract_undecidable_constant_guard_exits_2(workdir, capsys):

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from burstmine import filtering
 from burstmine.filtering import (EvalMatrix, FilterReport, MatrixError,
                                  filter_functions,
                                  matrix_from_csv, matrix_to_csv,
@@ -429,3 +430,19 @@ def test_csv_errors_name_the_line(body, needle):
     with pytest.raises(MatrixError, match=needle) as exc:
         matrix_from_csv("#run,#snapshot,A,B\n" + body)
     assert len(str(exc.value)) < 60  # names the line, does not echo it
+
+
+def test_a_valid_matrix_load_checks_its_cells_once(monkeypatch):
+    passes = []
+    bad_row = filtering._bad_row
+    monkeypatch.setattr(filtering, "_bad_row",
+                        lambda rows, width: passes.append(width) or bad_row(rows, width))
+    m = matrix_from_csv("#run,#snapshot,A,B\nr,0,T,F\nr,1,U,T\n")
+    assert (m.n_rows, passes) == (2, [2])
+
+
+def test_a_bad_cell_under_duplicate_column_ids_names_its_line():
+    with pytest.raises(MatrixError, match="^line 3: invalid cell value 'X'$"):
+        matrix_from_csv("#run,#snapshot,A,A\nr,0,T,F\nr,1,X,T\n")
+    with pytest.raises(MatrixError, match="^column ids must be unique$"):
+        matrix_from_csv("#run,#snapshot,A,A\nr,0,T,F\n")

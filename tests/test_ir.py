@@ -1,6 +1,10 @@
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from burstmine import ir
 from burstmine.ir import (ArityError, DependencyGraph, DuplicateNameError,
                           IrError, IrSyntaxError, UndeclaredTypeError,
                           UnknownTargetError, build_dependency_graph,
@@ -8,6 +12,7 @@ from burstmine.ir import (ArityError, DependencyGraph, DuplicateNameError,
                           pretty_print)
 
 from conftest import cart_source
+from perfbench.inputs import editor_program
 
 
 def test_cart_fixture_shape():
@@ -122,6 +127,39 @@ B = "class B { field v: int; field bs: B[]; } "
     pytest.param(B + "class A { field n: int; method m() { A.n = B.w; } }",
                  UndeclaredTypeError, "A.m: 'B' has no member 'w' in B.w",
                  id="no-such-member"),
+    # Only the grammar's ASCII digits and whitespace are tokens.
+    pytest.param("class A { const K = ٣; }", IrSyntaxError,
+                 "1:21: unexpected character '٣'", id="arabic-indic-digit"),
+    pytest.param("class A { field x: int; method m() { if (A.x > ٣٣) "
+                 "{ return; } } }", IrSyntaxError, "1:48: unexpected character '٣'",
+                 id="digits-in-a-guard"),
+    pytest.param("class A {\xa0}", IrSyntaxError,
+                 "1:10: unexpected character '\\xa0'", id="no-break-space"),
+    pytest.param("class A {\n}\u2028", IrSyntaxError,
+                 "2:2: unexpected character '\\u2028'", id="line-separator"),
+    # Two faults: the first in statement order is reported.
+    pytest.param("class A { field n: int; method m() { if (A.n > 0) { A.n = A.zz; } "
+                 "call look(); } method look(x: int) { } }", UndeclaredTypeError,
+                 "A.m: 'A' has no member 'zz' in A.zz", id="then-path-before-arity"),
+    pytest.param("class A { field n: int; method m() { call gone(A.zz); } }",
+                 UndeclaredTypeError, "A.m: call to unknown local method 'gone'",
+                 id="callee-before-argument-path"),
+    pytest.param("class A { field n: int; method m() { if (A.n > 0) { A.n = 1; } "
+                 "else { call look(A.n, A.n); } A.n = A.q; } method look(x: int) { } }",
+                 ArityError, "A.m: call to 'look' passes 2 argument(s); it takes 1",
+                 id="else-arity-before-later-path"),
+    pytest.param("class A { field n: int; method m() { if (A.n > 0) { A.n = A.p; } "
+                 "else { A.n = A.q; } } }", UndeclaredTypeError,
+                 "A.m: 'A' has no member 'p' in A.p", id="then-before-else"),
+    pytest.param("class A { field n: int; method m() { A.p = A.q; } }",
+                 UndeclaredTypeError, "A.m: 'A' has no member 'p' in A.p",
+                 id="target-before-value"),
+    pytest.param("class A { field n: int; method m() { for i in 0 .. i { A.n = 1; } } }",
+                 UndeclaredTypeError, "A.m: unknown path root 'i' in i",
+                 id="loop-variable-not-in-its-bound"),
+    pytest.param("class A { field n: int; method m() { for i in 0 .. A.n { } "
+                 "A.n = i; } }", UndeclaredTypeError,
+                 "A.m: unknown path root 'i' in i", id="loop-variable-out-of-scope"),
 ])
 def test_each_ir_diagnostic_names_its_class_and_message(source, error, message):
     with pytest.raises(IrError) as exc:
@@ -263,3 +301,226 @@ def test_detect_relevant_monotone_and_closed(g, data):
     # closure: every successor of a relevant node is relevant
     for node in r1:
         assert set(g.successors(node)) <= r1
+
+
+
+# --- characters ------------------------------------------------------------------
+
+
+def test_an_identifier_may_start_with_an_underscore():
+    p = parse_program("class _A { field _x1: int; }")
+    assert p.classes[0].fields[0].name == "_x1"
+
+
+# --- error positions -------------------------------------------------------------
+
+_REFERENCE_TOKEN = re.compile(
+    r"(?P<ws>\s+)|(?P<comment>\#[^\n]*)|(?P<int>\d+)|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<op>\.\.|==|!=|<=|>=|&&|\|\||\[\]|[{}()\[\];:,.=<>!+\-*/])", re.ASCII)
+
+
+def _reference_tokens(source):
+    """``(text, line, col)`` of each token, the end of input last, counted
+    token by token as the tokenizer advances; and ``(line, col, message)``
+    of the first unexpected character, or None."""
+    tokens, line, col, pos = [], 1, 1, 0
+    while pos < len(source):
+        m = _REFERENCE_TOKEN.match(source, pos)
+        if m is None:
+            return tokens, (line, col, f"unexpected character {source[pos]!r}")
+        text = m.group()
+        if m.lastgroup not in ("ws", "comment"):
+            tokens.append((text, line, col))
+        if "\n" in text:
+            line += text.count("\n")
+            col = len(text) - text.rfind("\n")
+        else:
+            col += len(text)
+        pos = m.end()
+    tokens.append(("", line, col))
+    return tokens, None
+
+
+def _raised_error(parse, source):
+    """The ``IrSyntaxError`` that ``parse`` raises on ``source`` (or None),
+    and the index of the token its parser stopped at (None when the
+    tokenizer raised)."""
+    parsers = []
+
+    class Recording(ir._Parser):
+        def __init__(self, text):
+            super().__init__(text)
+            parsers.append(self)
+
+    with mock.patch.object(ir, "_Parser", Recording):
+        try:
+            parse(source)
+        except IrSyntaxError as e:
+            return e, parsers[0].pos if parsers else None
+        except IrError:
+            pass
+    return None, None
+
+
+POSITION_BASES = [cart_source(), TERMS_SOURCE, "Cart.items.[Cart.n].price", "null"]
+SEPARATORS = [" ", "\t", "\n", "\r\n", "  # a comment\n", "\t# x\r\n\n", "\n \t\r\n  "]
+STRAY_TOKENS = [")", "{", ";", "class", "3", "..", "=", "length"]
+BAD_CHARACTERS = ["$", "@", "?", "`", "~", "%", "\x00", "\u0663", "\xa0", "\u2028",
+                  "\xe9", "\x0b"]
+
+
+@st.composite
+def laid_out_sources(draw):
+    """A valid program or atom with another layout, then at most one of: an
+    unexpected character at any offset, a token dropped or a stray one
+    inserted anywhere, or the input cut after any token."""
+    texts = [t for t, _, _ in _reference_tokens(draw(st.sampled_from(POSITION_BASES)))[0]]
+    texts.pop()  # the end of input
+    fault = draw(st.sampled_from(["none", "character", "drop", "stray", "cut"]))
+    i = draw(st.integers(0, len(texts)))
+    if fault == "drop" and i < len(texts):
+        del texts[i]
+    elif fault == "stray":
+        texts.insert(i, draw(st.sampled_from(STRAY_TOKENS)))
+    elif fault == "cut":
+        del texts[i:]
+    seps = st.sampled_from(SEPARATORS)
+    source = draw(st.sampled_from(["", *SEPARATORS]))
+    source += "".join(text + draw(seps) for text in texts)
+    source += draw(st.sampled_from(["", "# end", "\r\n"]))
+    if fault == "character":
+        at = draw(st.integers(0, len(source)))
+        source = source[:at] + draw(st.sampled_from(BAD_CHARACTERS)) + source[at:]
+    return source
+
+
+@given(laid_out_sources())
+def test_a_syntax_error_names_the_line_and_column_its_token_starts_at(source):
+    tokens, unexpected = _reference_tokens(source)
+    for parse in (parse_program, parse_atom):
+        error, index = _raised_error(parse, source)
+        if unexpected is not None:
+            line, col, message = unexpected
+            assert error is not None and index is None
+            assert (error.line, error.col, str(error)) == (
+                line, col, f"{line}:{col}: {message}")
+        elif error is not None:
+            text, line, col = tokens[index]
+            assert (error.line, error.col) == (line, col)
+            assert str(error).startswith(f"{line}:{col}: ")
+            assert str(error).endswith(f" (got {text!r})")
+
+
+# --- the statement walk -------------------------------------------------------------
+
+
+def _reference_edges(program):
+    """Edges from field and parameter types, then from the roots of every
+    path in each method body: statements pre-order, nested blocks included,
+    each statement's assignment target and value, guard, loop bound or call
+    arguments in source order, and index paths inside a path after it."""
+    names = set(program.class_names)
+    edges = []
+
+    def expr_paths(e):
+        if isinstance(e, ir.Path):
+            yield e
+        elif isinstance(e, ir.Not):
+            yield from expr_paths(e.operand)
+        elif isinstance(e, (ir.And, ir.Or, ir.Cmp, ir.BinOp)):
+            yield from expr_paths(e.left)
+            yield from expr_paths(e.right)
+
+    def body_paths(body):
+        for s in body:
+            if isinstance(s, ir.Assign):
+                yield s.target
+                yield from expr_paths(s.value)
+            elif isinstance(s, ir.If):
+                yield from expr_paths(s.cond)
+                yield from body_paths(s.then)
+                yield from body_paths(s.orelse)
+            elif isinstance(s, ir.For):
+                yield s.bound
+                yield from body_paths(s.body)
+            elif isinstance(s, ir.Call):
+                for a in s.args:
+                    yield from expr_paths(a)
+
+    def roots(path):
+        yield path.root
+        for kind, payload in path.segments:
+            if kind == "index" and isinstance(payload, ir.Path):
+                yield from roots(payload)
+
+    def add(a, b):
+        if b in names and b != a and (a, b) not in edges:
+            edges.append((a, b))
+
+    for cls in program.classes:
+        for f in cls.fields:
+            add(cls.name, f.type.name)
+        for m in cls.methods:
+            for p in m.params:
+                add(cls.name, p.type.name)
+            for path in body_paths(m.body):
+                for root in roots(path):
+                    add(cls.name, root)
+    return tuple(edges)
+
+
+GRAPH_CASES = {
+    "loop-variable-named-like-a-class": """
+        class A { field n: int; field xs: X[];
+          method m() { for C in 0 .. A.n { A.xs.[C].v = 1; } } }
+        class C { field k: int; }
+        class X { field v: int; }""",
+    "parameter-named-like-a-class": """
+        class A { field n: int; method m(B: int) { A.n = B; } }
+        class B { field k: int; }""",
+    "nested-index-path": """
+        class A { field xs: X[]; method m() { A.xs.[B.ys.[C.n].m].v = 1; } }
+        class B { field ys: Y[]; }
+        class C { field n: int; }
+        class X { field v: int; }
+        class Y { field m: int; }""",
+    "call-argument-path": """
+        class A { field n: int;
+          method m() { call look(B.k); }
+          method look(x: int) { A.n = x; } }
+        class B { field k: int; }""",
+    "else-block": """
+        class A { field n: int;
+          method m() { if (A.n > 0) { A.n = E.k; } else { A.n = D.k; } } }
+        class D { field k: int; }
+        class E { field k: int; }""",
+    "target-before-value": """
+        class A { field n: int; method m() { B.k = C.k; } }
+        class C { field k: int; }
+        class B { field k: int; }""",
+}
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param(cart_source(), id="cart"),
+    *[pytest.param(editor_program(45, seed), id=f"editor-{seed}")
+      for seed in (0, 1, 9001)],
+    pytest.param(TERMS_SOURCE, id="term-vocabulary"),
+    *[pytest.param(src, id=name) for name, src in GRAPH_CASES.items()],
+])
+def test_dependency_edges_follow_every_statement_path_in_order(source):
+    program = parse_program(source)
+    assert build_dependency_graph(program).edges == _reference_edges(program)
+
+
+def test_hand_cases_have_the_edges_their_paths_name():
+    edges = {name: build_dependency_graph(parse_program(src)).edges
+             for name, src in GRAPH_CASES.items()}
+    assert edges == {
+        "loop-variable-named-like-a-class": (("A", "X"), ("A", "C")),
+        "parameter-named-like-a-class": (("A", "B"),),
+        "nested-index-path": (("A", "X"), ("A", "B"), ("A", "C"), ("B", "Y")),
+        "call-argument-path": (("A", "B"),),
+        "else-block": (("A", "E"), ("A", "D")),
+        "target-before-value": (("A", "B"), ("A", "C")),
+    }
