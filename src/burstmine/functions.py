@@ -14,11 +14,16 @@ reads term text with the IR's own ``atom`` grammar.
 This module owns the wire format for abstraction-function lists (a JSON
 document with a header recording extraction bounds and truncation flags),
 which every downstream stage consumes.  Extracted functions share their
-method's guards, so the list is read and written per distinct clause: a load
-builds one ``Clause`` per distinct clause document (its ``lhs``, ``op``,
-``rhs`` and ``negated``) and its functions share it, and a write, one
-``schema.JsonText``, encodes each distinct clause once.  A clause tests for
-parameters once per object.
+method's guards, so the list is read and written per distinct clause.  A
+load checks the function records once and each distinct clause document
+(its ``lhs``, ``op``, ``rhs`` and ``negated``, keyed with ``negated``'s type)
+once, in a fixed number of ``schema.check`` calls; if any departs from its
+shape, the whole-document check names the first place, as it would alone.
+It then builds one ``Clause`` per distinct clause document, which its
+functions share.  A write, one ``schema.JsonText``, encodes each distinct
+clause once and refuses a term whose text ``parse_term`` would not read back
+as that term (a class ``cart`` would read back as a parameter).  A clause
+forms its key and tests for parameters once per object.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import json
 from dataclasses import InitVar, dataclass
 from typing import Union
 
-from .schema import ANY, BOOL, STRING, JsonText, ListOf, MapOf, Record, check
+from .schema import (ANY, BOOL, LIST, STRING, JsonText, ListOf, MapOf, Record,
+                     check)
 
 COMPARE_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
@@ -167,6 +173,10 @@ class Clause:
         return Clause(self.lhs, self.op, self.rhs, True)
 
     def key(self) -> str:
+        return self._key
+
+    @functools.cached_property
+    def _key(self) -> str:  # formed once per clause object
         return f"{self.lhs} {self.op} {self.rhs}"
 
     def mentions_parameter(self) -> bool:
@@ -185,12 +195,26 @@ class Clause:
     __str__ = key
 
     def to_dict(self) -> dict:
+        """The clause document; a term whose text would read back as another
+        term (a class ``cart``, read as a parameter) cannot be written."""
+        for term in (self.lhs, self.rhs):
+            if not _reads_back(term):
+                raise ValueError(f"clause {self} cannot be written: {term} would "
+                                 "not read back as itself (a class is read "
+                                 "from a capitalised root)")
         return {"lhs": str(self.lhs), "op": self.op, "rhs": str(self.rhs),
                 "negated": False}
 
     @staticmethod
     def from_dict(d: dict) -> "Clause":
         return _clause(check(d, CLAUSE, "clause"))
+
+
+def _reads_back(term: Term) -> bool:
+    try:
+        return parse_term(str(term)) == term
+    except ValueError:
+        return False
 
 
 def _index_mentions_param(t: Term) -> bool:
@@ -253,7 +277,8 @@ class AbstractionFunction:
 
     @staticmethod
     def from_dict(d: dict) -> "AbstractionFunction":
-        return _function(check(d, FUNCTION, "abstraction function"))
+        d = check(d, FUNCTION, "abstraction function")
+        return _function(d, tuple(map(_clause, d["clauses"])))
 
 
 CLAUSE = Record({"lhs": STRING, "op": STRING, "rhs": STRING}, {"negated": BOOL})
@@ -268,8 +293,8 @@ def _clause(d: dict) -> Clause:
                   d.get("negated", False))
 
 
-def _function(d: dict, clause=_clause) -> AbstractionFunction:
-    return AbstractionFunction(d["id"], tuple(map(clause, d["clauses"])),
+def _function(d: dict, clauses: tuple[Clause, ...]) -> AbstractionFunction:
+    return AbstractionFunction(d["id"], clauses,
                                (d["class"], d["method"], d.get("path", "")))
 
 
@@ -292,21 +317,54 @@ def dump_af_list(afs: list[AbstractionFunction], header: dict | None = None) -> 
     }, "\n")
 
 
+# The function records of an AF list, their clause documents unchecked.
+_RECORDS = AF_LIST._replace(required={"functions": ListOf(FUNCTION._replace(
+    required={**FUNCTION.required, "clauses": LIST}), "function")})
+_CLAUSES = ListOf(CLAUSE, "clause")
+
+
+def _clause_keys(doc) -> "tuple[list, dict] | None":
+    """Each function's clause keys and the first document of each key, if
+    ``doc`` has the ``AF_LIST`` shape, else ``None``: the function records
+    are checked once, then each distinct clause document once.  A key holds
+    the type of ``negated``, as ``0`` and ``0.0`` equal ``False``."""
+    keys, documents = [], {}
+    try:
+        check(doc, _RECORDS, "")
+        for f in doc["functions"]:
+            keys.append(ks := [])
+            for d in f["clauses"]:
+                if type(d) is not dict:
+                    return None
+                negated = d.get("negated", False)
+                ks.append(key := (d.get("lhs"), d.get("op"), d.get("rhs"),
+                                  negated, type(negated)))
+                documents.setdefault(key, d)
+        check(list(documents.values()), _CLAUSES, "")
+    except (ValueError, TypeError):  # TypeError: an unhashable member, no string
+        return None
+    return keys, documents
+
+
 def load_af_list(text: str) -> tuple[list[AbstractionFunction], dict]:
-    doc = check(json.loads(text), AF_LIST, "abstraction-function list")
+    doc = json.loads(text)
+    found = _clause_keys(doc)
+    if found is None:
+        # The whole-document check names the first place the document departs.
+        check(doc, AF_LIST, "abstraction-function list")
+    keys, documents = found
     clauses: dict[tuple, Clause] = {}  # one Clause per distinct clause document
 
-    def clause(d: dict) -> Clause:
-        key = d["lhs"], d["op"], d["rhs"], d.get("negated", False)
-        found = clauses.get(key)
-        if found is None:
-            found = clauses[key] = _clause(d)
-        return found
+    def clause(key: tuple) -> Clause:
+        c = clauses.get(key)
+        if c is None:
+            c = clauses[key] = _clause(documents[key])
+        return c
 
     afs = []
-    for i, d in enumerate(doc["functions"]):
+    for i, (d, ks) in enumerate(zip(doc["functions"], keys)):
         try:
-            afs.append(_function(d, clause))
+            afs.append(_function(d, tuple(map(clause, ks))))
         except ValueError as exc:
             raise ValueError(f"abstraction function {i}: {exc}") from None
     if doc.get("af_hash") and doc["af_hash"] != af_list_hash(afs):

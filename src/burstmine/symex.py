@@ -38,13 +38,29 @@ Exploration rules
   havocked (skipped, counted in the report).  A path rooted at an argument
   splices the argument (read in the caller) before the callee's own
   segments, whose indices are read in the callee.
+* A path root is read as the IR validator reads it: a loop variable, then a
+  parameter of the method (an argument, in an inlined callee), then a class.
+  A parameter named like a class is a parameter, and a path pins its guards
+  by clause object, so a parameter's ``B.x > 0`` does not decide the guard
+  ``B.x > 0`` on the class ``B`` in an inlined callee.
+
+Sharing
+-------
+One clause table serves an extraction: every path condition and every
+extracted function holds one ``Clause`` object per distinct clause, so the
+AF-list writer finds each by identity.  A guard's terms, element accesses and
+clause pair are built once per guard and scope (the env it is read in), and
+sibling paths share them; so are an assignment's accesses, an unrolling's
+guard and body env, and an inlined call's env.  Each kept function is built
+once, with its final id.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import ir
 from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
@@ -82,14 +98,17 @@ class MethodReport:
 @dataclass
 class _PathState:
     clauses: tuple[Clause, ...] = ()
-    keys: frozenset[str] = frozenset()
+    # The ids of its guard clauses, each the extraction's one object for its
+    # clause (see ``_Executor._shared``): a parameter's guard ``B.x > 0`` is
+    # not the guard of a class ``B`` that prints the same.
+    guard_ids: frozenset[int] = frozenset()
     branch_count: int = 0
     spawned: frozenset[tuple[str, int]] = frozenset()
 
     def with_clause(self, clause: Clause, *, count_branch: bool) -> "_PathState":
         return _PathState(
             self.clauses + (clause,),
-            self.keys | {clause.key()},
+            self.guard_ids | {id(clause)},
             self.branch_count + (1 if count_branch else 0),
             self.spawned,
         )
@@ -99,16 +118,14 @@ class _Exhausted(Exception):
     """States/time budget tripped; unwind and keep partial results."""
 
 
-@dataclass(frozen=True)
-class _Block:
+class _Block(NamedTuple):
     stmts: tuple[ir.Stmt, ...]
     idx: int
     env: dict
     call_boundary: bool = False
 
 
-@dataclass(frozen=True)
-class _LoopHead:
+class _LoopHead(NamedTuple):
     stmt: ir.For
     k: int
     env: dict
@@ -116,12 +133,16 @@ class _LoopHead:
 
 class _Executor:
     def __init__(self, program: ir.Program, cls: ir.ClassDef, method: ir.MethodDef,
-                 bounds: SymexBounds) -> None:
+                 bounds: SymexBounds, clauses: dict) -> None:
         self.program = program
         self.cls = cls
         self.method = method
         self.bounds = bounds
         self.paths: list[PathCondition] = []
+        self._clauses = clauses  # the extraction's table: see ``_shared``
+        # What a statement or guard builds in one scope (env), shared by every
+        # path that reaches it there: see ``_once``.
+        self._scoped: dict[tuple, tuple] = {}
         self.report = MethodReport()
         self._deadline = time.monotonic() + bounds.per_method_time_budget
         self._const_names = {
@@ -147,7 +168,7 @@ class _Executor:
         # root is an inlined call argument read in the caller's env.
         segments = tuple((kind, self._index_term(p, env) if kind == "index" else p)
                          for kind, p in path.segments)
-        if entry is not None:  # an inlined call argument
+        if entry is not None and entry[0] == "arg":  # an inlined call argument
             _, arg_expr, caller_env = entry
             if isinstance(arg_expr, ir.Path):
                 base = self._path_term(arg_expr, caller_env)
@@ -158,6 +179,8 @@ class _Executor:
                 return type(base)(base.root, base.segments + segments)
             if not path.segments:
                 return self._expr_term(arg_expr, caller_env)
+        # The analyzed method's parameters are in env, so they hide a class
+        # of the same name, as in the IR's own scope rule.
         if entry is None and self.program.class_named(path.root) is not None:
             return FieldTerm(path.root, segments)
         # a parameter of the analyzed method, or a path into a literal argument
@@ -196,10 +219,10 @@ class _Executor:
             self.report.truncated = True
             raise _Exhausted()
 
-    def _emit(self, path: _PathState, truncated: bool = False) -> None:
+    def _emit(self, clauses: tuple[Clause, ...], truncated: bool = False) -> None:
         pid = f"P{len(self.paths)}"
         self.paths.append(PathCondition(
-            path.clauses, (self.cls.name, self.method.name, pid), truncated))
+            clauses, (self.cls.name, self.method.name, pid), truncated))
         if truncated:
             self.report.truncated = True
 
@@ -211,9 +234,8 @@ class _Executor:
     def _bound_facts(self, path: _PathState, length: FieldTerm, k: int,
                      ) -> "str | None":
         """Return "in" / "out" when the path pins the access, else None."""
-        lkey = str(length)
         for c in path.clauses:
-            if str(c.lhs) != lkey or not isinstance(c.rhs, IntTerm):
+            if c.lhs != length or not isinstance(c.rhs, IntTerm):
                 continue
             v = c.rhs.value
             if c.op == ">" and v >= k:
@@ -242,31 +264,68 @@ class _Executor:
             elif isinstance(payload, int):
                 yield FieldTerm(term.root, term.segments[:i]), payload
 
-    def _process_accesses(self, terms: list[Term], path: _PathState,
+    def _accesses(self, terms: list[Term]) -> tuple:
+        """The concrete-index element accesses inside ``terms``: per access
+        the array's length term, the index, the access's tag and the clause
+        of its defensive abort."""
+        return tuple(
+            (length, k, (str(array), k), self._shared(Clause(length, "<=", IntTerm(k))))
+            for term in terms for array, k in self._iter_literal_accesses(term)
+            for length in (self._length_term(array),))
+
+    def _process_accesses(self, accesses: tuple, path: _PathState,
                           ) -> "_PathState | None":
         """Model element accesses; returns the path to continue with, or
         None when the path ended at a defensive abort (already emitted)."""
-        for term in terms:
-            for array, k in self._iter_literal_accesses(term):
-                length = self._length_term(array)
-                fact = self._bound_facts(path, length, k)
-                if fact == "in":
-                    continue
-                if fact == "out":
-                    self._emit(path)
-                    return None
-                tag = (str(array), k)
-                if tag in path.spawned:
-                    continue
-                abort_clause = Clause(length, "<=", IntTerm(k))
-                self._emit(replace(path, clauses=path.clauses + (abort_clause,)))
-                path = replace(path, spawned=path.spawned | {tag})
+        for length, k, tag, abort_clause in accesses:
+            fact = self._bound_facts(path, length, k)
+            if fact == "in":
+                continue
+            if fact == "out":
+                self._emit(path.clauses)
+                return None
+            if tag in path.spawned:
+                continue
+            self._emit(path.clauses + (abort_clause,))
+            path = _PathState(path.clauses, path.guard_ids, path.branch_count,
+                              path.spawned | {tag})
         return path
+
+    # -- sharing ----------------------------------------------------------------
+
+    def _shared(self, clause: Clause) -> Clause:
+        """The extraction's one clause equal to ``clause``.  A parameter-free
+        clause is keyed by its text, which names it; one that mentions a
+        parameter by value, as a parameter prints as a class of its name."""
+        key = clause if clause.mentions_parameter() else clause.key()
+        return self._clauses.setdefault(key, clause)
+
+    def _once(self, key: tuple, env: dict, build):
+        """``build()``, once per ``key`` (a node's id, ``env``'s id and
+        perhaps more) while the executor lives.  The entry holds ``env``, so
+        that its id stays the env's."""
+        found = self._scoped.get(key)
+        if found is None:
+            found = self._scoped[key] = env, build()
+        return found[1]
+
+    def _guard(self, node: "ir.Cmp | ir.Path", env: dict) -> tuple:
+        """A comparison's (or a boolean path's) element accesses and clause
+        pair in ``env``."""
+        if isinstance(node, ir.Path):  # a boolean path tests ``path == true``
+            op, left, right = "==", node, BoolTerm(True)
+        else:
+            op, left, right = node.op, node.left, node.right
+        lhs = self._expr_term(left, env)
+        rhs = self._expr_term(right, env)
+        pos = self._shared(Clause(lhs, op, rhs))
+        return self._accesses([lhs, rhs]), pos, self._shared(pos.mirrored())
 
     # -- exploration ------------------------------------------------------------
 
     def run(self) -> None:
-        frames = (_Block(self.method.body, 0, {}),)
+        env = {p.name: ("param",) for p in self.method.params}
+        frames = (_Block(self.method.body, 0, env),)
         try:
             self._go(frames, _PathState())
         except _Exhausted:
@@ -275,7 +334,7 @@ class _Executor:
     def _go(self, frames: tuple, path: _PathState) -> None:
         self._tick()
         if not frames:
-            self._emit(path)
+            self._emit(path.clauses)
             return
         top = frames[-1]
         if isinstance(top, _LoopHead):
@@ -285,10 +344,11 @@ class _Executor:
             self._go(frames[:-1], path)
             return
         stmt = top.stmts[top.idx]
-        rest = frames[:-1] + (replace(top, idx=top.idx + 1),)
+        rest = frames[:-1] + (_Block(top.stmts, top.idx + 1, top.env, top.call_boundary),)
         if isinstance(stmt, ir.Assign):
-            terms = [self._path_term(p, top.env) for p in statement_paths(stmt)]
-            cont = self._process_accesses(terms, path)
+            accesses = self._once((id(stmt), id(top.env)), top.env, lambda: self._accesses(
+                [self._path_term(p, top.env) for p in statement_paths(stmt)]))
+            cont = self._process_accesses(accesses, path)
             if cont is not None:
                 self._go(rest, cont)
         elif isinstance(stmt, ir.Return):
@@ -314,7 +374,7 @@ class _Executor:
             if isinstance(f, _Block) and f.call_boundary:
                 self._go(frames[:i], path)
                 return
-        self._emit(path)
+        self._emit(path.clauses)
 
     def _call(self, stmt: ir.Call, top: _Block, rest: tuple, path: _PathState) -> None:
         inlined = any(isinstance(f, _Block) and f.call_boundary for f in rest)
@@ -322,23 +382,31 @@ class _Executor:
             self.report.havocked_calls += 1
             self._go(rest, path)
             return
-        callee = next(m for m in self.cls.methods if m.name == stmt.name)
-        env = {p.name: ("arg", arg, top.env)
-               for p, arg in zip(callee.params, stmt.args)}
-        self._go(rest + (_Block(callee.body, 0, env, call_boundary=True),), path)
+
+        def inline() -> tuple:
+            callee = next(m for m in self.cls.methods if m.name == stmt.name)
+            return callee.body, {p.name: ("arg", arg, top.env)
+                                 for p, arg in zip(callee.params, stmt.args)}
+
+        body, env = self._once((id(stmt), id(top.env)), top.env, inline)
+        self._go(rest + (_Block(body, 0, env, call_boundary=True),), path)
 
     def _loop_head(self, frames: tuple, head: _LoopHead, path: _PathState) -> None:
         below = frames[:-1]
         if head.k >= self.bounds.max_loop_unrollings:
-            self._emit(path, truncated=True)
+            self._emit(path.clauses, truncated=True)
             self._go(below, path)
             return
-        guard = ir.Cmp(">", head.stmt.bound, IntTerm(head.k))
-        body_env = dict(head.env)
-        body_env[head.stmt.var] = ("loop", head.k)
+
+        def unroll() -> tuple:
+            return (ir.Cmp(">", head.stmt.bound, IntTerm(head.k)),
+                    {**head.env, head.stmt.var: ("loop", head.k)})
+
+        guard, body_env = self._once((id(head.stmt), id(head.env), head.k), head.env,
+                                     unroll)
 
         def enter(p: _PathState) -> None:
-            nxt = below + (replace(head, k=head.k + 1),
+            nxt = below + (_LoopHead(head.stmt, head.k + 1, head.env),
                            _Block(head.stmt.body, 0, body_env))
             self._go(nxt, p)
 
@@ -359,23 +427,19 @@ class _Executor:
             self._branch(cond.operand, env, path, k_false, k_true)
         elif isinstance(cond, BoolTerm):
             (k_true if cond.value else k_false)(path)
-        elif isinstance(cond, ir.Path):
-            self._atom(ir.Cmp("==", cond, BoolTerm(True)), env, path, k_true, k_false)
-        elif isinstance(cond, ir.Cmp):
+        elif isinstance(cond, (ir.Path, ir.Cmp)):
             self._atom(cond, env, path, k_true, k_false)
         else:
             raise SymexError(f"unsupported guard expression {cond}")
 
-    def _atom(self, cmp: ir.Cmp, env: dict, path: _PathState,
+    def _atom(self, node: "ir.Cmp | ir.Path", env: dict, path: _PathState,
               k_true, k_false) -> None:
-        lhs = self._expr_term(cmp.left, env)
-        rhs = self._expr_term(cmp.right, env)
-        cont = self._process_accesses([lhs, rhs], path)
+        accesses, pos, neg = self._once((id(node), id(env)), env,
+                                        lambda: self._guard(node, env))
+        cont = self._process_accesses(accesses, path)
         if cont is None:
             return
         path = cont
-        pos = Clause(lhs, cmp.op, rhs)
-        neg = pos.mirrored()
         if not pos.references_state():
             # Pure constant comparison: decide it as a probe would, record nothing.
             value = eval_clause(pos, ConcreteState())
@@ -383,10 +447,10 @@ class _Executor:
                 raise SymexError(f"undecidable constant guard {pos}")
             (k_true if value == "T" else k_false)(path)
             return
-        if pos.key() in path.keys:
+        if id(pos) in path.guard_ids:
             k_true(path)
             return
-        if neg.key() in path.keys:
+        if id(neg) in path.guard_ids:
             k_false(path)
             return
         if self._statically_true(pos):
@@ -396,7 +460,7 @@ class _Executor:
             k_false(path.with_clause(neg, count_branch=False))
             return
         if path.branch_count + 1 > self.bounds.max_branches_per_path:
-            self._emit(path, truncated=True)
+            self._emit(path.clauses, truncated=True)
             return
         k_true(path.with_clause(pos, count_branch=True))
         k_false(path.with_clause(neg, count_branch=True))
@@ -427,7 +491,13 @@ def symbolic_execute(method: ir.MethodDef, program: ir.Program,
                 break
     if cls is None:
         raise SymexError("method does not belong to the given program")
-    ex = _Executor(program, cls, method, bounds)
+    return _explore(program, cls, method, bounds, {})
+
+
+def _explore(program: ir.Program, cls: ir.ClassDef, method: ir.MethodDef,
+             bounds: SymexBounds, clauses: dict,
+             ) -> tuple[list[PathCondition], MethodReport]:
+    ex = _Executor(program, cls, method, bounds, clauses)
     ex.run()
     ex.report.paths = len(ex.paths)
     return ex.paths, ex.report
@@ -470,23 +540,24 @@ def extract_abstraction_functions(program: ir.Program,
     result: list[AbstractionFunction] = []
     seen: set[tuple[str, ...]] = set()
     per_method_counter: dict[str, int] = {}
+    clauses: dict = {}  # one Clause per distinct clause, for every method
     for cls_name in relevant:
         cls = program.class_named(cls_name)
         if cls is None:
             raise SymexError(f"relevant class {cls_name!r} not in program")
         for method in cls.methods:
-            paths, mreport = symbolic_execute(method, program, bounds, cls.name)
-            report.methods[f"{cls.name}.{method.name}"] = mreport
+            paths, mreport = _explore(program, cls, method, bounds, clauses)
+            mkey = f"{cls.name}.{method.name}"
+            report.methods[mkey] = mreport
             for pc in paths:
-                af = strip_parameter_clauses(pc)
+                n = per_method_counter.get(mkey, 0) + 1
+                af = strip_parameter_clauses(pc, f"{mkey}-F{n}")
                 if af is None:
                     continue
                 key = af.clause_keys()
                 if key in seen:
                     continue
                 seen.add(key)
-                mkey = f"{cls.name}.{method.name}"
-                per_method_counter[mkey] = per_method_counter.get(mkey, 0) + 1
-                result.append(AbstractionFunction(
-                    f"{mkey}-F{per_method_counter[mkey]}", af.clauses, pc.origin))
+                per_method_counter[mkey] = n
+                result.append(af)
     return result, report

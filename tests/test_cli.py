@@ -175,6 +175,32 @@ def test_extract_writes_the_same_bytes(tmp_path, seed, target, digest):
     assert sha(out) == digest
 
 
+def test_extract_reads_a_parameter_before_a_class_of_its_name(tmp_path):
+    program = tmp_path / "p.mir"
+    program.write_text("class Cart { field n: int; method m(B: int) { "
+                       "if (B > 0) { Cart.n = 1; } if (Cart.n > 2) { Cart.n = 3; } } } "
+                       "class B { field x: int; }")
+    out = tmp_path / "afs.json"
+    assert run_cli("extract", "--program", program, "--targets", "Cart",
+                   "--out", out) == 0
+    afs, _ = load_af_list(out.read_text())
+    assert [str(af) for af in afs] == ["Cart.n > 2", "Cart.n <= 2"]
+
+
+@pytest.mark.parametrize("cls", ["cart", "_A"])
+def test_extract_refuses_a_class_that_reads_back_as_a_parameter(tmp_path, cls):
+    """A term is written only if ``parse_term`` reads its text back as the
+    same term, and the AF syntax reads only a capitalised root as a class."""
+    program = tmp_path / "p.mir"
+    program.write_text(f"class {cls} {{ field n: int; "
+                       f"method add() {{ if ({cls}.n > 0) {{ {cls}.n = 1; }} }} }}")
+    out = tmp_path / "afs.json"
+    rc, err = run_cli_process("extract", "--program", program, "--out", out)
+    assert_one_line_diagnostic(rc, err, "ValueError")
+    assert json.loads(err)["message"].startswith(f"clause {cls}.n > 0 cannot be written")
+    assert not out.exists()
+
+
 def test_extract_undecidable_constant_guard_exits_2(workdir, capsys):
     src = workdir / "null_guard.mir"
     src.write_text("class A { field x: int; "

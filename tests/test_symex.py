@@ -5,8 +5,8 @@ import pytest
 
 from burstmine import symex
 from burstmine.cli import main
-from burstmine.functions import (Clause, IntTerm, ParamTerm, dump_af_list,
-                                 load_af_list, parse_term)
+from burstmine.functions import (Clause, FieldTerm, IntTerm, ParamTerm,
+                                 dump_af_list, load_af_list, parse_term)
 from burstmine.ir import parse_program
 from burstmine.states import ConcreteObject, ConcreteState, eval_function
 from burstmine.symex import (SymexBounds, SymexError,
@@ -370,6 +370,21 @@ def test_inlined_call_depth_one():
     assert {"A.x > 0"} in sets  # inlined guard observed through the call
 
 
+def test_two_calls_of_one_callee_read_their_own_arguments():
+    """A guard is built once per guard and scope: each call site is a scope
+    of its own, though both inline the same body."""
+    p = parse_program("""
+    class A { field x: int; field y: int;
+      method outer() { call inner(A.x); call inner(A.y); }
+      method inner(w: int) { if (w > 0) { A.x = 0; } }
+    }
+    """)
+    paths, _ = symbolic_execute(p.classes[0].methods[0], p)
+    assert [[c.key() for c in path.clauses] for path in paths] == [
+        ["A.x > 0", "A.y > 0"], ["A.x > 0", "A.y <= 0"],
+        ["A.x <= 0", "A.y > 0"], ["A.x <= 0", "A.y <= 0"]]
+
+
 def test_nested_call_havocs():
     src = """
     class A { field x: int;
@@ -464,3 +479,38 @@ def test_strict_length_guard_pins_the_access_out_of_range():
     afs, _ = extract_abstraction_functions(p, ("A",))
     assert [af.clause_keys() for af in afs] == [
         ("A.xs.length < 1",), ("A.xs.length >= 1",)]
+
+
+PARAMETER_NAMED_AS_A_CLASS = """
+class Cart { field n: int;
+  method m(B: int) { if (B > 0) { Cart.n = 1; } if (Cart.n > 2) { Cart.n = 3; } }
+}
+class B { field x: int; }
+"""
+
+
+def test_a_parameter_hides_a_class_of_its_name():
+    """Symex reads a root as the validator does: a loop variable, then a
+    parameter of the method, then a class.  ``B > 0`` is a parameter guard,
+    and stripping drops it."""
+    p = parse_program(PARAMETER_NAMED_AS_A_CLASS)
+    paths, _ = symbolic_execute(p.classes[0].methods[0], p)
+    assert paths[0].clauses[0] == Clause(ParamTerm("B"), ">", IntTerm(0))
+    afs, _ = extract_abstraction_functions(p, ("Cart",))
+    assert [af.clause_keys() for af in afs] == [("Cart.n > 2",), ("Cart.n <= 2",)]
+
+
+def test_a_parameters_guard_does_not_decide_a_class_guard_of_its_text():
+    """``B.x > 0`` over the parameter ``B`` and, in the inlined callee, over
+    the class ``B`` print alike but are two guards: each path takes both."""
+    p = parse_program("""
+    class Cart { field n: int;
+      method m(B: B) { if (B.x > 0) { Cart.n = 1; } call k(); }
+      method k() { if (B.x > 0) { Cart.n = 2; } }
+    }
+    class B { field x: int; }
+    """)
+    paths, _ = symbolic_execute(p.classes[0].methods[0], p)
+    assert [[(type(c.lhs), c.key()) for c in path.clauses] for path in paths] == [
+        [(ParamTerm, a), (FieldTerm, b)]
+        for a in ("B.x > 0", "B.x <= 0") for b in ("B.x > 0", "B.x <= 0")]
