@@ -29,8 +29,9 @@ and what ends each member, are one regex match each; a string member is
 decoded and type-tested in place.
 Writing turns this round: each event writer, here and in ``model``, writes
 through one ``schema.JsonText``, which encodes each distinct event, and
-joins each trace object's events, once per write; ``dumps_bursts`` also
-writes each distinct burst object's line once.  Nothing outlives one
+joins each trace object's events, once per write; ``dumps_runs`` also
+encodes each distinct state object once, and ``dumps_bursts`` writes each
+distinct burst object's line once.  Nothing outlives one
 load, one write or one ``collect`` call, nor one command's loads.
 
 The uncontrolled baseline draws at operation starts only while idle and then
@@ -391,16 +392,29 @@ def load_runs(path, events: EventTable | None = None) -> list[Run]:
 
 
 def dumps_runs(runs: list[Run]) -> str:
+    """The trace file of ``runs``: a run line per run, then a segment line
+    per segment.  Each distinct event and state object is encoded, and each
+    trace object's events joined, once per write."""
     dumps, events, lines = json.dumps, JsonText(), []
+    # id(state) -> the state and its text.  A state is unhashable, so it is
+    # keyed by identity and held, so that its id stays its own.
+    states: dict[int, tuple[ConcreteState, str]] = {}
+
+    def state(s: ConcreteState) -> str:
+        hit = states.get(id(s))
+        if hit is None:
+            hit = states[id(s)] = (s, dumps(s.to_dict()))
+        return hit[1]
+
     for run in runs:
         lines.append(dumps({"run": run.run_id}))
         for seg in run.segments:
             lines.append(
                 f'{{"segment": {{"label": {dumps(seg.label)}, "srt_category": '
                 f'{dumps(seg.srt_category)}, "pre_state": '
-                f'{dumps(seg.pre_state.to_dict())}, "events": '
+                f'{state(seg.pre_state)}, "events": '
                 f'{events.dumps(seg.events)}, "post_state": '
-                f'{dumps(seg.post_state.to_dict())}}}}}')
+                f'{state(seg.post_state)}}}}}')
     return "\n".join(lines) + ("\n" if lines else "")
 
 

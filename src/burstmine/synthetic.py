@@ -15,6 +15,11 @@ Event sequences are a pure function of the operation label and, in the
 editor, the abstract pre-state, so two occurrences of the same logical
 transition carry identical traces and model acceptance reduces to transition
 coverage.  Everything is seeded; identical seeds give identical corpora.
+
+Generated editor runs share objects as the runs of one trace-file load do:
+per call, one ``ConcreteState`` per distinct snapshot, abstracted once, and
+one event tuple per operation label and abstract pre-state.  So the 3,594
+snapshots of ``generate_editor_runs(120)`` cost their 120 distinct states.
 """
 
 from __future__ import annotations
@@ -100,12 +105,32 @@ def _editor_events(label: str, pre_vector: str, longest: dict,
 def generate_editor_runs(n_runs: int, master_seed: int = 0,
                          afs: "list[AbstractionFunction] | None" = None,
                          ) -> list[Run]:
-    """Seeded random walks over the editor's operation machine."""
+    """Seeded random walks over the editor's operation machine.
+
+    The runs share one ``ConcreteState`` per distinct snapshot, as a load's
+    runs do: a segment's post-state is the next one's pre-state, and equal
+    snapshots are one object.  Each is abstracted once, and each operation
+    label and abstract pre-state give one event tuple."""
     afs = afs or editor_abstraction_functions()
-    runs, longest = [], {}
+    # The repr of a snapshot's fields (``True`` and ``1`` apart) -> its state
+    # and abstract state; (label, abstract pre-state) -> the events.
+    states: dict[str, tuple[ConcreteState, str]] = {}
+    traces: dict[tuple[str, str], tuple[MethodCall, ...]] = {}
+    longest: dict = {}
+
+    def state(fields: "dict | None") -> tuple[ConcreteState, str]:
+        key = repr(fields)
+        hit = states.get(key)
+        if hit is None:
+            snapshot = _editor_state(fields)
+            hit = states[key] = (snapshot, abstract_state(afs, snapshot))
+        return hit
+
+    runs = []
     for idx in range(n_runs):
         rng = random.Random(_stable_int("editor-run", master_seed, idx))
         fields: dict | None = None  # closed editor: no root object
+        pre = state(fields)
         segments = []
         for _ in range(rng.randint(12, 18)):
             if fields is None:
@@ -115,12 +140,15 @@ def generate_editor_runs(n_runs: int, master_seed: int = 0,
                 if fields["lines"] > 0:
                     choices += ["deleteText"] * 2
                 label = rng.choice(choices)
-            pre = _editor_state(fields)
             fields = _editor_apply(label, fields)
-            post = _editor_state(fields)
-            events = _editor_events(label, abstract_state(afs, pre), longest)
+            post = state(fields)
+            events = traces.get((label, pre[1]))
+            if events is None:
+                events = traces[label, pre[1]] = _editor_events(
+                    label, pre[1], longest)
             segments.append(OperationSegment(
-                label, events, pre, post, _EDITOR_SRT[label]))
+                label, events, pre[0], post[0], _EDITOR_SRT[label]))
+            pre = post
         runs.append(Run(f"run{idx:03d}", tuple(segments)))
     return runs
 
