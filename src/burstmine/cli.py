@@ -75,8 +75,8 @@ def _write(args, *outputs: tuple[str, str]) -> None:
 _INPUTS = ("program", "traces", "afs", "matrix", "bursts", "fsm")
 CONFIG = Record({}, {
     **dict.fromkeys(_INPUTS, STRING), "targets": TARGETS,
-    "bounds": Record({}, {f.name: NUMBER for f in dataclasses.fields(SymexBounds)},
-                     closed=True),
+    "bounds": Record({}, {f.name: INTEGER if f.type == "int" else NUMBER
+                          for f in dataclasses.fields(SymexBounds)}, closed=True),
     "sampler": Record({}, {"probability": NUMBER, "rng_seed": INTEGER,
                            "mode": STRING, "fixed_length": INTEGER}, closed=True),
     "sweep": Record({}, {"probabilities": ListOf(NUMBER), "n_runs": ListOf(INTEGER),

@@ -8,11 +8,14 @@ logic that drives abstraction-function extraction.
 
 The normative grammar ships with the package as ``data/grammar.ebnf``.
 A token carries its offset in the source; an ``IrSyntaxError`` computes its
-line and column from that offset when it is raised.  One walk answers which
-paths a method mentions: ``_statements`` yields each statement with the loop
-variables in scope, and ``statement_paths`` the paths it mentions outside its
-nested blocks; the validator and the dependency graph use both, and symbolic
-execution the latter.
+line and column from that offset when it is raised.  The parser binds each
+path root to a loop variable (in its body, not in its bound), else a
+parameter, else a class; ``Path.binding`` keeps the answer for the validator,
+the dependency graph and symbolic execution.  One walk answers which paths a
+method mentions: ``_statements`` yields each statement, nested ones included,
+and ``statement_paths`` the paths it mentions outside its nested blocks; the
+validator and the dependency graph use both, and symbolic execution the
+latter.
 """
 
 from __future__ import annotations
@@ -80,11 +83,14 @@ class Path:
 
     Segments have the shape ``FieldTerm`` uses: ``("field", name)``,
     ``("index", int | Path)`` or ``("length", None)``.  An index path is a
-    loop variable or an integer path, itself possibly indexed.
+    loop variable or an integer path, itself possibly indexed.  ``binding``
+    is what the root names, as the parser found it in scope: ``"loop"``,
+    ``"param"`` or ``"class"`` (every path ``parse_atom`` reads names a class).
     """
 
     root: str
     segments: tuple[tuple[str, object], ...] = ()
+    binding: str = "class"
 
     __str__ = path_str
 
@@ -282,6 +288,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.pos = 0
+        self.scope: dict[str, str] = {}  # root name -> binding, in this method
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -377,6 +384,7 @@ class _Parser:
                     continue
                 break
         self.expect(")")
+        self.scope = {p.name: "param" for p in params}
         return MethodDef(name, tuple(params), self.block())
 
     def block(self) -> tuple[Stmt, ...]:
@@ -409,7 +417,9 @@ class _Parser:
             self.next()
             self.expect("..")
             bound = self.path()
+            outer, self.scope = self.scope, {**self.scope, var: "loop"}
             body = self.block()
+            self.scope = outer
             return For(var, bound, body)
         if self.at("return"):
             self.next()
@@ -455,7 +465,7 @@ class _Parser:
                 segments.append(("field", tok.text))
             else:
                 raise self.error("expected field, index, or length")
-        return Path(root, tuple(segments))
+        return Path(root, tuple(segments), self.scope.get(root, "class"))
 
     def index(self) -> "int | Path":
         tok = self.peek()
@@ -564,26 +574,24 @@ def statement_paths(stmt: Stmt) -> list[Path]:
     return [e for x in exprs for e in iter_exprs(x) if isinstance(e, Path)]
 
 
-def _statements(body: tuple[Stmt, ...], loop_vars: tuple[str, ...] = (),
-                ) -> Iterator[tuple[Stmt, tuple[str, ...]]]:
-    """Each statement of ``body``, nested ones included, pre-order, with the
-    loop variables in scope (a loop's own variable is in scope in its body,
-    not in its bound)."""
+def _statements(body: tuple[Stmt, ...]) -> Iterator[Stmt]:
+    """Each statement of ``body``, nested ones included, pre-order."""
     for s in body:
-        yield s, loop_vars
+        yield s
         if isinstance(s, If):
-            yield from _statements(s.then, loop_vars)
-            yield from _statements(s.orelse, loop_vars)
+            yield from _statements(s.then)
+            yield from _statements(s.orelse)
         elif isinstance(s, For):
-            yield from _statements(s.body, loop_vars + (s.var,))
+            yield from _statements(s.body)
 
 
-def _path_roots(path: Path) -> Iterator[str]:
-    """The root of ``path`` and of every index path inside it, pre-order."""
-    yield path.root
+def _class_roots(path: Path) -> Iterator[str]:
+    """The class-bound roots of ``path`` and of its index paths, pre-order."""
+    if path.binding == "class":
+        yield path.root
     for kind, payload in path.segments:
         if kind == "index" and isinstance(payload, Path):
-            yield from _path_roots(payload)
+            yield from _class_roots(payload)
 
 
 class _Validator:
@@ -637,7 +645,7 @@ class _Validator:
             self._check_type(p.type, f"parameter {p.name} of {cls.name}.{m.name}")
             params[p.name] = p.type
         where = f"{cls.name}.{m.name}"
-        for s, loop_vars in _statements(m.body):
+        for s in _statements(m.body):
             if isinstance(s, Call):
                 callee = next((mm for mm in cls.methods if mm.name == s.name), None)
                 if callee is None:
@@ -648,16 +656,15 @@ class _Validator:
                         f"{where}: call to {s.name!r} passes {len(s.args)} "
                         f"argument(s); it takes {len(callee.params)}")
             for path in statement_paths(s):
-                self._check_path(path, params, loop_vars, where)
+                self._check_path(path, params, where)
 
-    def _check_path(self, path: Path, params: dict[str, FieldType],
-                    loop_vars: tuple[str, ...], where: str) -> None:
+    def _check_path(self, path: Path, params: dict[str, FieldType], where: str) -> None:
         root = path.root
-        if root in loop_vars:
+        if path.binding == "loop":
             if path.segments:
                 raise UndeclaredTypeError(f"{where}: loop variable {root!r} has no fields")
             return
-        if root in params:
+        if path.binding == "param":
             cur = params[root]
         elif self.program.class_named(root) is not None:
             cur = FieldType(root)
@@ -672,7 +679,7 @@ class _Validator:
                 if not cur.is_array:
                     raise UndeclaredTypeError(f"{where}: indexing non-array in {path}")
                 if isinstance(payload, Path):
-                    self._check_path(payload, params, loop_vars, where)
+                    self._check_path(payload, params, where)
                 cur = FieldType(cur.name)
             else:
                 if cur.is_scalar or cur.is_array:
@@ -761,7 +768,7 @@ def pretty_print(program: Program) -> str:
 @dataclass(frozen=True)
 class DependencyGraph:
     """Class reference graph: A -> B when A mentions B in a field type,
-    parameter type, or any path rooted at B inside a method body."""
+    parameter type, or a method-body path whose root the parser bound to B."""
 
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -784,9 +791,9 @@ def build_dependency_graph(program: Program) -> DependencyGraph:
         for m in cls.methods:
             for p in m.params:
                 add(cls.name, p.type.name)
-            for s, _ in _statements(m.body):
+            for s in _statements(m.body):
                 for path in statement_paths(s):
-                    for root in _path_roots(path):
+                    for root in _class_roots(path):
                         add(cls.name, root)
     return DependencyGraph(program.class_names, tuple(edges))
 

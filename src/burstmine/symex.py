@@ -38,11 +38,12 @@ Exploration rules
   havocked (skipped, counted in the report).  A path rooted at an argument
   splices the argument (read in the caller) before the callee's own
   segments, whose indices are read in the callee.
-* A path root is read as the IR validator reads it: a loop variable, then a
-  parameter of the method (an argument, in an inlined callee), then a class.
-  A parameter named like a class is a parameter, and a path pins its guards
-  by clause object, so a parameter's ``B.x > 0`` does not decide the guard
-  ``B.x > 0`` on the class ``B`` in an inlined callee.
+* A path root names what the parser bound it to (``ir.Path.binding``): a
+  loop variable, a parameter of the method (an argument, in an inlined
+  callee) or a class, so the env holds only loop values and inlined
+  arguments.  A path pins its guards by clause object, so a parameter's
+  ``B.x > 0`` does not decide the guard ``B.x > 0`` on the class ``B`` in an
+  inlined callee.
 
 Sharing
 -------
@@ -134,7 +135,6 @@ class _LoopHead(NamedTuple):
 class _Executor:
     def __init__(self, program: ir.Program, cls: ir.ClassDef, method: ir.MethodDef,
                  bounds: SymexBounds, clauses: dict) -> None:
-        self.program = program
         self.cls = cls
         self.method = method
         self.bounds = bounds
@@ -159,17 +159,18 @@ class _Executor:
         return term.value if isinstance(term, IntTerm) else term
 
     def _path_term(self, path: ir.Path, env: dict) -> Term:
-        entry = env.get(path.root)
-        if entry is not None and entry[0] == "loop":
+        if path.binding == "loop":
             if path.segments:
                 raise SymexError(f"loop variable {path.root!r} has no fields")
-            return IntTerm(entry[1])
+            return IntTerm(env[path.root])
         # The path's own indices are read where it is written, even when its
         # root is an inlined call argument read in the caller's env.
         segments = tuple((kind, self._index_term(p, env) if kind == "index" else p)
                          for kind, p in path.segments)
-        if entry is not None and entry[0] == "arg":  # an inlined call argument
-            _, arg_expr, caller_env = entry
+        if path.binding == "class":
+            return FieldTerm(path.root, segments)
+        if path.root in env:  # an inlined call argument
+            arg_expr, caller_env = env[path.root]
             if isinstance(arg_expr, ir.Path):
                 base = self._path_term(arg_expr, caller_env)
                 if not segments:
@@ -179,10 +180,6 @@ class _Executor:
                 return type(base)(base.root, base.segments + segments)
             if not path.segments:
                 return self._expr_term(arg_expr, caller_env)
-        # The analyzed method's parameters are in env, so they hide a class
-        # of the same name, as in the IR's own scope rule.
-        if entry is None and self.program.class_named(path.root) is not None:
-            return FieldTerm(path.root, segments)
         # a parameter of the analyzed method, or a path into a literal argument
         return ParamTerm(path.root, segments)
 
@@ -324,8 +321,7 @@ class _Executor:
     # -- exploration ------------------------------------------------------------
 
     def run(self) -> None:
-        env = {p.name: ("param",) for p in self.method.params}
-        frames = (_Block(self.method.body, 0, env),)
+        frames = (_Block(self.method.body, 0, {}),)
         try:
             self._go(frames, _PathState())
         except _Exhausted:
@@ -385,7 +381,7 @@ class _Executor:
 
         def inline() -> tuple:
             callee = next(m for m in self.cls.methods if m.name == stmt.name)
-            return callee.body, {p.name: ("arg", arg, top.env)
+            return callee.body, {p.name: (arg, top.env)
                                  for p, arg in zip(callee.params, stmt.args)}
 
         body, env = self._once((id(stmt), id(top.env)), top.env, inline)
@@ -400,7 +396,7 @@ class _Executor:
 
         def unroll() -> tuple:
             return (ir.Cmp(">", head.stmt.bound, IntTerm(head.k)),
-                    {**head.env, head.stmt.var: ("loop", head.k)})
+                    {**head.env, head.stmt.var: head.k})
 
         guard, body_env = self._once((id(head.stmt), id(head.env), head.k), head.env,
                                      unroll)

@@ -187,6 +187,31 @@ def test_extract_reads_a_parameter_before_a_class_of_its_name(tmp_path):
     assert [str(af) for af in afs] == ["Cart.n > 2", "Cart.n <= 2"]
 
 
+@pytest.mark.parametrize("source,target,relevant,probes", [
+    ("class Cart { field n: int; method m(B: int) { "
+     "if (B > 0) { Cart.n = 1; } if (Cart.n > 2) { Cart.n = 3; } } } "
+     "class B { field x: int; method q() { if (B.x > 3) { B.x = 1; } } }",
+     "Cart", ["Cart"], ["Cart.n > 2", "Cart.n <= 2"]),
+    ("class A { field n: int; field xs: X[]; "
+     "method m() { for C in 0 .. A.n { A.xs.[C].v = 1; } } } "
+     "class C { field k: int; method q() { if (C.k > 0) { C.k = 1; } } } "
+     "class X { field v: int; }",
+     "A", ["A", "X"], ["A.n > 0 && A.xs.length == 0", "A.n > 0", "A.n <= 0"]),
+], ids=["parameter", "loop-variable"])
+def test_a_root_named_like_a_class_does_not_make_it_relevant(
+        tmp_path, source, target, relevant, probes):
+    """A parameter or loop variable named like a class does not make the
+    class relevant, so ``extract`` explores none of its methods."""
+    program = tmp_path / "p.mir"
+    program.write_text(source)
+    out = tmp_path / "afs.json"
+    assert run_cli("extract", "--program", program, "--targets", target,
+                   "--out", out) == 0
+    afs, _ = load_af_list(out.read_text())
+    assert json.loads(out.read_text())["header"]["relevant_classes"] == relevant
+    assert [str(af) for af in afs] == probes
+
+
 @pytest.mark.parametrize("cls", ["cart", "_A"])
 def test_extract_refuses_a_class_that_reads_back_as_a_parameter(tmp_path, cls):
     """A term is written only if ``parse_term`` reads its text back as the
@@ -886,13 +911,16 @@ _SWEEP = {"probabilities": [0.5], "n_runs": [2], "seeds": [0]}
     ("sweep", {"sweep": {**_SWEEP, "seeds": [0.7]}}, "'sweep.seeds'"),
     ("sweep", {"sweep": {**_SWEEP, "seeds": [True]}}, "'sweep.seeds'"),
     ("extract", {"targets": None}, "'targets'"),
+    ("extract", {"bounds": {"max_loop_unrollings": 1.5}}, "'bounds.max_loop_unrollings'"),
+    ("extract", {"bounds": {"max_states": 2.5}}, "'bounds.max_states'"),
 ], ids=["config-not-an-object", "unknown-bound", "bounds-not-an-object",
         "sweep-axis-not-a-list", "sampler-value-a-list", "program-not-a-string",
         "targets-a-number", "targets-nested-list", "afs-a-number",
         "traces-a-number", "bound-a-bool", "rng-seed-not-an-integer",
         "unknown-sampler-key", "unknown-sweep-key", "sweep-axis-not-finite",
         "run-count-not-an-integer", "sweep-seed-not-an-integer",
-        "sweep-seed-a-bool", "targets-null"])
+        "sweep-seed-a-bool", "targets-null", "unroll-bound-not-an-integer",
+        "state-bound-not-an-integer"])
 def test_malformed_config_exits_2(workdir, command, config, names):
     path = workdir / "config.json"
     path.write_text(json.dumps(config))

@@ -418,7 +418,9 @@ def _reference_edges(program):
     """Edges from field and parameter types, then from the roots of every
     path in each method body: statements pre-order, nested blocks included,
     each statement's assignment target and value, guard, loop bound or call
-    arguments in source order, and index paths inside a path after it."""
+    arguments in source order, and index paths inside a path after it.  A
+    root that names a parameter, or a loop variable inside its loop's body,
+    is not a class; this scope is tracked here, not read off the paths."""
     names = set(program.class_names)
     edges = []
 
@@ -431,27 +433,28 @@ def _reference_edges(program):
             yield from expr_paths(e.left)
             yield from expr_paths(e.right)
 
-    def body_paths(body):
+    def body_paths(body, scope):
         for s in body:
             if isinstance(s, ir.Assign):
-                yield s.target
-                yield from expr_paths(s.value)
+                yield s.target, scope
+                yield from ((p, scope) for p in expr_paths(s.value))
             elif isinstance(s, ir.If):
-                yield from expr_paths(s.cond)
-                yield from body_paths(s.then)
-                yield from body_paths(s.orelse)
+                yield from ((p, scope) for p in expr_paths(s.cond))
+                yield from body_paths(s.then, scope)
+                yield from body_paths(s.orelse, scope)
             elif isinstance(s, ir.For):
-                yield s.bound
-                yield from body_paths(s.body)
+                yield s.bound, scope
+                yield from body_paths(s.body, scope | {s.var})
             elif isinstance(s, ir.Call):
                 for a in s.args:
-                    yield from expr_paths(a)
+                    yield from ((p, scope) for p in expr_paths(a))
 
-    def roots(path):
-        yield path.root
+    def roots(path, scope):
+        if path.root not in scope:
+            yield path.root
         for kind, payload in path.segments:
             if kind == "index" and isinstance(payload, ir.Path):
-                yield from roots(payload)
+                yield from roots(payload, scope)
 
     def add(a, b):
         if b in names and b != a and (a, b) not in edges:
@@ -463,8 +466,8 @@ def _reference_edges(program):
         for m in cls.methods:
             for p in m.params:
                 add(cls.name, p.type.name)
-            for path in body_paths(m.body):
-                for root in roots(path):
+            for path, scope in body_paths(m.body, frozenset(p.name for p in m.params)):
+                for root in roots(path, scope):
                     add(cls.name, root)
     return tuple(edges)
 
@@ -517,10 +520,64 @@ def test_hand_cases_have_the_edges_their_paths_name():
     edges = {name: build_dependency_graph(parse_program(src)).edges
              for name, src in GRAPH_CASES.items()}
     assert edges == {
-        "loop-variable-named-like-a-class": (("A", "X"), ("A", "C")),
-        "parameter-named-like-a-class": (("A", "B"),),
+        "loop-variable-named-like-a-class": (("A", "X"),),
+        "parameter-named-like-a-class": (),
         "nested-index-path": (("A", "X"), ("A", "B"), ("A", "C"), ("B", "Y")),
         "call-argument-path": (("A", "B"),),
         "else-block": (("A", "E"), ("A", "D")),
         "target-before-value": (("A", "B"), ("A", "C")),
     }
+
+
+# --- what a path root names -------------------------------------------------------
+
+# `B` is a parameter of `p`, a loop variable of both methods and a class.
+BINDING_SOURCE = """
+    class A { field n: int; field xs: X[];
+      method p(B: int) {
+        for B in 0 .. A.xs.[B].v { A.xs.[B].v = B; }
+        A.n = B;
+      }
+      method q() {
+        for B in 0 .. B.n { A.xs.[B].v = 1; }
+        A.xs.[B.n].v = B.ys.[A.n].v;
+      } }
+    class B { field n: int; field ys: X[]; }
+    class X { field v: int; }"""
+
+
+def _bindings(body):
+    """``(path, binding)`` of each path in ``body``, an index path after the
+    path it indexes."""
+    def flat(path):
+        yield str(path), path.binding
+        for kind, payload in path.segments:
+            if kind == "index" and isinstance(payload, ir.Path):
+                yield from flat(payload)
+
+    for s in body:
+        for path in ir.statement_paths(s):
+            yield from flat(path)
+        if isinstance(s, ir.For):
+            yield from _bindings(s.body)
+
+
+def test_each_path_root_binds_to_the_innermost_name_in_scope():
+    p, q = parse_program(BINDING_SOURCE).classes[0].methods
+    assert list(_bindings(p.body)) == [
+        ("A.xs.[B].v", "class"), ("B", "param"),  # a loop's bound: the parameter
+        ("A.xs.[B].v", "class"), ("B", "loop"),  # the loop shadows the parameter
+        ("B", "loop"),
+        ("A.n", "class"), ("B", "param"),  # after the loop: the parameter again
+    ]
+    assert list(_bindings(q.body)) == [
+        ("B.n", "class"),  # a loop's bound: the class
+        ("A.xs.[B].v", "class"), ("B", "loop"),
+        ("A.xs.[B.n].v", "class"), ("B.n", "class"),  # after the loop: the class
+        ("B.ys.[A.n].v", "class"), ("A.n", "class"),
+    ]
+
+
+def test_a_path_read_alone_names_a_class():
+    path = parse_atom("B.xs.[C.n].v")
+    assert (path.binding, path.segments[1][1].binding) == ("class", "class")
