@@ -7,9 +7,11 @@ path condition; evaluated against a concrete state it yields a ternary
 true / false / unknown.
 
 The IR shares this vocabulary: its parser builds literals as ``IntTerm`` /
-``BoolTerm`` / ``NullTerm``, its paths have the segment shape and the
-``path_str`` printer of ``FieldTerm`` and ``ParamTerm``, and ``parse_term``
-reads term text with the IR's own ``atom`` grammar.
+``BoolTerm`` / ``NullTerm`` and paths as ``Path``, the one path type from the
+parser to a probe, whose ``binding`` tells a class path from a parameter
+path; symbolic execution writes the parser's paths into its clauses, and
+``parse_term`` reads term text with the IR's own ``atom`` grammar, re-binding
+a path by its root's case.
 
 This module owns the wire format for abstraction-function lists (a JSON
 document with a header recording extraction bounds and truncation flags),
@@ -64,49 +66,38 @@ class NullTerm:
         return "null"
 
 
-def path_str(path) -> str:
-    """``Cart.products.[0].value``: the text of a ``FieldTerm`` or an IR path."""
-    parts = [path.root]
-    for kind, payload in path.segments:
-        if kind == "field":
-            parts.append(str(payload))
-        elif kind == "index":
-            parts.append(f"[{payload}]")
-        else:
-            parts.append("length")
-    return ".".join(parts)
-
-
 @dataclass(frozen=True)
-class FieldTerm:
-    """State-variable path rooted at a class name.
+class Path:
+    """Dotted access path, e.g. ``Cart.products.[0].value`` or ``p.value``:
+    an IR path and a clause term alike.
 
-    Segments are ``("field", name)``, ``("index", int | FieldTerm |
-    ParamTerm)``, or ``("length", None)``.  Indices are concrete integers
-    except when a program indexes an array with an integer path.
+    Segments are ``("field", name)``, ``("index", int | Path)`` or
+    ``("length", None)``.  ``binding`` is what the root names, as the parser
+    found it in scope: ``"class"`` (every path ``ir.parse_atom`` reads),
+    ``"param"`` or ``"loop"``; a clause holds class and parameter paths only.
     """
 
     root: str
     segments: tuple[tuple[str, object], ...] = ()
+    binding: str = "class"
 
     @property
     def is_length(self) -> bool:
         return bool(self.segments) and self.segments[-1][0] == "length"
 
-    __str__ = path_str
+    def __str__(self) -> str:
+        parts = [self.root]
+        for kind, payload in self.segments:
+            if kind == "field":
+                parts.append(str(payload))
+            elif kind == "index":
+                parts.append(f"[{payload}]")
+            else:
+                parts.append("length")
+        return ".".join(parts)
 
 
-@dataclass(frozen=True)
-class ParamTerm:
-    """Method-parameter path; its segments have the ``FieldTerm`` shape."""
-
-    root: str
-    segments: tuple[tuple[str, object], ...] = ()
-
-    __str__ = path_str
-
-
-Term = Union[IntTerm, BoolTerm, NullTerm, FieldTerm, ParamTerm]
+Term = Union[IntTerm, BoolTerm, NullTerm, Path]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -114,22 +105,23 @@ def parse_term(text: str) -> Term:
     """Inverse of ``str(term)`` (used by the AF JSON reader): one literal or
     path in the IR's ``atom`` syntax.  Text that would not print back as
     itself (``007``, whitespace, comments) is rejected."""
-    from . import ir  # not at load time: ir imports this module's literals
+    from . import ir  # not at load time: ir imports this module's terms
     try:
         atom = ir.parse_atom(text)
     except (ir.IrError, ValueError):
         raise ValueError(f"malformed term {text!r}") from None
-    term = _path_term(atom) if isinstance(atom, ir.Path) else atom
+    term = _path_term(atom) if isinstance(atom, Path) else atom
     if str(term) != text:
         raise ValueError(f"malformed term {text!r}")
     return term
 
 
-def _path_term(path) -> "FieldTerm | ParamTerm":
-    """The term of an IR path: a capitalised root names a class."""
-    segments = tuple((kind, _path_term(p) if kind == "index" and not isinstance(p, int)
-                      else p) for kind, p in path.segments)
-    return (FieldTerm if path.root[:1].isupper() else ParamTerm)(path.root, segments)
+def _path_term(path: Path) -> Path:
+    """``path`` re-bound as a term, its index paths too: a capitalised root
+    names a class, any other a parameter."""
+    segments = tuple((kind, _path_term(p) if isinstance(p, Path) else p)
+                     for kind, p in path.segments)
+    return Path(path.root, segments, "class" if path.root[:1].isupper() else "param")
 
 
 @dataclass(frozen=True)
@@ -159,7 +151,8 @@ class Clause:
         if op == "!=" and isinstance(lhs, BoolTerm):
             op, lhs = "==", BoolTerm(not lhs.value)
         # Array lengths are non-negative: len <= 0 -> len == 0, len != 0 -> len > 0.
-        if isinstance(lhs, FieldTerm) and lhs.is_length and isinstance(rhs, IntTerm):
+        if (isinstance(lhs, Path) and lhs.binding == "class" and lhs.is_length
+                and isinstance(rhs, IntTerm)):
             if rhs.value == 0 and op == "<=":
                 op = "=="
             elif rhs.value == 0 and op == "!=":
@@ -184,13 +177,10 @@ class Clause:
 
     @functools.cached_property
     def _mentions_parameter(self) -> bool:  # tested once per clause object
-        if isinstance(self.lhs, ParamTerm) or isinstance(self.rhs, ParamTerm):
-            return True
-        return _index_mentions_param(self.lhs) or _index_mentions_param(self.rhs)
+        return _mentions_param(self.lhs) or _mentions_param(self.rhs)
 
     def references_state(self) -> bool:
-        return isinstance(self.lhs, (FieldTerm, ParamTerm)) or isinstance(
-            self.rhs, (FieldTerm, ParamTerm))
+        return isinstance(self.lhs, Path) or isinstance(self.rhs, Path)
 
     __str__ = key
 
@@ -217,10 +207,10 @@ def _reads_back(term: Term) -> bool:
         return False
 
 
-def _index_mentions_param(t: Term) -> bool:
-    return isinstance(t, FieldTerm) and any(
-        kind == "index" and (isinstance(p, ParamTerm) or _index_mentions_param(p))
-        for kind, p in t.segments)
+def _mentions_param(t: "Term | int") -> bool:
+    """Whether ``t`` is a parameter path or indexes by one, at any depth."""
+    return isinstance(t, Path) and (t.binding == "param" or any(
+        kind == "index" and _mentions_param(p) for kind, p in t.segments))
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,13 @@ A token carries its offset in the source; an ``IrSyntaxError`` computes its
 line and column from that offset when it is raised.  The parser binds each
 path root to a loop variable (in its body, not in its bound), else a
 parameter, else a class; ``Path.binding`` keeps the answer for the validator,
-the dependency graph and symbolic execution.  One walk answers which paths a
-method mentions: ``_statements`` yields each statement, nested ones included,
-and ``statement_paths`` the paths it mentions outside its nested blocks; the
-validator and the dependency graph use both, and symbolic execution the
-latter.
+the dependency graph and symbolic execution.  Literals and paths are the
+clause terms of ``functions`` (``ir.Path`` is ``functions.Path``), so
+symbolic execution writes a guard's own paths into its clauses.  One walk
+answers which paths a method mentions: ``_statements`` yields each
+statement, nested ones included, and ``statement_paths`` the paths it
+mentions outside its nested blocks; the validator and the dependency graph
+use both, and symbolic execution the latter.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
-from .functions import BoolTerm, IntTerm, NullTerm, path_str
+from .functions import BoolTerm, IntTerm, NullTerm, Path
 
 
 class IrError(Exception):
@@ -74,25 +76,6 @@ class FieldType:
 
     def __str__(self) -> str:
         return f"{self.name}[]" if self.is_array else self.name
-
-
-@dataclass(frozen=True)
-class Path:
-    """Dotted access path rooted at a class, a parameter or a loop variable,
-    e.g. ``Cart.products.[0].value`` or ``p.value``.
-
-    Segments have the shape ``FieldTerm`` uses: ``("field", name)``,
-    ``("index", int | Path)`` or ``("length", None)``.  An index path is a
-    loop variable or an integer path, itself possibly indexed.  ``binding``
-    is what the root names, as the parser found it in scope: ``"loop"``,
-    ``"param"`` or ``"class"`` (every path ``parse_atom`` reads names a class).
-    """
-
-    root: str
-    segments: tuple[tuple[str, object], ...] = ()
-    binding: str = "class"
-
-    __str__ = path_str
 
 
 @dataclass(frozen=True)
@@ -160,7 +143,7 @@ class If:
 @dataclass(frozen=True)
 class For:
     var: str
-    bound: Path  # array-length path or integer field path
+    bound: Path  # a path that reads an integer, e.g. an array length
     body: tuple["Stmt", ...] = ()
 
 
@@ -656,14 +639,19 @@ class _Validator:
                         f"{where}: call to {s.name!r} passes {len(s.args)} "
                         f"argument(s); it takes {len(callee.params)}")
             for path in statement_paths(s):
-                self._check_path(path, params, where)
+                if (self._check_path(path, params, where) != FieldType("int")
+                        and isinstance(s, For)):
+                    raise UndeclaredTypeError(
+                        f"{where}: loop bound {path} is not an integer")
 
-    def _check_path(self, path: Path, params: dict[str, FieldType], where: str) -> None:
+    def _check_path(self, path: Path, params: dict[str, FieldType],
+                    where: str) -> FieldType:
+        """The type ``path`` reads; an index path must read an integer."""
         root = path.root
         if path.binding == "loop":
             if path.segments:
                 raise UndeclaredTypeError(f"{where}: loop variable {root!r} has no fields")
-            return
+            return FieldType("int")
         if path.binding == "param":
             cur = params[root]
         elif self.program.class_named(root) is not None:
@@ -678,8 +666,10 @@ class _Validator:
             elif kind == "index":
                 if not cur.is_array:
                     raise UndeclaredTypeError(f"{where}: indexing non-array in {path}")
-                if isinstance(payload, Path):
-                    self._check_path(payload, params, where)
+                if isinstance(payload, Path) and self._check_path(
+                        payload, params, where) != FieldType("int"):
+                    raise UndeclaredTypeError(
+                        f"{where}: index {payload} is not an integer in {path}")
                 cur = FieldType(cur.name)
             else:
                 if cur.is_scalar or cur.is_array:
@@ -693,6 +683,7 @@ class _Validator:
                     raise UndeclaredTypeError(
                         f"{where}: {cur.name!r} has no member {payload!r} in {path}")
                 cur = nxt
+        return cur
 
 
 # ---------------------------------------------------------------------------

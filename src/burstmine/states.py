@@ -2,12 +2,13 @@
 
 A concrete state is a small heap snapshot: an object table plus, per class,
 an optional designated root instance (the monitored object).  Evaluating a
-clause walks a state-variable path from the root; any unresolvable step (a
-missing root, a null reference, a missing array element) makes the clause
-*unknown* (U).  Unknown dominates the conjunction: a single U clause makes
-the whole function U even if another clause is already false.  This is
-deliberately not Kleene conjunction; it reflects that an abstract state is
-only trustworthy when every probe it aggregates was actually observable.
+clause walks a class path from the root; any unresolvable step (a missing
+root, a null reference, a missing array element, an index that is not an
+int) makes the clause *unknown* (U), as does a parameter path.  Unknown
+dominates the conjunction: a single U clause makes the whole function U even
+if another clause is already false.  This is deliberately not Kleene
+conjunction; it reflects that an abstract state is only trustworthy when
+every probe it aggregates was actually observable.
 
 A value is the letter ``"T"``, ``"F"`` or ``"U"``, and an abstract state is
 the string of its functions' letters.  Inside, values are codes T=0, F=1,
@@ -30,8 +31,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 
-from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
-                        IntTerm, NullTerm, ParamTerm, Term)
+from .functions import AbstractionFunction, Clause, NullTerm, Path, Term
 from .schema import LETTERS, STRING, MapOf, Record, check
 
 
@@ -110,15 +110,10 @@ _UNRESOLVED = object()
 
 def _resolve(term: Term, state: ConcreteState):
     """Resolve a term to a python value, or ``_UNRESOLVED``."""
-    if isinstance(term, IntTerm):
-        return term.value
-    if isinstance(term, BoolTerm):
-        return term.value
-    if isinstance(term, NullTerm):
-        return None
-    if isinstance(term, ParamTerm):
+    if not isinstance(term, Path):
+        return None if isinstance(term, NullTerm) else term.value
+    if term.binding != "class":
         return _UNRESOLVED  # parameters are not part of a program state
-    assert isinstance(term, FieldTerm)
     root_id = state.roots.get(term.root)
     if root_id is None or root_id not in state.objects:
         return _UNRESOLVED
@@ -138,12 +133,9 @@ def _resolve(term: Term, state: ConcreteState):
         else:  # index
             if not isinstance(value, list):
                 return _UNRESOLVED
-            idx = payload
-            if isinstance(idx, FieldTerm):
-                idx = _resolve(idx, state)
-                if idx is _UNRESOLVED or not isinstance(idx, int):
-                    return _UNRESOLVED
-            if not isinstance(idx, int) or idx < 0 or idx >= len(value):
+            idx = _resolve(payload, state) if isinstance(payload, Path) else payload
+            # a bool index, like an int/bool comparison, is unresolvable
+            if type(idx) is not int or idx < 0 or idx >= len(value):
                 return _UNRESOLVED
             value = value[idx]
     return value

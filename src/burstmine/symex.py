@@ -41,9 +41,11 @@ Exploration rules
 * A path root names what the parser bound it to (``ir.Path.binding``): a
   loop variable, a parameter of the method (an argument, in an inlined
   callee) or a class, so the env holds only loop values and inlined
-  arguments.  A path pins its guards by clause object, so a parameter's
-  ``B.x > 0`` does not decide the guard ``B.x > 0`` on the class ``B`` in an
-  inlined callee.
+  arguments.  A clause's terms are the parser's own paths where no loop
+  variable or argument changes them; a path spliced onto an argument's path
+  takes the argument's binding.  A path pins its guards by clause object,
+  so a parameter's ``B.x > 0`` does not decide the guard ``B.x > 0`` on the
+  class ``B`` in an inlined callee.
 
 Sharing
 -------
@@ -64,8 +66,8 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from . import ir
-from .functions import (AbstractionFunction, BoolTerm, Clause, FieldTerm,
-                        IntTerm, NullTerm, ParamTerm, PathCondition, Term)
+from .functions import (AbstractionFunction, BoolTerm, Clause, IntTerm,
+                        NullTerm, PathCondition, Term)
 from .ir import statement_paths
 from .states import ConcreteState, eval_clause
 
@@ -159,6 +161,8 @@ class _Executor:
         return term.value if isinstance(term, IntTerm) else term
 
     def _path_term(self, path: ir.Path, env: dict) -> Term:
+        """The term of ``path`` in ``env``: the parser's own path when no
+        loop variable or inlined argument changes it."""
         if path.binding == "loop":
             if path.segments:
                 raise SymexError(f"loop variable {path.root!r} has no fields")
@@ -167,21 +171,21 @@ class _Executor:
         # root is an inlined call argument read in the caller's env.
         segments = tuple((kind, self._index_term(p, env) if kind == "index" else p)
                          for kind, p in path.segments)
-        if path.binding == "class":
-            return FieldTerm(path.root, segments)
-        if path.root in env:  # an inlined call argument
+        if path.binding == "param" and path.root in env:  # an inlined argument
             arg_expr, caller_env = env[path.root]
             if isinstance(arg_expr, ir.Path):
                 base = self._path_term(arg_expr, caller_env)
                 if not segments:
                     return base
-                if not isinstance(base, (FieldTerm, ParamTerm)):
+                if not isinstance(base, ir.Path):
                     raise SymexError(f"argument {arg_expr} has no fields")
-                return type(base)(base.root, base.segments + segments)
+                return ir.Path(base.root, base.segments + segments, base.binding)
             if not path.segments:
                 return self._expr_term(arg_expr, caller_env)
-        # a parameter of the analyzed method, or a path into a literal argument
-        return ParamTerm(path.root, segments)
+        # a class path, a parameter of the analyzed method, or a path into a
+        # literal argument
+        return path if segments == path.segments else ir.Path(
+            path.root, segments, path.binding)
 
     def _expr_term(self, expr: ir.Expr, env: dict) -> Term:
         if isinstance(expr, (IntTerm, BoolTerm, NullTerm)):
@@ -194,7 +198,8 @@ class _Executor:
     # -- static classification -----------------------------------------------
 
     def _is_const_field(self, term: Term) -> bool:
-        if not isinstance(term, FieldTerm) or len(term.segments) != 1:
+        if (not isinstance(term, ir.Path) or term.binding != "class"
+                or len(term.segments) != 1):
             return False
         kind, name = term.segments[0]
         return kind == "field" and name in self._const_names.get(term.root, set())
@@ -203,7 +208,8 @@ class _Executor:
         if c.op != ">=" or not isinstance(c.rhs, IntTerm) or c.rhs.value != 0:
             return False
         lhs = c.lhs
-        return (isinstance(lhs, FieldTerm) and lhs.is_length) or self._is_const_field(lhs)
+        return ((isinstance(lhs, ir.Path) and lhs.binding == "class" and lhs.is_length)
+                or self._is_const_field(lhs))
 
     # -- budget / emission ----------------------------------------------------
 
@@ -225,10 +231,10 @@ class _Executor:
 
     # -- array access modeling -------------------------------------------------
 
-    def _length_term(self, array: FieldTerm) -> FieldTerm:
-        return FieldTerm(array.root, array.segments + (("length", None),))
+    def _length_term(self, array: ir.Path) -> ir.Path:
+        return ir.Path(array.root, array.segments + (("length", None),))
 
-    def _bound_facts(self, path: _PathState, length: FieldTerm, k: int,
+    def _bound_facts(self, path: _PathState, length: ir.Path, k: int,
                      ) -> "str | None":
         """Return "in" / "out" when the path pins the access, else None."""
         for c in path.clauses:
@@ -250,16 +256,16 @@ class _Executor:
         return None
 
     def _iter_literal_accesses(self, term: Term):
-        """Yield (array term, concrete index) pairs inside a term."""
-        if not isinstance(term, FieldTerm):
+        """Yield (array term, concrete index) pairs inside a class path."""
+        if not isinstance(term, ir.Path) or term.binding != "class":
             return
         for i, (kind, payload) in enumerate(term.segments):
             if kind != "index":
                 continue
-            if isinstance(payload, FieldTerm):
+            if isinstance(payload, ir.Path):
                 yield from self._iter_literal_accesses(payload)
             elif isinstance(payload, int):
-                yield FieldTerm(term.root, term.segments[:i]), payload
+                yield ir.Path(term.root, term.segments[:i]), payload
 
     def _accesses(self, terms: list[Term]) -> tuple:
         """The concrete-index element accesses inside ``terms``: per access

@@ -160,6 +160,17 @@ B = "class B { field v: int; field bs: B[]; } "
     pytest.param("class A { field n: int; method m() { for i in 0 .. A.n { } "
                  "A.n = i; } }", UndeclaredTypeError,
                  "A.m: unknown path root 'i' in i", id="loop-variable-out-of-scope"),
+    # A loop bound and an index path read an integer.
+    pytest.param(B + "class A { field xs: B[]; field f: bool; method m() { "
+                 "if (A.xs.[A.f].v > 0) { return; } } }", UndeclaredTypeError,
+                 "A.m: index A.f is not an integer in A.xs.[A.f].v",
+                 id="bool-index"),
+    pytest.param(B + "class A { field xs: B[]; method m() { for i in 0 .. A.xs "
+                 "{ return; } } }", UndeclaredTypeError,
+                 "A.m: loop bound A.xs is not an integer", id="array-loop-bound"),
+    pytest.param("class A { field f: bool; method m() { for i in 0 .. A.f "
+                 "{ return; } } }", UndeclaredTypeError,
+                 "A.m: loop bound A.f is not an integer", id="bool-loop-bound"),
 ])
 def test_each_ir_diagnostic_names_its_class_and_message(source, error, message):
     with pytest.raises(IrError) as exc:

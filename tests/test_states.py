@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import burstmine
 from burstmine import cli, collect, states
 from burstmine.functions import (COMPARE_OPS, AbstractionFunction, BoolTerm, Clause,
-                                 FieldTerm, IntTerm, NullTerm, ParamTerm,
+                                 IntTerm, NullTerm, Path,
                                  af_list_hash, dump_af_list, load_af_list,
                                  parse_term)
 from burstmine.ir import (KEYWORDS, build_dependency_graph, detect_relevant_classes,
@@ -104,8 +104,8 @@ _NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True).filter(
 
 def _path(segments):
     """A class path (capitalised root) or a parameter path (any other root)."""
-    return st.builds(lambda root, segs: (FieldTerm if root[:1].isupper() else
-                                         ParamTerm)(root, tuple(segs)),
+    return st.builds(lambda root, segs: Path(
+        root, tuple(segs), "class" if root[:1].isupper() else "param"),
                      _NAMES, st.lists(segments, max_size=4))
 
 
@@ -135,6 +135,16 @@ def test_field_indexed_access():
     s = cart_state(n_products=1, products=[(40, True), (70, False)])
     c = clause("Cart.products.[Cart.nProducts].taxFree == false")
     assert eval_clause(c, s) == "T"  # index 1 -> second product
+
+
+def test_a_bool_index_is_unknown():
+    # True would index element 1: like an int/bool comparison, it is U.
+    s = ConcreteState(
+        {"a": ConcreteObject("A", {"f": True, "xs": ["x0", "x1"]}),
+         "x0": ConcreteObject("X", {"v": 5}), "x1": ConcreteObject("X", {"v": 5})},
+        {"A": "a"})
+    assert eval_clause(clause("A.xs.[A.f].v > 0"), s) == "U"
+    assert eval_clause(clause("A.xs.[1].v > 0"), s) == "T"
 
 
 def test_missing_field_is_unknown():

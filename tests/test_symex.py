@@ -1,12 +1,15 @@
+import importlib
 import itertools
+import pkgutil
 from types import SimpleNamespace
 
 import pytest
 
-from burstmine import symex
+import burstmine
+from burstmine import ir, symex
 from burstmine.cli import main
-from burstmine.functions import (Clause, FieldTerm, IntTerm, ParamTerm,
-                                 dump_af_list, load_af_list, parse_term)
+from burstmine.functions import (Clause, IntTerm, Path, dump_af_list,
+                                 load_af_list, parse_term)
 from burstmine.ir import parse_program
 from burstmine.states import ConcreteObject, ConcreteState, eval_function
 from burstmine.symex import (SymexBounds, SymexError,
@@ -125,7 +128,7 @@ def test_extracted_functions_are_parameter_free(cart_afs):
 
 def test_strip_drops_parameter_clauses():
     pc = PathCondition(
-        (Clause(ParamTerm("p"), "!=", parse_term("null")),
+        (Clause(Path("p", (), "param"), "!=", parse_term("null")),
          Clause(parse_term("Cart.nProducts"), "==", IntTerm(0))),
         ("Cart", "addItem", "P0"))
     af = strip_parameter_clauses(pc)
@@ -138,8 +141,8 @@ def test_strip_drops_parameter_clauses():
 
 def test_strip_all_parameters_yields_none():
     pc = PathCondition(
-        (Clause(ParamTerm("p"), "!=", parse_term("null")),
-         Clause(ParamTerm("p", (("field", "value"),)), ">", IntTerm(0))),
+        (Clause(Path("p", (), "param"), "!=", parse_term("null")),
+         Clause(Path("p", (("field", "value"),), "param"), ">", IntTerm(0))),
         ("Cart", "addItem", "P0"))
     assert strip_parameter_clauses(pc) is None
 
@@ -495,7 +498,7 @@ def test_a_parameter_hides_a_class_of_its_name():
     and stripping drops it."""
     p = parse_program(PARAMETER_NAMED_AS_A_CLASS)
     paths, _ = symbolic_execute(p.classes[0].methods[0], p)
-    assert paths[0].clauses[0] == Clause(ParamTerm("B"), ">", IntTerm(0))
+    assert paths[0].clauses[0] == Clause(Path("B", (), "param"), ">", IntTerm(0))
     afs, _ = extract_abstraction_functions(p, ("Cart",))
     assert [af.clause_keys() for af in afs] == [("Cart.n > 2",), ("Cart.n <= 2",)]
 
@@ -511,6 +514,30 @@ def test_a_parameters_guard_does_not_decide_a_class_guard_of_its_text():
     class B { field x: int; }
     """)
     paths, _ = symbolic_execute(p.classes[0].methods[0], p)
-    assert [[(type(c.lhs), c.key()) for c in path.clauses] for path in paths] == [
-        [(ParamTerm, a), (FieldTerm, b)]
+    assert [[(c.lhs.binding, c.key()) for c in path.clauses] for path in paths] == [
+        [("param", a), ("class", b)]
         for a in ("B.x > 0", "B.x <= 0") for b in ("B.x > 0", "B.x <= 0")]
+
+
+def test_the_ir_path_is_the_clause_term():
+    """One class in the package has a path's ``root`` and ``segments``:
+    ``functions.Path``, which ``ir`` imports back."""
+    assert ir.Path is Path
+    modules = [importlib.import_module(f"burstmine.{m.name}")
+               for m in pkgutil.iter_modules(burstmine.__path__)]
+    assert {obj for mod in modules for obj in vars(mod).values()
+            if {"root", "segments"} <= set(getattr(obj, "__dataclass_fields__", ()))
+            } == {Path}
+
+
+def test_a_guard_unchanged_by_symex_keeps_the_parsed_path():
+    """No loop variable or call argument changes ``Cart.n``: the clause holds
+    the parser's own path object."""
+    p = parse_program("""
+    class Cart { field n: int;
+      method m() { if (Cart.n > 0) { Cart.n = 1; } }
+    }""")
+    method = p.classes[0].methods[0]
+    parsed = method.body[0].cond.left
+    paths, _ = symbolic_execute(method, p)
+    assert [path.clauses[0].lhs is parsed for path in paths] == [True, True]
