@@ -16,8 +16,17 @@ clause terms of ``functions`` (``ir.Path`` is ``functions.Path``), so
 symbolic execution writes a guard's own paths into its clauses.  One walk
 answers which paths a method mentions: ``_statements`` yields each
 statement, nested ones included, and ``statement_paths`` the paths it
-mentions outside its nested blocks; the validator and the dependency graph
-use both, and symbolic execution the latter.
+mentions outside its nested blocks; the dependency graph uses both, and
+symbolic execution the latter.
+
+``BinOp`` is the one binary node, for ``||``, ``&&``, the comparisons and
+arithmetic alike, and ``PRECEDENCE`` the one table of how tightly each
+operator binds: the parser climbs it, and ``BinOp.__str__`` reads it to
+parenthesise an operand only where it binds looser than its place needs, so
+``parse_program(pretty_print(p)) == p``.  The validator walks each
+statement's expressions once, in source order, checking each path and
+typing what would otherwise make a probe unknown on every state: a path
+read as a condition, a comparison with a path operand, a call argument.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Union
 
-from .functions import BoolTerm, IntTerm, NullTerm, Path
+from .functions import COMPARE_OPS, BoolTerm, IntTerm, NullTerm, Path
 
 
 class IrError(Exception):
@@ -78,24 +87,33 @@ class FieldType:
         return f"{self.name}[]" if self.is_array else self.name
 
 
+# How tightly each binary operator binds, loosest first; ``!`` binds between
+# ``&&`` and the comparisons.  Every operator is left-associative, and
+# comparisons do not chain.  The parser and the printer both read this table.
+PRECEDENCE = {"||": 1, "&&": 2, **dict.fromkeys(COMPARE_OPS, 4),
+              "+": 5, "-": 5, "*": 6, "/": 6}
+NOT_PRECEDENCE = 3
+_ATOM_PRECEDENCE = 7
+
+
+def _operand(e: "Expr", floor: int) -> str:
+    """``e`` as an operand in a place that needs it to bind at ``floor`` or
+    tighter: in parentheses when it binds looser."""
+    prec = (PRECEDENCE[e.op] if isinstance(e, BinOp) else
+            NOT_PRECEDENCE if isinstance(e, Not) else _ATOM_PRECEDENCE)
+    return f"({e})" if prec < floor else str(e)
+
+
 @dataclass(frozen=True)
 class BinOp:
-    op: str  # + - * /
+    op: str  # a key of PRECEDENCE
     left: "Expr"
     right: "Expr"
 
     def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
-
-
-@dataclass(frozen=True)
-class Cmp:
-    op: str  # == != < <= > >=
-    left: "Expr"
-    right: "Expr"
-
-    def __str__(self) -> str:
-        return f"{self.left} {self.op} {self.right}"
+        prec = PRECEDENCE[self.op]
+        left = _operand(self.left, prec + (self.op in COMPARE_OPS))
+        return f"{left} {self.op} {_operand(self.right, prec + 1)}"
 
 
 @dataclass(frozen=True)
@@ -106,25 +124,7 @@ class Not:
         return f"!({self.operand})"
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Expr"
-    right: "Expr"
-
-    def __str__(self) -> str:
-        return f"{self.left} && {self.right}"
-
-
-@dataclass(frozen=True)
-class Or:
-    left: "Expr"
-    right: "Expr"
-
-    def __str__(self) -> str:
-        return f"{self.left} || {self.right}"
-
-
-Expr = Union[IntTerm, BoolTerm, NullTerm, Path, BinOp, Cmp, Not, And, Or]
+Expr = Union[IntTerm, BoolTerm, NullTerm, Path, BinOp, Not]
 
 
 @dataclass(frozen=True)
@@ -457,49 +457,21 @@ class _Parser:
             return int(tok.text)
         return self.path()
 
-    def expr(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        left = self.and_expr()
-        while self.at("||"):
+    def expr(self, floor: int = 1) -> Expr:
+        """The expression here whose operators bind at ``floor`` or tighter,
+        by precedence climbing over ``PRECEDENCE``.  After a comparison or a
+        ``!`` only a looser operator may follow, so comparisons do not chain."""
+        ceiling = _ATOM_PRECEDENCE
+        if self.at("!") and floor <= NOT_PRECEDENCE:
             self.next()
-            left = Or(left, self.and_expr())
-        return left
-
-    def and_expr(self) -> Expr:
-        left = self.not_expr()
-        while self.at("&&"):
-            self.next()
-            left = And(left, self.not_expr())
-        return left
-
-    def not_expr(self) -> Expr:
-        if self.at("!"):
-            self.next()
-            return Not(self.not_expr())
-        return self.comparison()
-
-    def comparison(self) -> Expr:
-        left = self.sum()
-        tok = self.peek()
-        if tok.text in ("==", "!=", "<=", ">=", "<", ">"):
-            self.next()
-            return Cmp(tok.text, left, self.sum())
-        return left
-
-    def sum(self) -> Expr:
-        left = self.term()
-        while self.peek().text in ("+", "-"):
+            left, ceiling = Not(self.expr(NOT_PRECEDENCE)), NOT_PRECEDENCE
+        else:
+            left = self.atom()
+        while floor <= (prec := PRECEDENCE.get(self.peek().text, 0)) < ceiling:
             op = self.next().text
-            left = BinOp(op, left, self.term())
-        return left
-
-    def term(self) -> Expr:
-        left = self.atom()
-        while self.peek().text in ("*", "/"):
-            op = self.next().text
-            left = BinOp(op, left, self.atom())
+            left = BinOp(op, left, self.expr(prec + 1))
+            if op in COMPARE_OPS:
+                ceiling = prec
         return left
 
     def atom(self) -> Expr:
@@ -534,7 +506,7 @@ class _Parser:
 def iter_exprs(e: Expr) -> Iterator[Expr]:
     """``e`` and every sub-expression, pre-order."""
     yield e
-    if isinstance(e, (And, Or, Cmp, BinOp)):
+    if isinstance(e, BinOp):
         yield from iter_exprs(e.left)
         yield from iter_exprs(e.right)
     elif isinstance(e, Not):
@@ -575,6 +547,11 @@ def _class_roots(path: Path) -> Iterator[str]:
     for kind, payload in path.segments:
         if kind == "index" and isinstance(payload, Path):
             yield from _class_roots(payload)
+
+
+# The type of each literal; ``null`` is a keyword, so no class is named so.
+_INT, _BOOL, _NULL = FieldType("int"), FieldType("bool"), FieldType("null")
+_LITERAL_TYPES = {IntTerm: _INT, BoolTerm: _BOOL, NullTerm: _NULL}
 
 
 class _Validator:
@@ -629,20 +606,68 @@ class _Validator:
             params[p.name] = p.type
         where = f"{cls.name}.{m.name}"
         for s in _statements(m.body):
-            if isinstance(s, Call):
-                callee = next((mm for mm in cls.methods if mm.name == s.name), None)
-                if callee is None:
+            if isinstance(s, Assign):
+                self._check_expr(s.target, params, where)
+                self._check_expr(s.value, params, where)
+            elif isinstance(s, If):
+                self._check_condition(s.cond, params, where)
+            elif isinstance(s, For):
+                if self._check_expr(s.bound, params, where) != _INT:
                     raise UndeclaredTypeError(
-                        f"{where}: call to unknown local method {s.name!r}")
-                if len(s.args) != len(callee.params):
-                    raise ArityError(
-                        f"{where}: call to {s.name!r} passes {len(s.args)} "
-                        f"argument(s); it takes {len(callee.params)}")
-            for path in statement_paths(s):
-                if (self._check_path(path, params, where) != FieldType("int")
-                        and isinstance(s, For)):
-                    raise UndeclaredTypeError(
-                        f"{where}: loop bound {path} is not an integer")
+                        f"{where}: loop bound {s.bound} is not an integer")
+            elif isinstance(s, Call):
+                self._check_call(s, cls, params, where)
+
+    def _check_call(self, s: Call, cls: ClassDef, params: dict[str, FieldType],
+                    where: str) -> None:
+        """A call names a method of ``cls`` and passes one argument of each
+        parameter's type (``null`` may fill a class-typed one)."""
+        callee = next((mm for mm in cls.methods if mm.name == s.name), None)
+        if callee is None:
+            raise UndeclaredTypeError(f"{where}: call to unknown local method {s.name!r}")
+        if len(s.args) != len(callee.params):
+            raise ArityError(
+                f"{where}: call to {s.name!r} passes {len(s.args)} "
+                f"argument(s); it takes {len(callee.params)}")
+        for p, arg in zip(callee.params, s.args):
+            t = self._check_expr(arg, params, where)
+            if t not in (None, p.type) and not (t == _NULL and not p.type.is_scalar):
+                raise UndeclaredTypeError(
+                    f"{where}: call to {s.name!r} passes {arg}: {t} for {p.name}: {p.type}")
+
+    def _check_expr(self, e: Expr, params: dict[str, FieldType],
+                    where: str) -> FieldType | None:
+        """Check ``e``'s paths in source order, and what in ``e`` would make a
+        probe unknown on every state: a path read as a condition that is not
+        a bool, and a comparison with a path operand that orders anything
+        but two ints or sets an int against a bool.  Returns the type of a
+        path or a literal; a compound expression is not typed (None)."""
+        if isinstance(e, Path):
+            return self._check_path(e, params, where)
+        if isinstance(e, Not):
+            self._check_condition(e.operand, params, where)
+            return None
+        if not isinstance(e, BinOp):
+            return _LITERAL_TYPES[type(e)]
+        if e.op in ("&&", "||"):
+            self._check_condition(e.left, params, where)
+            self._check_condition(e.right, params, where)
+            return None
+        left = self._check_expr(e.left, params, where)
+        right = self._check_expr(e.right, params, where)
+        if (e.op in COMPARE_OPS and None not in (left, right)
+                and (isinstance(e.left, Path) or isinstance(e.right, Path))
+                and ({left, right} == {_INT, _BOOL} if e.op in ("==", "!=")
+                     else left != _INT or right != _INT)):
+            raise UndeclaredTypeError(f"{where}: {e} compares {left} with {right}")
+        return None
+
+    def _check_condition(self, e: Expr, params: dict[str, FieldType],
+                         where: str) -> None:
+        """A path read as a condition (a whole guard, or an operand of ``!``,
+        ``&&`` or ``||``) reads a bool."""
+        if self._check_expr(e, params, where) != _BOOL and isinstance(e, Path):
+            raise UndeclaredTypeError(f"{where}: condition {e} is not a boolean")
 
     def _check_path(self, path: Path, params: dict[str, FieldType],
                     where: str) -> FieldType:
@@ -651,7 +676,7 @@ class _Validator:
         if path.binding == "loop":
             if path.segments:
                 raise UndeclaredTypeError(f"{where}: loop variable {root!r} has no fields")
-            return FieldType("int")
+            return _INT
         if path.binding == "param":
             cur = params[root]
         elif self.program.class_named(root) is not None:
@@ -662,12 +687,12 @@ class _Validator:
             if kind == "length":
                 if not cur.is_array:
                     raise UndeclaredTypeError(f"{where}: .length on non-array in {path}")
-                cur = FieldType("int")
+                cur = _INT
             elif kind == "index":
                 if not cur.is_array:
                     raise UndeclaredTypeError(f"{where}: indexing non-array in {path}")
                 if isinstance(payload, Path) and self._check_path(
-                        payload, params, where) != FieldType("int"):
+                        payload, params, where) != _INT:
                     raise UndeclaredTypeError(
                         f"{where}: index {payload} is not an integer in {path}")
                 cur = FieldType(cur.name)

@@ -66,8 +66,8 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 from . import ir
-from .functions import (AbstractionFunction, BoolTerm, Clause, IntTerm,
-                        NullTerm, PathCondition, Term)
+from .functions import (COMPARE_OPS, AbstractionFunction, BoolTerm, Clause,
+                        IntTerm, NullTerm, PathCondition, Term)
 from .ir import statement_paths
 from .states import ConcreteState, eval_clause
 
@@ -312,7 +312,7 @@ class _Executor:
             found = self._scoped[key] = env, build()
         return found[1]
 
-    def _guard(self, node: "ir.Cmp | ir.Path", env: dict) -> tuple:
+    def _guard(self, node: "ir.BinOp | ir.Path", env: dict) -> tuple:
         """A comparison's (or a boolean path's) element accesses and clause
         pair in ``env``."""
         if isinstance(node, ir.Path):  # a boolean path tests ``path == true``
@@ -401,7 +401,7 @@ class _Executor:
             return
 
         def unroll() -> tuple:
-            return (ir.Cmp(">", head.stmt.bound, IntTerm(head.k)),
+            return (ir.BinOp(">", head.stmt.bound, IntTerm(head.k)),
                     {**head.env, head.stmt.var: head.k})
 
         guard, body_env = self._once((id(head.stmt), id(head.env), head.k), head.env,
@@ -418,23 +418,24 @@ class _Executor:
 
     def _branch(self, cond: ir.Expr, env: dict, path: _PathState,
                 k_true, k_false) -> None:
-        if isinstance(cond, ir.And):
+        op = cond.op if isinstance(cond, ir.BinOp) else None
+        if op == "&&":
             self._branch(cond.left, env, path,
                          lambda p: self._branch(cond.right, env, p, k_true, k_false),
                          k_false)
-        elif isinstance(cond, ir.Or):
+        elif op == "||":
             self._branch(cond.left, env, path, k_true,
                          lambda p: self._branch(cond.right, env, p, k_true, k_false))
         elif isinstance(cond, ir.Not):
             self._branch(cond.operand, env, path, k_false, k_true)
         elif isinstance(cond, BoolTerm):
             (k_true if cond.value else k_false)(path)
-        elif isinstance(cond, (ir.Path, ir.Cmp)):
+        elif op in COMPARE_OPS or isinstance(cond, ir.Path):
             self._atom(cond, env, path, k_true, k_false)
         else:
             raise SymexError(f"unsupported guard expression {cond}")
 
-    def _atom(self, node: "ir.Cmp | ir.Path", env: dict, path: _PathState,
+    def _atom(self, node: "ir.BinOp | ir.Path", env: dict, path: _PathState,
               k_true, k_false) -> None:
         accesses, pos, neg = self._once((id(node), id(env)), env,
                                         lambda: self._guard(node, env))
