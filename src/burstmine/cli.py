@@ -23,21 +23,39 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import importlib.util
 import json
 import os
 import sys
 from pathlib import Path
 
-from . import filtering, metrics, model
 from .collect import (EventTable, SamplerConfig, collect, collect_cbr_bursts,
                       collect_fixed_sampling, dumps_baseline, dumps_bursts,
                       load_runs, loads_bursts)
 from .functions import af_list_hash, dump_af_list, load_af_list
-from .ir import (IrError, build_dependency_graph, detect_relevant_classes,
-                 parse_program)
 from .schema import (INTEGER, LINE_BUFFER, NUMBER, STRING, TARGETS, ListOf,
                      Record, check)
-from .symex import SymexBounds, SymexError, extract_abstraction_functions
+
+
+def _lazy(name: str):
+    """The stage module ``burstmine.<name>``, run at its first attribute
+    access, so a command pays only for the stages it calls.  It is bound
+    here at module level, not imported inside a command, so that a caller
+    that walks this namespace (the benchmark's tracer) still finds it."""
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+    return module
+
+
+filtering, ir, metrics, model, symex = map(
+    _lazy, ("filtering", "ir", "metrics", "model", "symex"))
 
 
 class CliError(Exception):
@@ -73,15 +91,21 @@ def _write(args, *outputs: tuple[str, str]) -> None:
 
 # The input files, each a flag and a config key of the same name.
 _INPUTS = ("program", "traces", "afs", "matrix", "bursts", "fsm")
-CONFIG = Record({}, {
-    **dict.fromkeys(_INPUTS, STRING), "targets": TARGETS,
-    "bounds": Record({}, {f.name: INTEGER if f.type == "int" else NUMBER
-                          for f in dataclasses.fields(SymexBounds)}, closed=True),
-    "sampler": Record({}, {"probability": NUMBER, "rng_seed": INTEGER,
-                           "mode": STRING, "fixed_length": INTEGER}, closed=True),
-    "sweep": Record({}, {"probabilities": ListOf(NUMBER), "n_runs": ListOf(INTEGER),
-                         "seeds": ListOf(INTEGER)}, closed=True),
-})
+
+
+def _config_shape() -> Record:
+    """The config's shape; ``bounds`` holds the fields of ``SymexBounds``."""
+    return Record({}, {
+        **dict.fromkeys(_INPUTS, STRING), "targets": TARGETS,
+        "bounds": Record({}, {f.name: INTEGER if f.type == "int" else NUMBER
+                              for f in dataclasses.fields(symex.SymexBounds)},
+                         closed=True),
+        "sampler": Record({}, {"probability": NUMBER, "rng_seed": INTEGER,
+                               "mode": STRING, "fixed_length": INTEGER}, closed=True),
+        "sweep": Record({}, {"probabilities": ListOf(NUMBER),
+                             "n_runs": ListOf(INTEGER), "seeds": ListOf(INTEGER)},
+                        closed=True),
+    })
 
 
 def _text(path) -> str:
@@ -93,7 +117,7 @@ def _text(path) -> str:
 def _config(path) -> dict:
     if not path:
         return {}
-    return check(json.loads(_text(path)), CONFIG, "config", CliError)
+    return check(json.loads(_text(path)), _config_shape(), "config", CliError)
 
 
 def _setting(args, config: dict, key: str):
@@ -124,19 +148,19 @@ def _section(config: dict, name: str, flags: dict) -> dict:
 
 
 def cmd_extract(args, config: dict) -> int:
-    program = parse_program(_read(args, config, "program"))
+    program = ir.parse_program(_read(args, config, "program"))
     targets = _setting(args, config, "targets")
     if isinstance(targets, str):
         targets = [t for t in targets.split(",") if t]
     if targets is None:
         targets = list(program.class_names)
-    graph = build_dependency_graph(program)
-    relevant = detect_relevant_classes(graph, targets)
-    bounds = SymexBounds(**_section(config, "bounds", {
+    graph = ir.build_dependency_graph(program)
+    relevant = ir.detect_relevant_classes(graph, targets)
+    bounds = symex.SymexBounds(**_section(config, "bounds", {
         "max_branches_per_path": args.max_branches, "max_states": args.max_states,
         "per_method_time_budget": args.time_budget,
         "max_loop_unrollings": args.max_unroll}))
-    afs, report = extract_abstraction_functions(program, relevant, bounds)
+    afs, report = symex.extract_abstraction_functions(program, relevant, bounds)
     if not afs:
         _warn("no abstraction functions extracted (empty or branch-free program)")
     header = report.to_header()
@@ -325,7 +349,7 @@ def main(argv=None) -> int:
     args = _build_parser(argv[:1]).parse_args(argv)
     try:
         return args.func(args, _config(args.config))
-    except (CliError, ValueError, OSError, IrError, SymexError,
+    except (CliError, ValueError, OSError, ir.IrError, symex.SymexError,
             RecursionError) as exc:
         error = "usage" if isinstance(exc, CliError) else type(exc).__name__
         print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)

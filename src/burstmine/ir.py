@@ -640,8 +640,9 @@ class _Validator:
         """Check ``e``'s paths in source order, and what in ``e`` would make a
         probe unknown on every state: a path read as a condition that is not
         a bool, and a comparison with a path operand that orders anything
-        but two ints or sets an int against a bool.  Returns the type of a
-        path or a literal; a compound expression is not typed (None)."""
+        but two ints or sets an int or a bool against another type (a bool,
+        an int, ``null`` or an object ref).  Returns the type of a path or a
+        literal; a compound expression is not typed (None)."""
         if isinstance(e, Path):
             return self._check_path(e, params, where)
         if isinstance(e, Not):
@@ -657,8 +658,8 @@ class _Validator:
         right = self._check_expr(e.right, params, where)
         if (e.op in COMPARE_OPS and None not in (left, right)
                 and (isinstance(e.left, Path) or isinstance(e.right, Path))
-                and ({left, right} == {_INT, _BOOL} if e.op in ("==", "!=")
-                     else left != _INT or right != _INT)):
+                and (left != right and (left.is_scalar or right.is_scalar)
+                     if e.op in ("==", "!=") else left != _INT or right != _INT)):
             raise UndeclaredTypeError(f"{where}: {e} compares {left} with {right}")
         return None
 

@@ -82,6 +82,45 @@ def test_importing_the_cli_loads_no_third_party_module():
             {*sys.stdlib_module_names, "burstmine"}] == []
 
 
+# A stage module the CLI binds lazily has run once its class is the plain
+# module type; reading that does not load it.
+_STARTUP_PROBE = """
+import json, sys, types
+import burstmine.cli as cli
+STAGES = ("filtering", "ir", "metrics", "model", "symex")
+def ran():
+    return [s for s in STAGES if type(sys.modules.get(f"burstmine.{s}"))
+            is types.ModuleType]
+seen = {"import": ran(), "statistics": "statistics" in sys.modules}
+for argv in sys.argv[1:]:
+    argv = json.loads(argv)
+    assert cli.main(argv) == 0, argv
+    seen[argv[0]] = ran()
+print(json.dumps(seen))
+"""
+
+
+def test_a_command_runs_only_the_stage_modules_it_calls(workdir):
+    """Importing the CLI runs no stage module beyond trace and AF-list
+    reading; ``synthesize`` then runs ``model`` alone, and ``extract`` runs
+    ``ir`` and ``symex``."""
+    bursts = workdir / "bursts.jsonl"
+    assert run_cli("collect", "--traces", workdir / "checkout.jsonl", "--afs",
+                   workdir / "checkout_afs.json", "--out", bursts) == 0
+    commands = [["synthesize", "--bursts", str(bursts), "--out-dir", str(workdir)],
+                ["extract", "--program", str(workdir / "cart.mir"),
+                 "--out-dir", str(workdir)]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE,
+                           *map(json.dumps, commands)],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          timeout=60, check=True)
+    assert json.loads(proc.stdout) == {
+        "import": [], "statistics": False, "synthesize": ["model"],
+        "extract": ["ir", "model", "symex"]}
+
+
 # Every option of every command, each set.
 EVERY_OPTION = {
     "extract": ["--program", "p", "--out", "o", "--targets", "A,B",

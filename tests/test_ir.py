@@ -182,6 +182,18 @@ B = "class B { field v: int; field bs: B[]; } "
     pytest.param("class A { field n: int; method m() { if (A.n == true) "
                  "{ A.n = 2; } } }", UndeclaredTypeError,
                  "A.m: A.n == true compares int with bool", id="int-equals-bool"),
+    pytest.param("class A { field n: int; method m() { if (A.n == null) "
+                 "{ A.n = 1; } } }", UndeclaredTypeError,
+                 "A.m: A.n == null compares int with null", id="int-equals-null"),
+    pytest.param("class A { field f: bool; method m() { if (null != A.f) "
+                 "{ return; } } }", UndeclaredTypeError,
+                 "A.m: null != A.f compares null with bool", id="null-unequal-bool"),
+    pytest.param("class A { field n: int; field a: A; method m() { if (A.a != 3) "
+                 "{ A.n = 2; } } }", UndeclaredTypeError,
+                 "A.m: A.a != 3 compares A with int", id="ref-unequal-int"),
+    pytest.param(B + "class A { field f: bool; field bs: B[]; method m() { "
+                 "if (A.f == A.bs) { return; } } }", UndeclaredTypeError,
+                 "A.m: A.f == A.bs compares bool with B[]", id="bool-equals-array"),
     pytest.param("class A { field n: int; method m() { if (A.n) { A.n = 2; } } }",
                  UndeclaredTypeError, "A.m: condition A.n is not a boolean",
                  id="int-guard"),
