@@ -15,7 +15,8 @@ Subcommands mirror the pipeline stages::
 Commands are pure functions of their inputs and flags (collect's --seed
 among them): re-running with the same inputs and flags produces
 byte-identical outputs.  Failures print a one-line JSON diagnostic on stderr
-and exit nonzero.
+and exit nonzero.  Every stage error is a ``ValueError``, so reporting one
+runs no stage module; only ``extract`` and ``--config`` run ``ir``.
 """
 
 from __future__ import annotations
@@ -349,8 +350,7 @@ def main(argv=None) -> int:
     args = _build_parser(argv[:1]).parse_args(argv)
     try:
         return args.func(args, _config(args.config))
-    except (CliError, ValueError, OSError, ir.IrError, symex.SymexError,
-            RecursionError) as exc:
+    except (CliError, ValueError, OSError, RecursionError) as exc:
         error = "usage" if isinstance(exc, CliError) else type(exc).__name__
         print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
         return 2

@@ -6,12 +6,12 @@ parameter-free conjunction of clauses produced by stripping a symbolic
 path condition; evaluated against a concrete state it yields a ternary
 true / false / unknown.
 
-The IR shares this vocabulary: its parser builds literals as ``IntTerm`` /
+The term grammar lives here too, beside the ``__str__``s that write it:
+``_TermParser`` holds the tokens and the ``path``, ``index`` and ``atom``
+productions, and ``parse_term`` reads a term with it, binding a root by its
+case.  The IR's parser extends it, building literals as ``IntTerm`` /
 ``BoolTerm`` / ``NullTerm`` and paths as ``Path``, the one path type from the
-parser to a probe, whose ``binding`` tells a class path from a parameter
-path; symbolic execution writes the parser's paths into its clauses, and
-``parse_term`` reads term text with the IR's own ``atom`` grammar, re-binding
-a path by its root's case.
+parser to a probe, whose ``binding`` tells a class path from a parameter path.
 
 This module owns the wire format for abstraction-function lists (a JSON
 document with a header recording extraction bounds and truncation flags),
@@ -33,8 +33,9 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import re
 from dataclasses import InitVar, dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .schema import (ANY, BOOL, LIST, STRING, JsonText, ListOf, MapOf, Record,
                      check)
@@ -73,8 +74,8 @@ class Path:
 
     Segments are ``("field", name)``, ``("index", int | Path)`` or
     ``("length", None)``.  ``binding`` is what the root names, as the parser
-    found it in scope: ``"class"`` (every path ``ir.parse_atom`` reads),
-    ``"param"`` or ``"loop"``; a clause holds class and parameter paths only.
+    found it: ``"class"``, ``"param"`` or ``"loop"``; a clause holds class
+    and parameter paths only.
     """
 
     root: str
@@ -100,28 +101,143 @@ class Path:
 Term = Union[IntTerm, BoolTerm, NullTerm, Path]
 
 
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<skip>\s+|\#[^\n]*)
+  | (?P<int>\d+)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<op>\.\.|==|!=|<=|>=|&&|\|\||\[\]|[{}()\[\];:,.=<>!+\-*/])
+  | (?P<bad>.)
+    """,
+    re.VERBOSE | re.ASCII,
+)
+
+KEYWORDS = {"class", "const", "field", "method", "if", "else", "for", "in",
+            "return", "call", "true", "false", "null", "length"}
+
+
+class Token(NamedTuple):
+    kind: str  # "int" | "ident" | "op" | "eof"
+    text: str
+    pos: int  # offset in the source
+
+
+class _TermParser:
+    """Recursive descent over the grammar's tokens and its ``path``, ``index``
+    and literal-or-path ``atom``, reading a term as ``str(term)`` writes it
+    and binding a root by its case (``binding``).  The IR's parser extends
+    it, binding by scope and adding ``( expr )``: one path grammar."""
+
+    def __init__(self, source: str) -> None:
+        self.source = source
+        self.tokens = self._tokenize()
+        self.pos = 0
+
+    def syntax_error(self, message: str, line: int, col: int) -> ValueError:
+        return ValueError(f"{line}:{col}: {message}")
+
+    def error_at(self, pos: int, message: str) -> ValueError:
+        """The error at offset ``pos``, its line and column counted from 1."""
+        return self.syntax_error(message, self.source.count("\n", 0, pos) + 1,
+                                 pos - self.source.rfind("\n", 0, pos))
+
+    def _tokenize(self) -> list[Token]:
+        tokens: list[Token] = []
+        for m in _TOKEN_RE.finditer(self.source):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise self.error_at(m.start(), f"unexpected character {m[0]!r}")
+            if kind != "skip":
+                tokens.append(Token(kind, m[0], m.start()))
+        tokens.append(Token("eof", "", len(self.source)))
+        return tokens
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def next(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def error(self, message: str) -> ValueError:
+        tok = self.peek()
+        return self.error_at(tok.pos, f"{message} (got {tok.text!r})")
+
+    def expect(self, text: str) -> Token:
+        if not self.at(text):
+            raise self.error(f"expected {text!r}")
+        return self.next()
+
+    def expect_ident(self) -> str:
+        tok = self.peek()
+        if tok.kind != "ident" or tok.text in KEYWORDS:
+            raise self.error("expected identifier")
+        return self.next().text
+
+    def at(self, text: str) -> bool:
+        return self.peek().text == text
+
+    def binding(self, root: str) -> str:
+        return "class" if root[:1].isupper() else "param"
+
+    def path(self) -> Path:
+        root = self.expect_ident()
+        segments: list[tuple[str, object]] = []
+        while self.at("."):
+            self.next()
+            tok = self.peek()
+            if tok.text == "length":
+                self.next()
+                segments.append(("length", None))
+            elif tok.text == "[":
+                self.next()
+                segments.append(("index", self.index()))
+                self.expect("]")
+            elif tok.kind == "ident":
+                self.next()
+                segments.append(("field", tok.text))
+            else:
+                raise self.error("expected field, index, or length")
+        return Path(root, tuple(segments), self.binding(root))
+
+    def index(self) -> "int | Path":
+        tok = self.peek()
+        if tok.kind == "int":
+            self.next()
+            return int(tok.text)
+        return self.path()
+
+    def atom(self) -> Term:
+        tok = self.peek()
+        if tok.kind == "int":
+            self.next()
+            return IntTerm(int(tok.text))
+        if tok.text in ("true", "false"):
+            self.next()
+            return BoolTerm(tok.text == "true")
+        if tok.text == "null":
+            self.next()
+            return NullTerm()
+        if tok.kind == "ident":
+            return self.path()
+        raise self.error("expected expression")
+
+
 @functools.lru_cache(maxsize=4096)
 def parse_term(text: str) -> Term:
     """Inverse of ``str(term)`` (used by the AF JSON reader): one literal or
-    path in the IR's ``atom`` syntax.  Text that would not print back as
-    itself (``007``, whitespace, comments) is rejected."""
-    from . import ir  # not at load time: ir imports this module's terms
+    path, read by ``_TermParser.atom``.  Text that would not print back as
+    itself (``007``, whitespace, comments, anything after the term) is
+    rejected.  The cache is process-wide: a term read once is shared by
+    every later load."""
     try:
-        atom = ir.parse_atom(text)
-    except (ir.IrError, ValueError):
+        term = _TermParser(text).atom()
+        if str(term) != text:
+            raise ValueError
+    except ValueError:
         raise ValueError(f"malformed term {text!r}") from None
-    term = _path_term(atom) if isinstance(atom, Path) else atom
-    if str(term) != text:
-        raise ValueError(f"malformed term {text!r}")
     return term
-
-
-def _path_term(path: Path) -> Path:
-    """``path`` re-bound as a term, its index paths too: a capitalised root
-    names a class, any other a parameter."""
-    segments = tuple((kind, _path_term(p) if isinstance(p, Path) else p)
-                     for kind, p in path.segments)
-    return Path(path.root, segments, "class" if path.root[:1].isupper() else "param")
 
 
 @dataclass(frozen=True)

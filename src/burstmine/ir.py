@@ -7,13 +7,14 @@ It is just expressive enough to encode the kind of state-dependent branching
 logic that drives abstraction-function extraction.
 
 The normative grammar ships with the package as ``data/grammar.ebnf``.
-A token carries its offset in the source; an ``IrSyntaxError`` computes its
-line and column from that offset when it is raised.  The parser binds each
-path root to a loop variable (in its body, not in its bound), else a
-parameter, else a class; ``Path.binding`` keeps the answer for the validator,
-the dependency graph and symbolic execution.  Literals and paths are the
-clause terms of ``functions`` (``ir.Path`` is ``functions.Path``), so
-symbolic execution writes a guard's own paths into its clauses.  One walk
+The parser extends ``functions._TermParser``, which owns its tokens and
+terms; an ``IrSyntaxError`` names the line and column of a token's offset.
+The parser binds each path root to a loop variable (in its body, not in its
+bound), else a parameter, else a class; ``Path.binding`` keeps the answer
+for the validator, the dependency graph and symbolic execution.  Literals
+and paths are the clause terms of ``functions`` (``ir.Path`` is
+``functions.Path``), so symbolic execution writes a guard's own paths into
+its clauses.  One walk
 answers which paths a method mentions: ``_statements`` yields each
 statement, nested ones included, and ``statement_paths`` the paths it
 mentions outside its nested blocks; the dependency graph uses both, and
@@ -31,14 +32,13 @@ read as a condition, a comparison with a path operand, a call argument.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import Iterator, Union
 
-from .functions import COMPARE_OPS, BoolTerm, IntTerm, NullTerm, Path
+from .functions import COMPARE_OPS, BoolTerm, IntTerm, NullTerm, Path, _TermParser
 
 
-class IrError(Exception):
+class IrError(ValueError):
     """Base class for IR parse/validation failures."""
 
 
@@ -219,86 +219,21 @@ class Program:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<skip>\s+|\#[^\n]*)
-  | (?P<int>\d+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<op>\.\.|==|!=|<=|>=|&&|\|\||\[\]|[{}()\[\];:,.=<>!+\-*/])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.ASCII,
-)
-
-KEYWORDS = {"class", "const", "field", "method", "if", "else", "for", "in",
-            "return", "call", "true", "false", "null", "length"}
-
-
-class Token(NamedTuple):
-    kind: str  # "int" | "ident" | "op" | "eof"
-    text: str
-    pos: int  # offset in the source
-
-
-def _syntax_error(source: str, pos: int, message: str) -> IrSyntaxError:
-    """The error at offset ``pos``, its line and column counted from 1."""
-    return IrSyntaxError(message, source.count("\n", 0, pos) + 1,
-                         pos - source.rfind("\n", 0, pos))
-
-
-def _tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    for m in _TOKEN_RE.finditer(source):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise _syntax_error(source, m.start(), f"unexpected character {m[0]!r}")
-        if kind != "skip":
-            tokens.append(Token(kind, m[0], m.start()))
-    tokens.append(Token("eof", "", len(source)))
-    return tokens
-
-
-# ---------------------------------------------------------------------------
 # Parser (recursive descent)
 # ---------------------------------------------------------------------------
 
 
-class _Parser:
+class _Parser(_TermParser):
+    """The term parser, binding a root by scope; an atom may be ``( expr )``."""
+
+    syntax_error = IrSyntaxError  # built from (message, line, col)
+
     def __init__(self, source: str) -> None:
-        self.source = source
-        self.tokens = _tokenize(source)
-        self.pos = 0
+        super().__init__(source)
         self.scope: dict[str, str] = {}  # root name -> binding, in this method
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def error(self, message: str) -> IrSyntaxError:
-        tok = self.peek()
-        return _syntax_error(self.source, tok.pos, f"{message} (got {tok.text!r})")
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise self.error(f"expected {text!r}")
-        return self.next()
-
-    def expect_ident(self) -> str:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text in KEYWORDS:
-            raise self.error("expected identifier")
-        return self.next().text
-
-    def at(self, text: str) -> bool:
-        return self.peek().text == text
+    def binding(self, root: str) -> str:
+        return self.scope.get(root, "class")
 
     # -- grammar productions ------------------------------------------------
 
@@ -430,33 +365,6 @@ class _Parser:
         self.expect(";")
         return Assign(target, value)
 
-    def path(self) -> Path:
-        root = self.expect_ident()
-        segments: list[tuple[str, object]] = []
-        while self.at("."):
-            self.next()
-            tok = self.peek()
-            if tok.text == "length":
-                self.next()
-                segments.append(("length", None))
-            elif tok.text == "[":
-                self.next()
-                segments.append(("index", self.index()))
-                self.expect("]")
-            elif tok.kind == "ident":
-                self.next()
-                segments.append(("field", tok.text))
-            else:
-                raise self.error("expected field, index, or length")
-        return Path(root, tuple(segments), self.scope.get(root, "class"))
-
-    def index(self) -> "int | Path":
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return int(tok.text)
-        return self.path()
-
     def expr(self, floor: int = 1) -> Expr:
         """The expression here whose operators bind at ``floor`` or tighter,
         by precedence climbing over ``PRECEDENCE``.  After a comparison or a
@@ -475,27 +383,12 @@ class _Parser:
         return left
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.next()
-            return IntTerm(int(tok.text))
-        if tok.text == "true":
-            self.next()
-            return BoolTerm(True)
-        if tok.text == "false":
-            self.next()
-            return BoolTerm(False)
-        if tok.text == "null":
-            self.next()
-            return NullTerm()
-        if tok.text == "(":
+        if self.at("("):
             self.next()
             inner = self.expr()
             self.expect(")")
             return inner
-        if tok.kind == "ident":
-            return self.path()
-        raise self.error("expected expression")
+        return super().atom()
 
 
 # ---------------------------------------------------------------------------
@@ -726,18 +619,6 @@ def parse_program(source: str) -> Program:
     program = _Parser(source).program()
     _Validator(program).run()
     return program
-
-
-def parse_atom(text: str) -> "IntTerm | BoolTerm | NullTerm | Path":
-    """One literal or path filling ``text``, read by the grammar's ``atom``;
-    raises :class:`IrSyntaxError` on anything else."""
-    parser = _Parser(text)
-    if parser.at("("):
-        raise parser.error("expected literal or path")
-    atom = parser.atom()
-    if not parser.at(""):
-        raise parser.error("expected end of term")
-    return atom
 
 
 def pretty_print(program: Program) -> str:

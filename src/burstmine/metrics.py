@@ -270,6 +270,8 @@ def run_sweep(runs: list[Run], afs: list[AbstractionFunction],
         raise ValueError("probability axis must be strictly increasing")
     if list(n_runs_list) != sorted(set(n_runs_list)):
         raise ValueError("run-count axis must be strictly increasing")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seed axis must not repeat a seed")
     if any(not 0 <= n <= len(runs) for n in n_runs_list):
         raise ValueError(f"run-count axis must lie in [0, {len(runs)}], the runs given")
     result = SweepResult(probabilities, n_runs_list, seeds)

@@ -72,7 +72,7 @@ from .ir import statement_paths
 from .states import ConcreteState, eval_clause
 
 
-class SymexError(Exception):
+class SymexError(ValueError):
     pass
 
 

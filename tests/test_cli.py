@@ -92,33 +92,50 @@ def ran():
     return [s for s in STAGES if type(sys.modules.get(f"burstmine.{s}"))
             is types.ModuleType]
 seen = {"import": ran(), "statistics": "statistics" in sys.modules}
-for argv in sys.argv[1:]:
-    argv = json.loads(argv)
-    assert cli.main(argv) == 0, argv
-    seen[argv[0]] = ran()
+for command in sys.argv[1:]:
+    name, code, argv = json.loads(command)
+    assert cli.main(argv) == code, argv
+    seen[name] = ran()
 print(json.dumps(seen))
 """
 
 
 def test_a_command_runs_only_the_stage_modules_it_calls(workdir):
     """Importing the CLI runs no stage module beyond trace and AF-list
-    reading; ``synthesize`` then runs ``model`` alone, and ``extract`` runs
-    ``ir`` and ``symex``."""
-    bursts = workdir / "bursts.jsonl"
-    assert run_cli("collect", "--traces", workdir / "checkout.jsonl", "--afs",
-                   workdir / "checkout_afs.json", "--out", bursts) == 0
-    commands = [["synthesize", "--bursts", str(bursts), "--out-dir", str(workdir)],
-                ["extract", "--program", str(workdir / "cart.mir"),
-                 "--out-dir", str(workdir)]]
+    reading.  The commands then run in one process, in order, so each entry
+    lists the stage modules run so far: no command before ``extract``, an
+    error exit among them, runs ``ir`` or ``symex``, and ``extract`` runs
+    both."""
+    traces, afs = str(workdir / "checkout.jsonl"), str(workdir / "checkout_afs.json")
+    out = ["--out-dir", str(workdir)]
+    commands = [
+        ("profile", 0, ["profile", "--traces", traces, "--afs", afs, *out]),
+        ("filter", 0, ["filter", "--matrix", str(workdir / "matrix.csv"),
+                       "--afs", afs, *out]),
+        ("collect", 0, ["collect", "--mode", "cbr", "--traces", traces,
+                        "--afs", afs, *out]),
+        ("synthesize", 0, ["synthesize", "--bursts", str(workdir / "bursts.jsonl"),
+                           *out]),
+        ("evaluate", 0, ["evaluate", "--fsm", str(workdir / "fsm.json"),
+                         "--traces", traces, "--afs", afs, *out]),
+        ("sweep", 0, ["sweep", "--traces", traces, "--afs", afs,
+                      "--probabilities", "0.5", "--run-counts", "1",
+                      "--sweep-seeds", "0", *out]),
+        ("missing input", 2, ["synthesize", *out]),
+        ("extract", 0, ["extract", "--program", str(workdir / "cart.mir"), *out])]
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE,
                            *map(json.dumps, commands)],
                           capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(src)),
                           timeout=60, check=True)
+    scoring = ["filtering", "metrics", "model"]
     assert json.loads(proc.stdout) == {
-        "import": [], "statistics": False, "synthesize": ["model"],
-        "extract": ["ir", "model", "symex"]}
+        "import": [], "statistics": False, "profile": ["filtering"],
+        "filter": ["filtering"], "collect": ["filtering"],
+        "synthesize": ["filtering", "model"], "evaluate": scoring,
+        "sweep": scoring, "missing input": scoring,
+        "extract": ["filtering", "ir", "metrics", "model", "symex"]}
 
 
 # Every option of every command, each set.
@@ -1144,6 +1161,15 @@ def test_negative_sweep_run_count_exits_2(workdir, capsys):
                  "--run-counts=-2,1", "--sweep-seeds", "0",
                  "--out", workdir / "sweep.csv")
     assert_one_line_diagnostic(rc, capsys.readouterr().err, "ValueError")
+
+
+def test_a_repeated_sweep_seed_exits_2(workdir, capsys):
+    out = workdir / "sweep.csv"
+    rc = run_cli("sweep", "--traces", workdir / "editor.jsonl",
+                 "--afs", workdir / "editor_afs.json", "--probabilities", "0.5",
+                 "--run-counts", "1", "--sweep-seeds", "0,0", "--out", out)
+    assert_one_line_diagnostic(rc, capsys.readouterr().err, "ValueError")
+    assert not out.exists()
 
 
 def _deep_inputs(directory: Path) -> dict:

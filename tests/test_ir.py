@@ -8,8 +8,8 @@ from burstmine import ir
 from burstmine.ir import (ArityError, DependencyGraph, DuplicateNameError,
                           IrError, IrSyntaxError, UndeclaredTypeError,
                           UnknownTargetError, build_dependency_graph,
-                          detect_relevant_classes, parse_atom, parse_program,
-                          pretty_print)
+                          detect_relevant_classes, parse_program, pretty_print)
+from burstmine.functions import parse_term
 
 from conftest import cart_source
 from perfbench.inputs import editor_program
@@ -231,9 +231,8 @@ def test_null_fills_a_class_typed_parameter_and_literal_guards_stay_untyped():
 
 
 def test_a_clause_term_is_one_atom_without_parentheses():
-    with pytest.raises(IrSyntaxError) as exc:
-        parse_atom("(A.n)")
-    assert str(exc.value) == "1:1: expected literal or path (got '(')"
+    with pytest.raises(ValueError, match=re.escape("malformed term '(A.n)'")):
+        parse_term("(A.n)")
 
 
 def test_a_class_named_only_in_a_call_argument_is_a_dependency():
@@ -553,18 +552,17 @@ def laid_out_sources(draw):
 @given(laid_out_sources())
 def test_a_syntax_error_names_the_line_and_column_its_token_starts_at(source):
     tokens, unexpected = _reference_tokens(source)
-    for parse in (parse_program, parse_atom):
-        error, index = _raised_error(parse, source)
-        if unexpected is not None:
-            line, col, message = unexpected
-            assert error is not None and index is None
-            assert (error.line, error.col, str(error)) == (
-                line, col, f"{line}:{col}: {message}")
-        elif error is not None:
-            text, line, col = tokens[index]
-            assert (error.line, error.col) == (line, col)
-            assert str(error).startswith(f"{line}:{col}: ")
-            assert str(error).endswith(f" (got {text!r})")
+    error, index = _raised_error(parse_program, source)
+    if unexpected is not None:
+        line, col, message = unexpected
+        assert error is not None and index is None
+        assert (error.line, error.col, str(error)) == (
+            line, col, f"{line}:{col}: {message}")
+    elif error is not None:
+        text, line, col = tokens[index]
+        assert (error.line, error.col) == (line, col)
+        assert str(error).startswith(f"{line}:{col}: ")
+        assert str(error).endswith(f" (got {text!r})")
 
 
 # --- the statement walk -------------------------------------------------------------
@@ -735,5 +733,5 @@ def test_each_path_root_binds_to_the_innermost_name_in_scope():
 
 
 def test_a_path_read_alone_names_a_class():
-    path = parse_atom("B.xs.[C.n].v")
+    path = parse_term("B.xs.[C.n].v")
     assert (path.binding, path.segments[1][1].binding) == ("class", "class")

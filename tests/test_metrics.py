@@ -249,6 +249,10 @@ def test_sweep_axis_validation():
         run_sweep(runs, afs, [0.5, 0.2], [1], [0])
     with pytest.raises(ValueError):
         run_sweep(runs, afs, [0.5], [1, 5], [0])
+    # A repeated seed would score one grid cell twice; seeds take any order.
+    with pytest.raises(ValueError, match="seed axis must not repeat a seed"):
+        run_sweep(runs, afs, [0.5], [1], [3, 0, 3])
+    assert [c.seed for c in run_sweep(runs, afs, [0.5], [1], [3, 0]).cells] == [3, 0]
 
 
 def test_sweep_rejects_a_negative_run_count_and_keeps_zero():

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 import burstmine
 from burstmine import cli, collect, states
-from burstmine.functions import (COMPARE_OPS, AbstractionFunction, BoolTerm, Clause,
-                                 IntTerm, NullTerm, Path,
+from burstmine.functions import (COMPARE_OPS, KEYWORDS, AbstractionFunction,
+                                 BoolTerm, Clause, IntTerm, NullTerm, Path,
                                  af_list_hash, dump_af_list, load_af_list,
                                  parse_term)
-from burstmine.ir import (KEYWORDS, build_dependency_graph, detect_relevant_classes,
+from burstmine.ir import (build_dependency_graph, detect_relevant_classes,
                           parse_program)
 from burstmine.states import (_UNRESOLVED, ConcreteObject, ConcreteState,
                               StateError, _compare, _resolve,
